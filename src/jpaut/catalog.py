@@ -12,8 +12,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (BadDims, BadInput, DegenerateForm, NoSquareRootOfMinusOne,
-                     ParseError)
+from .errors import (AxiomFailure, BadDims, BadInput, DegenerateForm,
+                     NoSquareRootOfMinusOne, ParseError)
 from .jordan import (JordanAlgebra, JordanPair, JordanTriple, PairMap,
                      basis_vector, check_axioms, is_pair_isomorphism,
                      pair_from_triple, triple_from_algebra, MAX_AXIOM_DIM)
@@ -43,7 +43,9 @@ def _validate(structure) -> None:
         dims = [structure.dim]
     if max(dims, default=0) <= MAX_AXIOM_DIM:
         report = check_axioms(structure)
-        assert report.ok, f"catalog construction broke axioms: {report.first_failure()}"
+        if not report.ok:
+            raise AxiomFailure("catalog construction broke axioms: "
+                               f"{report.first_failure()}")
 
 
 def _form_tensor(form: BilinearForm):
@@ -323,7 +325,9 @@ def lambda_isomorphism(form: BilinearForm, i: RingElement) -> PairIsomorphism:
                 Matrix.diagonal(ring, minus_diag))
     iso = PairIsomorphism(source, target, f,
                           name=f"lambda({d},{ring.name})")
-    assert iso.verify(), "constructed map failed transport verification"
+    if not iso.verify():
+        raise AxiomFailure(f"{iso.name}: constructed map failed transport "
+                           "verification")
     return iso
 
 
@@ -341,7 +345,9 @@ def vti_to_vhi(m: int, n: int, ring: Ring) -> PairIsomorphism:
     f = PairMap(Matrix.identity(ring, m * n),
                 Matrix(ring, n * m, m * n, tuple(rows)))
     iso = PairIsomorphism(source, target, f, name=f"vti-vhi({m},{n},{ring.name})")
-    assert iso.verify(), "transpose map failed transport verification"
+    if not iso.verify():
+        raise AxiomFailure(f"{iso.name}: transpose map failed transport "
+                           "verification")
     return iso
 
 

@@ -9,12 +9,16 @@ contractions with no sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import (AxiomFailure, BudgetExceeded, DegenerateTrace,
                      IncompatibleRings, NotInvertible, ShapeMismatch)
 from .matrix import Matrix
-from .ring import Ring, RingElement, embedding
+from .ring import PrimeField, Rationals, Ring, RingElement, embedding
 
 # nested payload tuples: Tensor[a][b][c] is the coordinate vector of the
 # product of basis elements (a, b, c); Product[a][b] likewise for algebras.
@@ -413,34 +417,40 @@ def check_axioms(structure) -> AxiomReport:
     """Exhaustive identity check on basis tuples.
 
     Valid by multilinearity.  Refuses carriers larger than MAX_AXIOM_DIM
-    rather than sampling.
+    rather than sampling.  Over F_p and Q the identities are whole-basis
+    int64 contractions; other rings, and data past the int64 bounds, take
+    the pure sweeps, which give the same report.
     """
-    structure = unwrap(structure)
-    ring = structure.ring
-    if isinstance(structure, JordanPair):
-        if max(structure.dplus, structure.dminus) > MAX_AXIOM_DIM:
-            raise BudgetExceeded(
-                f"carrier dim above {MAX_AXIOM_DIM}; refusing sampled checks")
-        failures = _check_pair_tensors(
-            ring, {1: structure.t_plus, -1: structure.t_minus},
-            {1: structure.dplus, -1: structure.dminus})
-        checked = 2 * (structure.dplus * structure.dminus) ** 2
-        return AxiomReport(not failures, "pair", checked, tuple(failures))
-    if isinstance(structure, JordanTriple):
-        if structure.dim > MAX_AXIOM_DIM:
-            raise BudgetExceeded(
-                f"carrier dim above {MAX_AXIOM_DIM}; refusing sampled checks")
-        failures = _check_pair_tensors(
-            ring, {1: structure.tensor, -1: structure.tensor},
-            {1: structure.dim, -1: structure.dim})
-        checked = 2 * structure.dim ** 4
-        return AxiomReport(not failures, "triple", checked, tuple(failures))
+    return _axiom_report(unwrap(structure), vectorize=True)
+
+
+def _axiom_report(structure, vectorize: bool) -> AxiomReport:
+    """check_axioms; with vectorize=False, the pure sweeps alone."""
     if isinstance(structure, JordanAlgebra):
-        return _check_algebra(structure)
-    raise ShapeMismatch(f"not a Jordan structure: {type(structure).__name__}")
+        return _check_algebra(structure, vectorize)
+    if isinstance(structure, JordanPair):
+        kind = "pair"
+        tensors = {1: structure.t_plus, -1: structure.t_minus}
+        dims = {1: structure.dplus, -1: structure.dminus}
+    elif isinstance(structure, JordanTriple):
+        kind = "triple"
+        tensors = {1: structure.tensor, -1: structure.tensor}
+        dims = {1: structure.dim, -1: structure.dim}
+    else:
+        raise ShapeMismatch(
+            f"not a Jordan structure: {type(structure).__name__}")
+    if max(dims.values()) > MAX_AXIOM_DIM:
+        raise BudgetExceeded(
+            f"carrier dim above {MAX_AXIOM_DIM}; refusing sampled checks")
+    failures = (_np_pair_failures(structure.ring, tensors, dims)
+                if vectorize else None)
+    if failures is None:
+        failures = _check_pair_tensors(structure.ring, tensors, dims)
+    checked = 2 * (dims[1] * dims[-1]) ** 2
+    return AxiomReport(not failures, kind, checked, tuple(failures))
 
 
-def _check_algebra(alg: JordanAlgebra) -> AxiomReport:
+def _check_algebra(alg: JordanAlgebra, vectorize: bool) -> AxiomReport:
     ring, d = alg.ring, alg.dim
     if d > MAX_AXIOM_DIM:
         raise BudgetExceeded(
@@ -458,6 +468,10 @@ def _check_algebra(alg: JordanAlgebra) -> AxiomReport:
                 failures.append({"identity": "unit", "at": (a,)})
     if failures:
         return AxiomReport(False, "algebra", d * d, tuple(failures))
+    if vectorize:
+        jordan = _np_jordan_failures(alg)
+        if jordan is not None:
+            return AxiomReport(not jordan, "algebra", d ** 4, tuple(jordan))
     # linearized Jordan identity (degree 4, sufficient given 1/2 in the ring):
     # ((xz)y)w + ((xw)y)z + ((zw)y)x = (xz)(yw) + (xw)(yz) + (zw)(yx)
     basis = [basis_vector(ring, d, i) for i in range(d)]
@@ -491,6 +505,160 @@ def _check_algebra(alg: JordanAlgebra) -> AxiomReport:
                             return AxiomReport(False, "algebra", d ** 4,
                                                tuple(failures))
     return AxiomReport(not failures, "algebra", d ** 4, tuple(failures))
+
+
+# -- vectorized identity sweeps ------------------------------------------
+#
+# The same identities as the pure sweeps above, each one numpy contraction
+# over the whole basis in int64.  Over F_p every two-factor contraction is
+# reduced mod p at once; over Q the constants are scaled to integers by one
+# common denominator, which is exact because the identities checked here
+# are homogeneous (the unit law is not, and stays on the pure path).  Each
+# returns None where that int64 image does not exist or could overflow; the
+# caller then runs the pure sweep.
+
+_INT64_LIMIT = 2 ** 63
+_MAX_FAILURES = 9  # the pure sweeps stop at their ninth failure
+
+
+def _int_tensors(ring: Ring, tensors: list, shapes: list):
+    """(arrays, p, m): exact int64 images of the tensors, or None.
+
+    Over F_p the canonical payloads themselves, p the modulus and m = p - 1.
+    Over Q the payloads times the LCM of all their denominators, taken
+    jointly over the tensors, p None and m the largest magnitude.
+    """
+    if not isinstance(ring, (PrimeField, Rationals)):
+        return None
+    flats = []
+    for tensor, shape in zip(tensors, shapes):
+        arr = np.array(tensor, dtype=object)
+        if arr.shape != shape:
+            return None
+        flats.append(arr.ravel().tolist())
+    entries = [x for flat in flats for x in flat]
+    if isinstance(ring, PrimeField):
+        p, m = ring.p, ring.p - 1
+        if not all(type(x) is int and 0 <= x < p for x in entries):
+            return None
+    else:
+        if not all(type(x) in (int, Fraction) for x in entries):
+            return None
+        scale = lcm(*(x.denominator for x in entries))
+        flats = [[x.numerator * (scale // x.denominator) for x in flat]
+                 for flat in flats]
+        p, m = None, max(abs(x) for flat in flats for x in flat)
+        if m >= _INT64_LIMIT:
+            return None
+    arrays = [np.array(flat, dtype=np.int64).reshape(shape)
+              for flat, shape in zip(flats, shapes)]
+    return arrays, p, m
+
+
+def _fits_int64(p, d: int, m: int, terms: int, degree: int) -> bool:
+    """No partial sum of a residual leaves int64.
+
+    Over F_p the largest value is one unreduced contraction, a sum of d
+    products of two entries up to m.  Over Q (p None) nothing is reduced:
+    the residual sums `terms` contractions of `degree` constants each.
+    """
+    if p is not None:
+        return d * m * m < _INT64_LIMIT
+    return terms * d ** (degree - 1) * m ** degree < _INT64_LIMIT
+
+
+def _residual(shape: tuple, p, *terms):
+    """Sum of signed two-factor einsum terms, accumulated in place.
+
+    Each term is (sign, spec, x, y).  Over F_p each contraction is reduced
+    before it is added, and the result is reduced too.
+    """
+    acc = np.zeros(shape, dtype=np.int64)
+    tmp = np.empty(shape, dtype=np.int64)
+    for sign, spec, x, y in terms:
+        np.einsum(spec, x, y, out=tmp)
+        if p is not None:
+            tmp %= p
+        if sign > 0:
+            acc += tmp
+        else:
+            acc -= tmp
+    if p is not None:
+        acc %= p
+    return acc
+
+
+def _hits(bad) -> list:
+    """Basis tuples where bad holds, in C order, at most _MAX_FAILURES."""
+    return [tuple(int(i) for i in at)
+            for at in np.argwhere(bad)[:_MAX_FAILURES]]
+
+
+def _np_pair_failures(ring: Ring, tensors: dict, dims: dict):
+    """_check_pair_tensors as contractions, or None."""
+    shapes = [(dims[s], dims[-s], dims[s], dims[s]) for s in (1, -1)]
+    image = _int_tensors(ring, [tensors[1], tensors[-1]], shapes)
+    if image is None:
+        return None
+    (t_plus, t_minus), p, m = image
+    if not _fits_int64(p, max(dims.values()), m, terms=4, degree=2):
+        return None
+    t = {1: t_plus, -1: t_minus}
+    failures = []
+    for sigma in (1, -1):
+        ts = t[sigma]
+        bad = (ts != ts.transpose(2, 1, 0, 3)).any(axis=3)
+        failures += [{"identity": "outer-symmetry", "sigma": sigma, "at": at}
+                     for at in _hits(bad)]
+    if failures:
+        return failures[:_MAX_FAILURES]
+    for sigma in (1, -1):
+        ts, to = t[sigma], t[-sigma]
+        ds, do = dims[sigma], dims[-sigma]
+        bad = np.empty((ds, do, ds, do), dtype=bool)
+        for a in range(ds):  # one a at a time keeps the buffers at d**5
+            # [D(a,b), D(u,v)] - D(D(a,b)u, v) + D(u, D(b,a)v), entry [r, c]
+            # at [b, u, v, r, c]
+            diff = _residual((do, ds, do, ds, ds), p,
+                             (1, "bkr,uvck->buvrc", ts[a], ts),
+                             (-1, "uvkr,bck->buvrc", ts, ts[a]),
+                             (-1, "buk,kvcr->buvrc", ts[a], ts),
+                             (1, "bvk,ukcr->buvrc", to[:, a], ts))
+            bad[a] = diff.reshape(do, ds, do, -1).any(axis=3)
+        failures += [{"identity": "D-commutator", "sigma": sigma, "at": at}
+                     for at in _hits(bad)]
+        if len(failures) >= _MAX_FAILURES:
+            break
+    return failures[:_MAX_FAILURES]
+
+
+def _np_jordan_failures(alg: JordanAlgebra):
+    """The linearized Jordan identity of _check_algebra, or None.
+
+    Assumes the product is commutative, as the caller has checked.
+    """
+    d = alg.dim
+    image = _int_tensors(alg.ring, [alg.product], [(d, d, d)])
+    if image is None:
+        return None
+    (prod,), p, m = image
+    if not _fits_int64(p, d, m, terms=6, degree=3):
+        return None
+    # ij_y[i, j, y] = (e_i e_j) e_y, then
+    # e[i, j, y, k] = ((e_i e_j) e_y) e_k - (e_i e_j)(e_y e_k)
+    ij_y = _residual((d,) * 4, p, (1, "ijk,kym->ijym", prod, prod))
+    e = _residual((d,) * 5, p,
+                  (1, "ijym,mkr->ijykr", ij_y, prod),
+                  (-1, "ijbr,ykb->ijykr", ij_y, prod))
+    # lhs - rhs at [x, z, w, y]: e[x,z,y,w] + e[x,w,y,z] + e[z,w,y,x]
+    e = e.transpose(0, 1, 3, 2, 4)
+    diff = e + e.transpose(0, 2, 1, 3, 4)
+    diff += e.transpose(2, 0, 1, 3, 4)
+    if p is not None:
+        diff %= p
+    x, z, w = np.indices((d, d, d))
+    bad = diff.any(axis=4) & ((x <= z) & (z <= w))[..., None]
+    return [{"identity": "jordan-linearized", "at": at} for at in _hits(bad)]
 
 
 # -- derived constructions ------------------------------------------------
@@ -570,14 +738,12 @@ def scalar_extend(structure, target: Ring):
 
 
 def _np_tensor_int(tensor: Tensor):
-    import numpy as np
     return np.array(tensor, dtype=np.int64)
 
 
 def _np_transport_equal(ring, tensor: Tensor, out_map: Matrix, ma: Matrix,
                         mb: Matrix, mc: Matrix) -> bool:
     """out_map(T[i,j,k]) == T(ma e_i, mb e_j, mc e_k), exact mod p."""
-    import numpy as np
     p = ring.p
     t = _np_tensor_int(tensor)  # (da, db, dc, dout)
     f = np.array(out_map.entries, dtype=np.int64)
@@ -593,7 +759,6 @@ def _np_transport_equal(ring, tensor: Tensor, out_map: Matrix, ma: Matrix,
 
 def _transport_equal(ring, tensor: Tensor, out_map: Matrix, ma: Matrix,
                      mb: Matrix, mc: Matrix) -> bool:
-    from .ring import PrimeField
     if isinstance(ring, PrimeField):
         return _np_transport_equal(ring, tensor, out_map, ma, mb, mc)
     transported = transport_tensor(ring, tensor, ma, mb, mc)
@@ -634,9 +799,7 @@ def algebra_map_respects(alg: JordanAlgebra, phi: Matrix) -> bool:
     if phi.rows != alg.dim or phi.cols != alg.dim:
         raise ShapeMismatch("map dim does not match algebra dim")
     ring, d = alg.ring, alg.dim
-    from .ring import PrimeField
     if isinstance(ring, PrimeField):
-        import numpy as np
         p = ring.p
         pr = _np_tensor_int(alg.product)
         f = np.array(phi.entries, dtype=np.int64)

@@ -1,4 +1,9 @@
 """System catalog: constructors, the text grammar, named isomorphisms."""
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from jpaut import (PrimeField, Rationals, Matrix, check_axioms, standard_form,
@@ -104,3 +109,46 @@ def test_lambda_isomorphism_needs_a_square_root_of_minus_one():
         lambda_isomorphism(standard_form(F3, 1), F3.one)
     with pytest.raises(NoSquareRootOfMinusOne):
         lambda_isomorphism(standard_form(Q, 1), Q.one)
+
+
+_GUARDS_UNDER_O = textwrap.dedent("""
+    import os
+    import sys
+    from jpaut import PrimeField, catalog, cli, standard_form
+    from jpaut.errors import AxiomFailure
+    from jpaut.jordan import AxiomReport
+
+    print("optimize", sys.flags.optimize)
+    F3, F5 = PrimeField(3), PrimeField(5)
+    catalog.is_pair_isomorphism = lambda *args: False
+    for name, make in (("vti_to_vhi", lambda: catalog.vti_to_vhi(1, 2, F3)),
+                       ("lambda", lambda: catalog.lambda_isomorphism(
+                           standard_form(F5, 1), 2))):
+        try:
+            make()
+        except AxiomFailure:
+            print(name, "raised")
+    catalog.check_axioms = lambda s: AxiomReport(
+        False, "triple", 0, ({"identity": "forced", "at": (0,)},))
+    try:
+        catalog.make_thi(1, F3)
+    except AxiomFailure:
+        print("make_thi raised")
+    print("verify exit", cli.main(["verify", "ThI(1,F3)", "--out", os.devnull]))
+""")
+
+
+def test_catalog_guards_survive_python_O():
+    # asserts vanish under -O; the catalog's axiom and isomorphism checks
+    # must raise AxiomFailure (CLI exit 1) there all the same
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-O", "-c", _GUARDS_UNDER_O],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "optimize 1", "vti_to_vhi raised", "lambda raised",
+        "make_thi raised", "verify exit 1"]

@@ -1,18 +1,30 @@
 """Jordan structures: axiom checks, operators, constructions between kinds."""
-import pytest
+import functools
+import random
+from fractions import Fraction
 
-from jpaut import (PrimeField, ProductRing, Matrix, PairMap, check_axioms,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from jpaut import (PrimeField, ProductRing, Rationals, Matrix, PairMap,
+                   JordanAlgebra, JordanPair, JordanTriple, check_axioms,
                    d_operator, q_operator, is_pair_automorphism,
                    is_triple_automorphism, dual_inverse, triple_from_algebra,
                    pair_from_triple, scalar_extend, standard_form,
                    make_type_iv_pair, make_type_iv_triple, make_t_iv,
                    make_vhi, make_mn_plus, make_bad_pair,
+                   make_bilinear_form_algebra, parse_system,
                    enumerate_automorphisms)
 from jpaut.errors import (BudgetExceeded, DegenerateTrace, ShapeMismatch)
+from jpaut.jordan import (_axiom_report, _np_jordan_failures,
+                          _np_pair_failures)
+from test_acceptance import _axiom_sweep_systems
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 F33 = ProductRing(F3, F3)
+Q = Rationals()
 
 
 def test_check_axioms_pair_report():
@@ -34,6 +46,7 @@ def test_bad_pair_fails_outer_symmetry():
     rep = check_axioms(make_bad_pair(F3))
     assert not rep.ok
     assert rep.failures[0]["identity"] == "outer-symmetry"
+    assert rep.failures[0]["sigma"] == 1
     assert rep.failures[0]["at"] == (0, 1, 1)
 
 
@@ -123,3 +136,232 @@ def test_is_triple_automorphism_shape_guard():
     that = make_type_iv_triple(standard_form(F3, 2))
     with pytest.raises(ShapeMismatch):
         is_triple_automorphism(that, Matrix.identity(F3, 3))
+
+
+# -- the vectorized checker against the pure sweeps --------------------------
+
+
+def _pure(structure):
+    return _axiom_report(structure, vectorize=False)
+
+
+def _numpy_failures(structure):
+    """What the numpy path reports on its own; None where it declines."""
+    if isinstance(structure, JordanAlgebra):
+        return _np_jordan_failures(structure)
+    if isinstance(structure, JordanTriple):
+        tensors = {1: structure.tensor, -1: structure.tensor}
+        dims = {1: structure.dim, -1: structure.dim}
+    else:
+        tensors = {1: structure.t_plus, -1: structure.t_minus}
+        dims = {1: structure.dplus, -1: structure.dminus}
+    return _np_pair_failures(structure.ring, tensors, dims)
+
+
+def test_vectorized_reports_equal_the_pure_sweeps_on_the_axiom_grid():
+    systems = [parse_system(t).structure for t in _axiom_sweep_systems()]
+    systems.append(make_bad_pair(F3).structure)
+    declined = [s.name for s in systems if _numpy_failures(s) is None]
+    assert declined == []  # every grid point runs the numpy path
+    mismatches = [s.name for s in systems if check_axioms(s) != _pure(s)]
+    assert mismatches == []
+
+
+# catalog systems with every carrier of dimension <= 4, and zero pairs with
+# unequal carrier dimensions, as (dplus, dminus)
+_PERTURB_BASES = ("VIV(2)", "VIV(4)", "VhI(1,1)", "VhI(1,2)", "VtI(1,2)",
+                  "ThatIV(3)", "TIV(1)", "TIV(4)", "TtI(1,3)", "TtI(2,2)",
+                  "ThI(2)", "Jbilin(1)", "Jbilin(3)", "Jbilin(4)",
+                  "Mplus(1)", "Mplus(2)", (1, 2), (2, 3), (3, 1), (4, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _base_structure(base, ring):
+    if isinstance(base, tuple):
+        dp, dm = base
+        zero = ring.zero_p
+
+        def zeros(ds, do):
+            return tuple(tuple(tuple((zero,) * ds for _ in range(ds))
+                               for _ in range(do)) for _ in range(ds))
+        return JordanPair(ring, dp, dm, zeros(dp, dm), zeros(dm, dp), None,
+                          name=f"Zero({dp},{dm},{ring.name})")
+    return parse_system(f"{base[:-1]},{ring.name})").structure
+
+
+def _thaw(tensor):
+    if isinstance(tensor, tuple):
+        return [_thaw(x) for x in tensor]
+    return tensor
+
+
+def _freeze(tensor):
+    if isinstance(tensor, list):
+        return tuple(_freeze(x) for x in tensor)
+    return tensor
+
+
+def _shape(tensor):
+    shape = []
+    while isinstance(tensor, tuple):
+        shape.append(len(tensor))
+        tensor = tensor[0]
+    return shape
+
+
+def _edit(tensor, index, value, mirror):
+    """Set one structure constant; with mirror also its outer-symmetric or
+    commuted partner, so the sweep gets past the symmetry checks."""
+    out = _thaw(tensor)
+    pos = []
+    for size in _shape(tensor):
+        pos.append(index % size)
+        index //= size
+    targets = [pos]
+    if mirror:
+        swapped = list(pos)
+        last = 2 if len(pos) == 4 else 1
+        swapped[0], swapped[last] = pos[last], pos[0]
+        targets.append(swapped)
+    for at in targets:
+        node = out
+        for i in at[:-1]:
+            node = node[i]
+        node[at[-1]] = value
+    return _freeze(out)
+
+
+def _perturb(structure, edits, mirror, unit_choice):
+    ring = structure.ring
+    kind = type(structure)
+    if kind is JordanPair:
+        tensors = [structure.t_plus, structure.t_minus]
+    elif kind is JordanTriple:
+        tensors = [structure.tensor]
+    else:
+        tensors = [structure.product]
+    for which, index, num, den in edits:
+        value = (Fraction(num, den) if ring == Q
+                 else ring.from_int(num).payload)
+        which %= len(tensors)
+        tensors[which] = _edit(tensors[which], index, value, mirror)
+    if kind is JordanPair:
+        return JordanPair(ring, structure.dplus, structure.dminus,
+                          tensors[0], tensors[1], None, name="perturbed")
+    if kind is JordanTriple:
+        return JordanTriple(ring, structure.dim, tensors[0], None,
+                            name="perturbed")
+    d = structure.dim
+    unit = {"keep": structure.unit, "none": None,
+            "last": tuple(ring.one_p if i == d - 1 else ring.zero_p
+                          for i in range(d))}[unit_choice]
+    return JordanAlgebra(ring, d, tensors[0], unit, name="perturbed")
+
+
+_edits = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 10 ** 6),
+                            st.integers(-3, 3), st.integers(1, 3)),
+                  max_size=14)
+
+
+@pytest.mark.parametrize("base", _PERTURB_BASES, ids=str)
+@settings(max_examples=12, deadline=None)
+@given(ring=st.sampled_from([F3, F5, F7, Q]), edits=_edits,
+       mirror=st.booleans(), unit_choice=st.sampled_from(["keep", "none",
+                                                           "last"]))
+def test_vectorized_reports_equal_pure_on_perturbed_tensors(
+        base, ring, edits, mirror, unit_choice):
+    structure = _perturb(_base_structure(base, ring), edits, mirror,
+                         unit_choice)
+    assert _numpy_failures(structure) is not None
+    assert check_axioms(structure) == _pure(structure)
+
+
+def _broken_everywhere(structure, mirror, seed=11):
+    rng = random.Random(seed)
+    edits = [(rng.randrange(2), rng.randrange(10 ** 6), rng.randrange(1, 3),
+              1) for _ in range(40)]
+    return _perturb(structure, edits, mirror, "none")
+
+
+@pytest.mark.parametrize("base,mirror,identity", [
+    ("VIV(3)", False, "outer-symmetry"),
+    ("VIV(3)", True, "D-commutator"),
+    ("ThI(2)", True, "D-commutator"),
+    ("Mplus(2)", True, "jordan-linearized"),
+])
+def test_vectorized_reports_stop_at_nine_failures_like_the_pure_sweeps(
+        base, mirror, identity):
+    for ring in (F5, Q):
+        broken = _broken_everywhere(_base_structure(base, ring), mirror)
+        report = check_axioms(broken)
+        assert report == _pure(broken)
+        assert len(report.failures) == 9
+        assert {f["identity"] for f in report.failures} == {identity}
+
+
+# -- int64 bounds -------------------------------------------------------------
+
+
+def _dense_copy(alg, seed=5):
+    """The algebra transported by a dense invertible matrix g: the product
+    (g a)(g b) pulled back by g^-1, with the unit pulled back likewise."""
+    ring, d = alg.ring, alg.dim
+    rng = random.Random(seed)
+    while True:
+        g = Matrix(ring, d, d, tuple(tuple(rng.randrange(1, ring.p)
+                                           for _ in range(d))
+                                     for _ in range(d)))
+        if g.is_invertible():
+            break
+    g_inv = g.inverse()
+    cols = [tuple(g.entries[r][c] for r in range(d)) for c in range(d)]
+    prod = tuple(tuple(g_inv.apply(alg.multiply(cols[a], cols[b]))
+                       for b in range(d)) for a in range(d))
+    return JordanAlgebra(ring, d, prod, g_inv.apply(alg.unit),
+                         name=f"dense {alg.name}")
+
+
+@pytest.mark.parametrize("p", [10000019, 1000000007])
+def test_dense_copies_at_large_primes_pass_on_the_numpy_path(p):
+    ring = PrimeField(p)
+    for alg in (make_mn_plus(2, ring).structure,
+                make_bilinear_form_algebra(standard_form(ring, 2)).structure):
+        dense = _dense_copy(alg)
+        entries = [c for row in dense.product for vec in row for c in vec]
+        # unreduced products of three constants would leave int64
+        assert max(entries) ** 3 >= 2 ** 63
+        assert _np_jordan_failures(dense) == []
+        assert check_axioms(dense) == _pure(dense)
+        assert check_axioms(dense).ok
+
+
+def test_primes_past_the_int64_bound_take_the_pure_sweep():
+    ring = PrimeField(2 ** 31 - 1)  # 4 * (p - 1)**2 >= 2**63 at dim 4
+    dense = _dense_copy(make_mn_plus(2, ring).structure)
+    assert _np_jordan_failures(dense) is None
+    assert check_axioms(dense) == _pure(dense)
+    assert check_axioms(dense).ok
+
+
+def _scaled(structure, factor):
+    def scale(vec):
+        return tuple(factor * c for c in vec)
+    if isinstance(structure, JordanTriple):
+        tensor = tuple(tuple(tuple(scale(v) for v in row2) for row2 in row)
+                       for row in structure.tensor)
+        return JordanTriple(Q, structure.dim, tensor, None, name="scaled")
+    prod = tuple(tuple(scale(v) for v in row) for row in structure.product)
+    return JordanAlgebra(Q, structure.dim, prod, None, name="scaled")
+
+
+def test_q_numerators_near_2_to_the_40_take_the_pure_sweep():
+    big = Fraction(2 ** 40 + 1, 3)
+    # the identities are homogeneous, so scaled systems stay Jordan
+    triple = _scaled(make_type_iv_triple(standard_form(Q, 2)).structure, big)
+    alg = _scaled(make_mn_plus(2, Q).structure, big)
+    broken = _perturb(triple, [(0, 5, 1, 1)], True, "none")
+    for structure in (triple, alg, broken):
+        assert _numpy_failures(structure) is None
+        assert check_axioms(structure) == _pure(structure)
+    assert check_axioms(triple).ok and check_axioms(alg).ok
+    assert not check_axioms(broken).ok
