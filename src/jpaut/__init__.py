@@ -12,11 +12,11 @@ from .errors import (
     NotInvertible, ShapeMismatch, DegenerateForm, DegenerateTrace,
     IncompatibleRings, AxiomFailure, NoSquareRootOfMinusOne, BadDims,
     NotSimilitude, NotIsometry, NonFieldRing, NotFactorable, BudgetExceeded,
-    MixedSystems, GradingViolation, UnknownClaim,
+    MixedSystems, GradingViolation, UnknownClaim, EngineMismatch,
 )
 from .ring import (
     Ring, PrimeField, Rationals, ProductRing, DualNumbers, RingElement,
-    parse_ring, idempotents, mu_n, idempotent_splitting, component_inverse,
+    parse_ring, idempotents, mu_n, component_inverse,
     find_sqrt_minus_one, embedding,
 )
 from .matrix import (

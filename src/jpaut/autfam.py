@@ -140,24 +140,24 @@ def transpose_twist(ring: Ring, n: int) -> PairMap:
 
 # -- idempotent-twisted maps ------------------------------------------------
 
+def _unit_scale(m: Matrix, e) -> RingElement:
+    """The unit e x^{-1} + (1 - e), x the first entry of m that is a unit
+    in the component e R."""
+    ring = m.ring
+    for row in m.entries:
+        for x in row:
+            inv = component_inverse(ring, e, x)
+            if inv is not None:
+                return RingElement(ring, ring.add(ring.mul(e, inv),
+                                                  ring.sub(ring.one_p, e)))
+    raise NotInvertible("no unit entry in an idempotent component")
+
+
 def canonical_conjugator(g: Matrix) -> Matrix:
     """Scale g per primitive idempotent component so its first unit entry
     in that component is 1.  Conjugation is unchanged by unit scalars."""
-    ring = g.ring
-    for e in ring.primitive_idempotents():
-        scale = None
-        for row in g.entries:
-            for x in row:
-                inv = component_inverse(ring, e, x)
-                if inv is not None:
-                    one_minus_e = ring.sub(ring.one_p, e)
-                    scale = ring.add(ring.mul(e, inv), one_minus_e)
-                    break
-            if scale is not None:
-                break
-        if scale is None:
-            raise NotInvertible("no unit entry in an idempotent component")
-        g = g * RingElement(ring, scale)
+    for e in g.ring.primitive_idempotents():
+        g = g * _unit_scale(g, e)
     return g
 
 
@@ -245,14 +245,6 @@ class TwistedMap:
         return (self.ring.payload_str(self.e1), self.sign, self.g.entries)
 
 
-def twisted_map_apply(t: TwistedMap, x: Matrix) -> Matrix:
-    return t.apply(x)
-
-
-def twisted_compose(t1: TwistedMap, t2: TwistedMap) -> TwistedMap:
-    return t1.compose(t2)
-
-
 def mu2_plus_map(ring: Ring, n: int, tau: RingElement) -> TwistedMap:
     """f_tau: the plus-twisted map with e1 = (1 + tau)/2 and trivial g."""
     if tau * tau != ring.one:
@@ -302,29 +294,12 @@ def _det_equal_for_all(f: Matrix, n: int, multiplier) -> bool:
 
 def _np_det_check(f: Matrix, n: int, multiplier) -> bool:
     import numpy as np
-    ring = f.ring
-    p = ring.p
+    from .fastscan import _det, _digit_matrices
+    p = f.ring.p
+    x = _digit_matrices(np.arange(p ** (n * n), dtype=np.int64), p, n)
     fm = np.array(f.entries, dtype=np.int64)
-    total = p ** (n * n)
-    idx = np.arange(total, dtype=np.int64)
-    cells = n * n
-    flat = np.empty((total, cells), dtype=np.int64)
-    for c in range(cells):
-        flat[:, c] = (idx // p ** (cells - 1 - c)) % p
-    img = flat @ fm.T % p
-    x = flat.reshape(total, n, n)
-    y = img.reshape(total, n, n)
-
-    def det(m):
-        if n == 1:
-            return m[:, 0, 0] % p
-        if n == 2:
-            return (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % p
-        return (m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
-                - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
-                + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
-                ) % p
-    return bool((det(y) == (multiplier * det(x)) % p).all())
+    y = (x.reshape(-1, n * n) @ fm.T % p).reshape(x.shape)
+    return bool((_det(y, p) == multiplier * _det(x, p) % p).all())
 
 
 def det_isometry_check(f: Matrix, n: int) -> bool:
@@ -423,21 +398,8 @@ def _scale_to_class_rep(a: Matrix, b: Matrix) -> tuple:
     if not (ring.is_field or ring.splits_into_fields):
         raise NonFieldRing(f"no class canonicalization over {ring.name}")
     for e in ring.primitive_idempotents():
-        scale = None
-        for row in a.entries:
-            for x in row:
-                inv = component_inverse(ring, e, x)
-                if inv is not None:
-                    one_minus_e = ring.sub(ring.one_p, e)
-                    scale = ring.add(ring.mul(e, inv), one_minus_e)
-                    break
-            if scale is not None:
-                break
-        if scale is None:
-            raise NotInvertible("no unit entry in an idempotent component")
-        r = RingElement(ring, scale)
-        a = a * r
-        b = b * r.inverse()
+        r = _unit_scale(a, e)
+        a, b = a * r, b * r.inverse()
     return a, b
 
 
@@ -475,20 +437,6 @@ class CentralProductElement:
         ia, ib = self.a.inverse(), self.b.inverse()
         ra, rb = phi_tau_action(self.tau, ia, ib)
         return CentralProductElement(ra, rb, self.tau)
-
-
-def central_canonicalize(a: Matrix, b: Matrix,
-                         tau: Optional[RingElement] = None) -> CentralProductElement:
-    return CentralProductElement(a, b, tau)
-
-
-def central_multiply(x: CentralProductElement,
-                     y: CentralProductElement) -> CentralProductElement:
-    return x.multiply(y)
-
-
-def central_inverse(x: CentralProductElement) -> CentralProductElement:
-    return x.inverse()
 
 
 # -- scalar-times-automorphism factorization ---------------------------------

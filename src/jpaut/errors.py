@@ -93,3 +93,7 @@ class GradingViolation(ToolkitError):
 
 class UnknownClaim(ToolkitError):
     """The requested claim id is not in the catalog."""
+
+
+class EngineMismatch(ToolkitError):
+    """A fast scan returned an element the pure predicate rejects."""

@@ -18,12 +18,13 @@ int64 otherwise; both give identical exact results mod p.
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import DegenerateForm
 
 CHUNK = 1 << 16
 MAX_SLOTS = 4
@@ -37,23 +38,18 @@ def _work_dtype(p: int) -> type:
     return np.int32 if (64 * p ** 4 < limit and 6 * p ** 5 < limit) else np.int64
 
 
-@lru_cache(maxsize=None)
-def _perms(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    out = []
-    for perm in itertools.permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        out.append((perm, -1 if inv % 2 else 1))
-    return tuple(out)
-
-
-def _digit_matrices(idx: np.ndarray, p: int, d: int) -> np.ndarray:
-    """Decode arbitrary candidate indices to (B, d, d) entries, row-major."""
-    cells = d * d
+def _digits(idx: np.ndarray, p: int, cells: int) -> np.ndarray:
+    """Decode arbitrary candidate indices to (B, cells) base-p digits."""
     out = np.empty((idx.shape[0], cells), dtype=np.int64)
     rest = idx
     for c in range(cells - 1, -1, -1):
         rest, out[:, c] = np.divmod(rest, p)
-    return out.reshape(idx.shape[0], d, d)
+    return out
+
+
+def _digit_matrices(idx: np.ndarray, p: int, d: int) -> np.ndarray:
+    """Decode arbitrary candidate indices to (B, d, d) entries, row-major."""
+    return _digits(idx, p, d * d).reshape(idx.shape[0], d, d)
 
 
 @lru_cache(maxsize=8)
@@ -107,13 +103,12 @@ def _digit_matrices_range(start: int, stop: int, p: int, d: int,
         stop - start, d, d)
 
 
-_MINOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
 def _row_minors(a: np.ndarray, r0: int, r1: int) -> dict:
-    """The six 2x2 minors of rows (r0, r1) of a (B, 4, 4) batch; |m| < 2p**2."""
+    """The 2x2 minors of rows (r0, r1) of a (B, n, n) batch, keyed by column
+    pair in lexicographic order; |m| < 2p**2."""
+    n = a.shape[2]
     return {(x, y): a[:, r0, x] * a[:, r1, y] - a[:, r0, y] * a[:, r1, x]
-            for (x, y) in _MINOR_PAIRS}
+            for x in range(n) for y in range(x + 1, n)}
 
 
 def _det4_from_minors(top: dict, bot: dict) -> np.ndarray:
@@ -124,21 +119,24 @@ def _det4_from_minors(top: dict, bot: dict) -> np.ndarray:
 
 
 def _det(a: np.ndarray, p: int) -> np.ndarray:
-    """Batched determinant mod p for (B, n, n), small n."""
+    """Batched determinant mod p for (B, n, n), 1 <= n <= 4, expanded
+    along the 2x2 minors of the last two rows."""
     n = a.shape[1]
-    if n == 0:
-        return np.ones(a.shape[0], dtype=a.dtype if a.ndim else np.int64)
-    if n == 4:
-        top = _row_minors(a, 0, 1)
-        bot = _row_minors(a, 2, 3)
-        return _det4_from_minors(top, bot) % p
-    acc = np.zeros(a.shape[0], dtype=a.dtype)
-    for perm, sign in _perms(n):
-        term = a[:, 0, perm[0]].copy()
-        for i in range(1, n):
-            term *= a[:, i, perm[i]]
-        acc += sign * term
-    return acc % p
+    if n == 1:
+        return a[:, 0, 0] % p
+    bot = _row_minors(a, n - 2, n - 1)
+    if n == 2:
+        return bot[(0, 1)] % p
+    if n == 3:
+        return (a[:, 0, 0] * bot[(1, 2)] - a[:, 0, 1] * bot[(0, 2)]
+                + a[:, 0, 2] * bot[(0, 1)]) % p
+    return _det4_from_minors(_row_minors(a, 0, 1), bot) % p
+
+
+def _invertible(start: int, a: np.ndarray, p: int):
+    """(indices, matrices) of the chunk's candidates with det != 0."""
+    keep = _det(a, p) != 0
+    return np.arange(start, start + a.shape[0], dtype=np.int64)[keep], a[keep]
 
 
 @lru_cache(maxsize=None)
@@ -196,26 +194,26 @@ def _adj4_from_minors(a: np.ndarray, top: dict, bot: dict) -> np.ndarray:
 
 
 def _det_adj(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Batched (det mod p, adjugate) with a @ adj == det * I mod p.
+    """Batched (det mod p, adjugate) with a @ adj == det * I mod p, n <= 4.
 
     The adjugate is returned UNREDUCED: exact integers with |entry| < 6p**3,
     congruent mod p to the true adjugate.  Callers reduce after the next
     contraction; deferring the reduction avoids a full-array division.
     """
-    n = a.shape[1]
-    b = a.shape[0]
+    b, n = a.shape[0], a.shape[1]
+    if n == 4:  # the adjugate reuses the determinant's row minors
+        top = _row_minors(a, 0, 1)
+        bot = _row_minors(a, 2, 3)
+        return _det4_from_minors(top, bot) % p, _adj4_from_minors(a, top, bot)
+    flat = np.empty((n * n, b), dtype=a.dtype)
     if n == 1:
-        return a[:, 0, 0] % p, np.ones((b, 1, 1), dtype=a.dtype)
-    if n == 2:
-        det = (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
-        flat = np.empty((4, b), dtype=a.dtype)
+        flat[0] = 1
+    elif n == 2:
         flat[0] = a[:, 1, 1]
         flat[1] = -a[:, 0, 1]
         flat[2] = -a[:, 1, 0]
         flat[3] = a[:, 0, 0]
-        return det, np.ascontiguousarray(flat.T).reshape(b, 2, 2)
-    if n == 3:
-        flat = np.empty((9, b), dtype=a.dtype)
+    else:
         for i in range(3):
             for j in range(3):
                 r = [t for t in range(3) if t != j]
@@ -223,24 +221,7 @@ def _det_adj(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
                 m = a[:, r[0], c[0]] * a[:, r[1], c[1]] \
                     - a[:, r[0], c[1]] * a[:, r[1], c[0]]
                 flat[3 * i + j] = m if (i + j) % 2 == 0 else -m
-        det = (a[:, 0, 0] * flat[0] + a[:, 0, 1] * flat[3]
-               + a[:, 0, 2] * flat[6]) % p
-        return det, np.ascontiguousarray(flat.T).reshape(b, 3, 3)
-    if n == 4:
-        top = _row_minors(a, 0, 1)
-        bot = _row_minors(a, 2, 3)
-        det = _det4_from_minors(top, bot) % p
-        return det, _adj4_from_minors(a, top, bot)
-    det = _det(a, p)
-    adj = np.empty_like(a)
-    rows = list(range(n))
-    for i in range(n):
-        for j in range(n):
-            sel_r = [r for r in rows if r != j]
-            sel_c = [c for c in rows if c != i]
-            m = _det(a[:, sel_r][:, :, sel_c], p)
-            adj[:, i, j] = m if (i + j) % 2 == 0 else (-m) % p
-    return det, adj % p
+    return _det(a, p), np.ascontiguousarray(flat.T).reshape(b, n, n)
 
 
 def _generalized_perm(m: np.ndarray, p: int):
@@ -334,16 +315,26 @@ def _slot_rhs(t_byc: tuple[np.ndarray, ...], u: np.ndarray, v: np.ndarray,
     return acc % p
 
 
-def _transport_full(tensor: np.ndarray, mx: np.ndarray, my: np.ndarray,
-                    mz: np.ndarray, p: int) -> np.ndarray:
-    """Full contraction R[B,x,i,j,k] = Sum T[x,a,b,c] mx[a,i] my[b,j] mz[c,k].
+def _carried(tensor: np.ndarray, out: np.ndarray, maps: Sequence[np.ndarray],
+             p: int, scale: np.ndarray | None = None) -> np.ndarray:
+    """Keep-vector of the complete condition scale * out T == T(maps).
 
-    Reduces between stages, so sums stay below d * p**2 in every dtype.
+    On every basis tuple, scale[B] * out[B] T[:, a, b, ..] must equal
+    Sum T[:, a', b', ..] maps[0][B, a', a] maps[1][B, b', b] ...  The right
+    side is contracted one slot at a time and reduced between slots, so
+    sums stay below d * p**2 in every dtype.
     """
-    t1 = np.einsum('xabc,Bai->Bxibc', tensor, mx, optimize=True)
-    t2 = np.einsum('Bxibc,Bbj->Bxijc', t1 % p, my, optimize=True)
-    t3 = np.einsum('Bxijc,Bck->Bxijk', t2 % p, mz, optimize=True)
-    return t3 % p
+    ins, outs = "abc"[:len(maps)], "ijk"[:len(maps)]
+    lhs = np.einsum(f"Bxy,y{outs}->Bx{outs}", out, tensor, optimize=True)
+    if scale is not None:
+        lhs *= scale.reshape((-1,) + (1,) * (lhs.ndim - 1))
+    rhs = tensor
+    for s, m in enumerate(maps):
+        src = ("x" if s == 0 else "Bx" + outs[:s]) + ins[s:]
+        dst = "Bx" + outs[:s + 1] + ins[s + 1:]
+        rhs = np.einsum(f"{src},B{ins[s]}{outs[s]}->{dst}", rhs, m,
+                        optimize=True) % p
+    return (lhs % p == rhs).all(axis=tuple(range(1, lhs.ndim)))
 
 
 def _probe_start(total: int) -> int:
@@ -394,6 +385,44 @@ def _greedy_slots(d: int, count: int,
     return chosen
 
 
+def _probe_slots(total: int, d: int, decode: Callable,
+                 slot_pass: Callable) -> list[tuple[int, int, int]]:
+    """Filter slots chosen greedily on the fixed probe chunk."""
+    ps = _probe_start(total)
+    _, *probe = decode(ps, min(ps + CHUNK, total))
+
+    def eval_slot(slot, mask):
+        arrays = probe if mask is None else [x[mask] for x in probe]
+        return slot_pass(*arrays, slot)
+
+    return _greedy_slots(d, MAX_SLOTS, eval_slot)
+
+
+def _scan(total: int, decode: Callable, slot_pass: Callable, slots: Sequence,
+          checks: Sequence[Callable], jobs: int) -> np.ndarray:
+    """Ascending indices in [0, total) that survive every stage.
+
+    decode(start, stop) returns a chunk's candidate indices followed by the
+    per-candidate arrays the stages read; each slot filter
+    slot_pass(*arrays, slot), then each complete check(*arrays), returns a
+    keep-vector over them.  Chunks run in index order (see _chunked).
+    """
+    stages = [lambda *arrays, s=s: slot_pass(*arrays, s)
+              for s in slots] + list(checks)
+
+    def kernel(start: int, stop: int) -> np.ndarray:
+        idx, *arrays = decode(start, stop)
+        for stage in stages:
+            if idx.size == 0:
+                break
+            keep = stage(*arrays)
+            idx, arrays = idx[keep], [x[keep] for x in arrays]
+        return idx
+
+    parts = _chunked(total, kernel, jobs)
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
 def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
                          gram: Sequence, jobs: int = 1) -> list[MatTuple]:
     """All phi_plus with (phi_plus, trace-dual inverse) a pair automorphism.
@@ -407,31 +436,27 @@ def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
     tp = (np.array(t_plus, dtype=np.int64) % p).astype(dtype)
     tm = (np.array(t_minus, dtype=np.int64) % p).astype(dtype)
     g = np.array(gram, dtype=np.int64) % p
-    ginv = _int_matrix_inverse(g, p)
-    gram_apply = _make_gram_apply(g, ginv, p, dtype)
+    gram_apply = _make_gram_apply(g, _int_matrix_inverse(g, p), p, dtype)
     tp_byc = _tensor_by_c(tp, dtype)
     total = p ** (d * d)
 
     def decode(start: int, stop: int):
-        idx = np.arange(start, stop, dtype=np.int64)
         a = _digit_matrices_range(start, stop, p, d, dtype)
-        if d == 4:
+        if d == 4:  # drop singular candidates before building the adjugate
             top = _row_minors(a, 0, 1)
             bot = _row_minors(a, 2, 3)
             det = _det4_from_minors(top, bot) % p
             keep = det != 0
-            idx, a, det = idx[keep], a[keep], det[keep]
-            top = {key: v[keep] for key, v in top.items()}
-            bot = {key: v[keep] for key, v in bot.items()}
-            adj = _adj4_from_minors(a, top, bot)
+            a, det = a[keep], det[keep]
+            adj = _adj4_from_minors(a, {k: v[keep] for k, v in top.items()},
+                                    {k: v[keep] for k, v in bot.items()})
         else:
-            det = _det(a, p)
+            det, adj = _det_adj(a, p)
             keep = det != 0
-            idx, a, det = idx[keep], a[keep], det[keep]
-            _, adj = _det_adj(a, p)
+            a, det, adj = a[keep], det[keep], adj[keep]
+        idx = np.arange(start, stop, dtype=np.int64)[keep]
         # btil = det * phi_minus, with phi_minus = (phi_plus^T G)^{-1} G
-        btil = gram_apply(adj)
-        return idx, a, det, btil
+        return idx, a, det, gram_apply(adj)
 
     def slot_pass(a, det, btil, slot):
         i, j, k = slot
@@ -439,41 +464,15 @@ def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
         rhs = _slot_rhs(tp_byc, a[:, :, i], btil[:, :, j], a[:, :, k], p)
         return (lhs == rhs).all(axis=1)
 
-    ps = _probe_start(total)
-    _, pa, pdet, pbtil = decode(ps, min(ps + CHUNK, total))
+    def check_plus(a, det, btil):
+        return _carried(tp, a, (a, btil, a), p, det)
 
-    def eval_slot(slot, mask):
-        if mask is None:
-            return slot_pass(pa, pdet, pbtil, slot)
-        return slot_pass(pa[mask], pdet[mask], pbtil[mask], slot)
+    def check_minus(a, det, btil):
+        return _carried(tm, btil, (btil, a, btil), p, det)
 
-    slots = _greedy_slots(d, MAX_SLOTS, eval_slot)
-
-    def kernel(start: int, stop: int) -> np.ndarray:
-        idx, a, det, btil = decode(start, stop)
-        for slot in slots:
-            if idx.size == 0:
-                return idx
-            keep = slot_pass(a, det, btil, slot)
-            idx, a, det, btil = idx[keep], a[keep], det[keep], btil[keep]
-        if idx.size == 0:
-            return idx
-        # complete condition, both signs
-        lhs_p = np.einsum('Bxy,yijk->Bxijk', a, tp, optimize=True) \
-            * det[:, None, None, None, None] % p
-        rhs_p = _transport_full(tp, a, btil, a, p)
-        keep = (lhs_p == rhs_p).all(axis=(1, 2, 3, 4))
-        idx, a, det, btil = idx[keep], a[keep], det[keep], btil[keep]
-        if idx.size == 0:
-            return idx
-        lhs_m = np.einsum('Bxy,yijk->Bxijk', btil, tm, optimize=True) \
-            * det[:, None, None, None, None] % p
-        rhs_m = _transport_full(tm, btil, a, btil, p)
-        keep = (lhs_m == rhs_m).all(axis=(1, 2, 3, 4))
-        return idx[keep]
-
-    parts = _chunked(total, kernel, jobs)
-    idx = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    slots = _probe_slots(total, d, decode, slot_pass)
+    idx = _scan(total, decode, slot_pass, slots, (check_plus, check_minus),
+                jobs)
     return _to_tuples(_digit_matrices(idx, p, d))
 
 
@@ -485,11 +484,8 @@ def scan_triple(p: int, d: int, tensor: Sequence, jobs: int = 1) -> list[MatTupl
     total = p ** (d * d)
 
     def decode(start: int, stop: int):
-        idx = np.arange(start, stop, dtype=np.int64)
-        a = _digit_matrices_range(start, stop, p, d, dtype)
-        det = _det(a, p)
-        keep = det != 0
-        return idx[keep], a[keep]
+        return _invertible(start, _digit_matrices_range(start, stop, p, d,
+                                                        dtype), p)
 
     def slot_pass(a, slot):
         i, j, k = slot
@@ -497,30 +493,11 @@ def scan_triple(p: int, d: int, tensor: Sequence, jobs: int = 1) -> list[MatTupl
         rhs = _slot_rhs(t_byc, a[:, :, i], a[:, :, j], a[:, :, k], p)
         return (lhs == rhs).all(axis=1)
 
-    ps = _probe_start(total)
-    _, pa = decode(ps, min(ps + CHUNK, total))
+    def check(a):
+        return _carried(t, a, (a, a, a), p)
 
-    def eval_slot(slot, mask):
-        return slot_pass(pa if mask is None else pa[mask], slot)
-
-    slots = _greedy_slots(d, MAX_SLOTS, eval_slot)
-
-    def kernel(start: int, stop: int) -> np.ndarray:
-        idx, a = decode(start, stop)
-        for slot in slots:
-            if idx.size == 0:
-                return idx
-            keep = slot_pass(a, slot)
-            idx, a = idx[keep], a[keep]
-        if idx.size == 0:
-            return idx
-        lhs_f = np.einsum('Bxy,yijk->Bxijk', a, t, optimize=True) % p
-        rhs_f = _transport_full(t, a, a, a, p)
-        keep = (lhs_f == rhs_f).all(axis=(1, 2, 3, 4))
-        return idx[keep]
-
-    parts = _chunked(total, kernel, jobs)
-    idx = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    slots = _probe_slots(total, d, decode, slot_pass)
+    idx = _scan(total, decode, slot_pass, slots, (check,), jobs)
     return _to_tuples(_digit_matrices(idx, p, d))
 
 
@@ -541,7 +518,6 @@ def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
     u_t_inv = pow(int(u[t_col]), -1, p)
     free_cols = [j for j in range(d) if j != t_col]
     cells = d * (d - 1)
-    pairs = [(0, 0), (0, min(1, d - 1)), (min(1, d - 1), 0)]
 
     def assemble(digits: np.ndarray) -> np.ndarray:
         b = digits.shape[0]
@@ -555,42 +531,23 @@ def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
         a[:, :, t_col] = (u_t_inv * acc) % p
         return a
 
-    def build(idx: np.ndarray) -> np.ndarray:
-        digits = np.empty((idx.shape[0], cells), dtype=dtype)
-        rest = idx
-        for c in range(cells - 1, -1, -1):
-            rest, digits[:, c] = np.divmod(rest, p)
-        return assemble(digits)
+    def decode(start: int, stop: int):
+        return _invertible(start, assemble(_digits_range(start, stop, p,
+                                                         cells, dtype)), p)
 
-    def kernel(start: int, stop: int) -> np.ndarray:
-        idx = np.arange(start, stop, dtype=np.int64)
-        a = assemble(_digits_range(start, stop, p, cells, dtype))
-        det = _det(a, p)
-        keep = det != 0
-        idx, a = idx[keep], a[keep]
-        if idx.size == 0:
-            return idx
-        for (i, j) in pairs:
-            lhs = (a @ pr[:, i, j]) % p
-            outer = a[:, :, i][:, :, None] * a[:, :, j][:, None, :]
-            rhs = outer.reshape(-1, d * d) @ prf % p
-            keep = (lhs == rhs).all(axis=1)
-            idx, a = idx[keep], a[keep]
-            if idx.size == 0:
-                return idx
-        lhs_f = np.einsum('Bxy,yij->Bxij', a, pr, optimize=True) % p
-        t1 = np.einsum('xab,Bai->Bxib', pr, a, optimize=True) % p
-        rhs_f = np.einsum('Bxib,Bbj->Bxij', t1, a, optimize=True) % p
-        keep = (lhs_f == rhs_f).all(axis=(1, 2, 3))
-        return idx[keep]
+    def slot_pass(a, slot):
+        i, j = slot
+        lhs = (a @ pr[:, i, j]) % p
+        outer = a[:, :, i][:, :, None] * a[:, :, j][:, None, :]
+        rhs = outer.reshape(-1, d * d) @ prf % p
+        return (lhs == rhs).all(axis=1)
 
-    total = p ** cells
-    parts = _chunked(total, kernel, jobs)
-    survivors: list[MatTuple] = []
-    for part in parts:
-        if part.size:
-            survivors.extend(_to_tuples(build(part)))
-    return survivors
+    def check(a):
+        return _carried(pr, a, (a, a), p)
+
+    slots = [(0, 0), (0, min(1, d - 1)), (min(1, d - 1), 0)]
+    idx = _scan(p ** cells, decode, slot_pass, slots, (check,), jobs)
+    return _to_tuples(assemble(_digits(idx, p, cells).astype(dtype)))
 
 
 def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
@@ -598,34 +555,27 @@ def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
     """Indices of all similitudes (or isometries) of the form, ascending."""
     dtype = _work_dtype(p)
     g = (np.array(gram, dtype=np.int64) % p).astype(dtype)
-    pivot = None
-    for i in range(n):
-        for j in range(n):
-            if g[i, j] % p:
-                pivot = (i, j)
-                break
-        if pivot:
-            break
-    assert pivot is not None  # nondegenerate forms have a nonzero entry
+    nonzero = np.argwhere(g)
+    if nonzero.size == 0:
+        raise DegenerateForm("the zero Gram matrix has no pivot")
+    pivot = tuple(nonzero[0])  # the first nonzero entry, row-major
     piv_inv = pow(int(g[pivot]), -1, p)
 
-    def kernel(start: int, stop: int) -> np.ndarray:
-        idx = np.arange(start, stop, dtype=np.int64)
-        a = _digit_matrices_range(start, stop, p, n, dtype)
+    def decode(start: int, stop: int):
+        return (np.arange(start, stop, dtype=np.int64),
+                _digit_matrices_range(start, stop, p, n, dtype))
+
+    def check(a):
         m_full = np.einsum('Bax,ab,Bby->Bxy', a, g, a, optimize=True) % p
         mult = (m_full[:, pivot[0], pivot[1]] * piv_inv) % p
         ok = (m_full == mult[:, None, None] * g % p).all(axis=(1, 2))
         ok &= mult != 0
         if isometry_only:
             ok &= mult == 1
-        return idx[ok]
+        return ok
 
-    total = p ** (n * n)
-    parts = _chunked(total, kernel, jobs)
-    out: list[int] = []
-    for part in parts:
-        out.extend(int(x) for x in part)
-    return out
+    idx = _scan(p ** (n * n), decode, None, (), (check,), jobs)
+    return [int(x) for x in idx]
 
 
 def _int_matrix_inverse(g: np.ndarray, p: int) -> np.ndarray:

@@ -15,8 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (AxiomFailure, BudgetExceeded, DegenerateTrace,
-                     IncompatibleRings, NotInvertible, ShapeMismatch)
+from .errors import (AxiomFailure, BadInput, BudgetExceeded,
+                     DegenerateTrace, IncompatibleRings, NotInvertible,
+                     ShapeMismatch)
 from .matrix import Matrix
 from .ring import PrimeField, Rationals, Ring, RingElement, embedding
 
@@ -42,12 +43,6 @@ def _coerce_vec(ring: Ring, vec: Sequence, dim: int) -> Vector:
         else:
             out.append(v)
     return tuple(out)
-
-
-def _freeze_tensor(ring: Ring, data, depth: int) -> Tensor:
-    if depth == 0:
-        return tuple(data)
-    return tuple(_freeze_tensor(ring, row, depth - 1) for row in data)
 
 
 def zero_vector(ring: Ring, dim: int) -> Vector:
@@ -114,77 +109,20 @@ def bilinear_eval(ring: Ring, prod: Tensor, x: Vector, y: Vector,
     return tuple(acc)
 
 
-def transport_tensor(ring: Ring, tensor: Tensor, ma: Matrix, mb: Matrix,
-                     mc: Matrix) -> Tensor:
-    """New tensor T'[i][j][k] = Sum T[a][b][c] ma[a,i] mb[b,j] mc[c,k].
-
-    Contracts one slot at a time, so the cost is three passes instead of a
-    full threefold loop per output entry.
-    """
-    da, db, dc = len(tensor), len(tensor[0]), len(tensor[0][0])
-    dout = len(tensor[0][0][0])
-    zero = ring.zero_p
-    # slot a
-    t1 = [[[None] * dc for _ in range(db)] for _ in range(da)]
-    for i in range(ma.cols):
-        col = [ma.entries[a][i] for a in range(da)]
-        for b in range(db):
-            for c in range(dc):
-                acc = list(zero_vector(ring, dout))
-                for a in range(da):
-                    ca = col[a]
-                    if ca == zero:
-                        continue
-                    vec = tensor[a][b][c]
-                    for t in range(dout):
-                        if vec[t] != zero:
-                            acc[t] = ring.add(acc[t], ring.mul(ca, vec[t]))
-                t1[i][b][c] = tuple(acc)
-    # slot b
-    t2 = [[[None] * dc for _ in range(mb.cols)] for _ in range(da)]
-    for j in range(mb.cols):
-        col = [mb.entries[b][j] for b in range(db)]
-        for i in range(da):
-            for c in range(dc):
-                acc = list(zero_vector(ring, dout))
-                for b in range(db):
-                    cb = col[b]
-                    if cb == zero:
-                        continue
-                    vec = t1[i][b][c]
-                    for t in range(dout):
-                        if vec[t] != zero:
-                            acc[t] = ring.add(acc[t], ring.mul(cb, vec[t]))
-                t2[i][j][c] = tuple(acc)
-    # slot c
-    out = []
-    for i in range(da):
-        rows = []
-        for j in range(db):
-            entry = []
-            for k in range(mc.cols):
-                acc = list(zero_vector(ring, dout))
-                for c in range(dc):
-                    cc = mc.entries[c][k]
-                    if cc == zero:
-                        continue
-                    vec = t2[i][j][c]
-                    for t in range(dout):
-                        if vec[t] != zero:
-                            acc[t] = ring.add(acc[t], ring.mul(cc, vec[t]))
-                entry.append(tuple(acc))
-            rows.append(tuple(entry))
-        out.append(tuple(rows))
-    return tuple(out)
-
-
-def apply_to_tensor_output(ring: Ring, mat: Matrix, tensor: Tensor) -> Tensor:
-    """Apply a matrix to every output vector of the tensor."""
-    return tuple(tuple(tuple(mat.apply(vec) for vec in row2) for row2 in row)
-                 for row in tensor)
-
-
 # -- structures -----------------------------------------------------------
+
+
+def _require_residues(ring: Ring, payloads) -> None:
+    """Over F_p every payload must be an int in range(p).
+
+    The identity checks and predicates compare payloads, so 4 and 1 over F3
+    would count as different constants.
+    """
+    if isinstance(ring, PrimeField):
+        for x in payloads:
+            if type(x) is not int or not 0 <= x < ring.p:
+                raise BadInput(f"payload {x!r} is not an int in range("
+                               f"{ring.p}) for {ring.name}")
 
 
 @dataclass(frozen=True)
@@ -196,6 +134,9 @@ class JordanPair:
     t_minus: Tensor  # [a-][b+][c-] -> vector in V-
     trace: Optional[Matrix] = None  # Gram of t: V+ x V- -> R, or None
     name: str = "pair"
+
+    def __post_init__(self):
+        _require_residues(self.ring, _flatten((self.t_plus, self.t_minus), 4))
 
     def tensor(self, sigma: int) -> Tensor:
         return self.t_plus if sigma > 0 else self.t_minus
@@ -237,6 +178,9 @@ class JordanTriple:
     trace: Optional[Matrix] = None
     name: str = "triple"
 
+    def __post_init__(self):
+        _require_residues(self.ring, _flatten(self.tensor, 3))
+
     def bracket(self, x: Vector, y: Vector, z: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim or len(z) != self.dim:
             raise ShapeMismatch("bracket operands do not match dim")
@@ -260,6 +204,10 @@ class JordanAlgebra:
     product: Tensor  # [a][b] -> vector
     unit: Optional[Vector] = None
     name: str = "algebra"
+
+    def __post_init__(self):
+        _require_residues(self.ring,
+                          _flatten(self.product, 2) + list(self.unit or ()))
 
     def multiply(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
@@ -537,10 +485,8 @@ def _int_tensors(ring: Ring, tensors: list, shapes: list):
             return None
         flats.append(arr.ravel().tolist())
     entries = [x for flat in flats for x in flat]
-    if isinstance(ring, PrimeField):
+    if isinstance(ring, PrimeField):  # payloads are checked residues
         p, m = ring.p, ring.p - 1
-        if not all(type(x) is int and 0 <= x < p for x in entries):
-            return None
     else:
         if not all(type(x) in (int, Fraction) for x in entries):
             return None
@@ -737,44 +683,75 @@ def scalar_extend(structure, target: Ring):
 # -- automorphism predicates ----------------------------------------------
 
 
-def _np_tensor_int(tensor: Tensor):
-    return np.array(tensor, dtype=np.int64)
+def _carries(ring: Ring, src: Tensor, dst: Tensor, out_map: Matrix,
+             in_maps: Sequence[Matrix], vectorize: bool = True) -> bool:
+    """out_map carries tensor src to tensor dst.
+
+    The tensors have one input slot per map in in_maps (three for pairs
+    and triples, two for algebras) and a coordinate vector at each leaf.
+    The test is, on every basis tuple, out_map(src[a][b]...) ==
+    dst(in_maps[0] e_a, in_maps[1] e_b, ...): both sides are the tensors
+    with a matrix applied along each axis.  Over F_p that is one int64
+    contraction per axis, reduced mod p after each; other rings, primes past
+    the int64 bound, and vectorize=False take the same steps in pure Python.
+    """
+    k = len(in_maps)
+    dims = [m.rows for m in in_maps] + [out_map.rows]
+    if (vectorize and isinstance(ring, PrimeField)
+            and _fits_int64(ring.p, max(dims), ring.p - 1, 1, 2)):
+        def load(t):
+            return np.array(t, dtype=np.int64)
+
+        def along(t, axis, rows):
+            r = np.array(rows, dtype=np.int64)
+            return np.moveaxis(np.tensordot(r, t, axes=(1, axis)), 0,
+                               axis) % ring.p
+    else:
+        def load(t):
+            return _flatten(t, k)
+
+        def along(t, axis, rows):
+            return _along(ring, t, dims, axis, rows)
+    lhs = along(load(src), k, out_map.entries)
+    rhs = load(dst)
+    for axis, m in enumerate(in_maps):
+        rhs = along(rhs, axis, m.transpose().entries)
+    return bool(np.all(lhs == rhs))
 
 
-def _np_transport_equal(ring, tensor: Tensor, out_map: Matrix, ma: Matrix,
-                        mb: Matrix, mc: Matrix) -> bool:
-    """out_map(T[i,j,k]) == T(ma e_i, mb e_j, mc e_k), exact mod p."""
-    p = ring.p
-    t = _np_tensor_int(tensor)  # (da, db, dc, dout)
-    f = np.array(out_map.entries, dtype=np.int64)
-    a = np.array(ma.entries, dtype=np.int64)
-    b = np.array(mb.entries, dtype=np.int64)
-    c = np.array(mc.entries, dtype=np.int64)
-    lhs = np.einsum('xy,abcy->abcx', f, t, optimize=True) % p
-    t1 = np.einsum('abcx,ai->ibcx', t, a, optimize=True) % p
-    t2 = np.einsum('ibcx,bj->ijcx', t1, b, optimize=True) % p
-    rhs = np.einsum('ijcx,ck->ijkx', t2, c, optimize=True) % p
-    return bool((lhs == rhs).all())
+def _flatten(tensor: Tensor, depth: int) -> list:
+    """The entries `depth` levels down in nested tuples, in C order."""
+    flat = tensor
+    for _ in range(depth):
+        flat = [x for row in flat for x in row]
+    return flat
 
 
-def _transport_equal(ring, tensor: Tensor, out_map: Matrix, ma: Matrix,
-                     mb: Matrix, mc: Matrix) -> bool:
-    if isinstance(ring, PrimeField):
-        return _np_transport_equal(ring, tensor, out_map, ma, mb, mc)
-    transported = transport_tensor(ring, tensor, ma, mb, mc)
-    applied = apply_to_tensor_output(ring, out_map, tensor)
-    return transported == applied
+def _along(ring: Ring, flat: list, dims: list, axis: int, rows) -> list:
+    """The square matrix `rows` applied along one axis of a flat tensor."""
+    inner = 1
+    for n in dims[axis + 1:]:
+        inner *= n
+    block = dims[axis] * inner
+    zero = ring.zero_p
+    out = []
+    for start in range(0, len(flat), block):
+        for row in rows:
+            terms = [(c, start + a * inner) for a, c in enumerate(row)
+                     if c != zero]
+            for j in range(inner):
+                acc = zero
+                for c, at in terms:
+                    v = flat[at + j]
+                    if v != zero:
+                        acc = ring.add(acc, ring.mul(c, v))
+                out.append(acc)
+    return out
 
 
 def pair_map_respects(pair: JordanPair, f: PairMap) -> bool:
     """Tensor transport equality for both signs (no invertibility demand)."""
-    pair = unwrap(pair)
-    if (f.plus.rows != pair.dplus or f.minus.rows != pair.dminus):
-        raise ShapeMismatch("map dims do not match pair dims")
-    return (_transport_equal(pair.ring, pair.t_plus, f.plus,
-                             f.plus, f.minus, f.plus)
-            and _transport_equal(pair.ring, pair.t_minus, f.minus,
-                                 f.minus, f.plus, f.minus))
+    return pair_iso_respects(pair, pair, f)
 
 
 def is_pair_automorphism(pair: JordanPair, f: PairMap) -> bool:
@@ -787,7 +764,7 @@ def triple_map_respects(t: JordanTriple, phi: Matrix) -> bool:
     t = unwrap(t)
     if phi.rows != t.dim or phi.cols != t.dim:
         raise ShapeMismatch("map dim does not match triple dim")
-    return _transport_equal(t.ring, t.tensor, phi, phi, phi, phi)
+    return _carries(t.ring, t.tensor, t.tensor, phi, (phi, phi, phi))
 
 
 def is_triple_automorphism(t: JordanTriple, phi: Matrix) -> bool:
@@ -798,23 +775,7 @@ def algebra_map_respects(alg: JordanAlgebra, phi: Matrix) -> bool:
     alg = unwrap(alg)
     if phi.rows != alg.dim or phi.cols != alg.dim:
         raise ShapeMismatch("map dim does not match algebra dim")
-    ring, d = alg.ring, alg.dim
-    if isinstance(ring, PrimeField):
-        p = ring.p
-        pr = _np_tensor_int(alg.product)
-        f = np.array(phi.entries, dtype=np.int64)
-        lhs = np.einsum('xy,aby->abx', f, pr, optimize=True) % p
-        t1 = np.einsum('abx,ai->ibx', pr, f, optimize=True) % p
-        rhs = np.einsum('ibx,bj->ijx', t1, f, optimize=True) % p
-        return bool((lhs == rhs).all())
-    cols = [tuple(phi.entries[r][c] for r in range(d)) for c in range(d)]
-    for a in range(d):
-        for b in range(a, d):
-            lhs = phi.apply(alg.product[a][b])
-            rhs = alg.multiply(cols[a], cols[b])
-            if lhs != rhs:
-                return False
-    return True
+    return _carries(alg.ring, alg.product, alg.product, phi, (phi, phi))
 
 
 def is_algebra_automorphism(alg: JordanAlgebra, phi: Matrix) -> bool:
@@ -831,23 +792,9 @@ def pair_iso_respects(src: JordanPair, dst: JordanPair, f: PairMap) -> bool:
         raise ShapeMismatch("map dims do not match source pair")
     if f.plus.rows != dst.dplus or f.minus.rows != dst.dminus:
         raise ShapeMismatch("map dims do not match target pair")
-    ring = src.ring
-    for sigma in (1, -1):
-        ts, td = src.tensor(sigma), dst.tensor(sigma)
-        ms = f.plus if sigma > 0 else f.minus
-        mo = f.minus if sigma > 0 else f.plus
-        ds, do = src.dim(sigma), src.dim(-sigma)
-        cols_s = [tuple(ms.entries[r][c] for r in range(ds)) for c in range(ds)]
-        cols_o = [tuple(mo.entries[r][c] for r in range(do)) for c in range(do)]
-        for a in range(ds):
-            for b in range(do):
-                for c in range(ds):
-                    lhs = ms.apply(ts[a][b][c])
-                    rhs = trilinear_eval(ring, td, cols_s[a], cols_o[b],
-                                         cols_s[c], ds)
-                    if lhs != rhs:
-                        return False
-    return True
+    return all(_carries(src.ring, src.tensor(s), dst.tensor(s), ms,
+                        (ms, mo, ms))
+               for s, ms, mo in ((1, f.plus, f.minus), (-1, f.minus, f.plus)))
 
 
 def is_pair_isomorphism(src: JordanPair, dst: JordanPair, f: PairMap) -> bool:

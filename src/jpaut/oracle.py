@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .errors import (BadInput, BudgetExceeded, MixedSystems,
+from .errors import (BadInput, BudgetExceeded, EngineMismatch, MixedSystems,
                      NonEnumerableRing)
 from .jordan import (JordanAlgebra, JordanPair, JordanTriple, PairMap,
                      algebra_map_respects, dual_inverse,
@@ -53,6 +53,10 @@ def element_jsonable(el):
     if isinstance(el, PairMap):
         return {"plus": el.plus.to_jsonable(), "minus": el.minus.to_jsonable()}
     return el.to_jsonable()
+
+
+def _compose(x, y):
+    return x.compose(y) if isinstance(x, PairMap) else x @ y
 
 
 def _dedupe_sorted(elements: Iterable):
@@ -101,16 +105,6 @@ class AutomorphismSet:
             out["elements"] = [element_jsonable(el) for el in self.elements]
         return out
 
-    def _compose(self, x, y):
-        if isinstance(x, PairMap):
-            return x.compose(y)
-        return x @ y
-
-    def _invert(self, x):
-        if isinstance(x, PairMap):
-            return x.inverse()
-        return x.inverse()
-
     def verify_group_closed(self, limit: int = 16) -> bool:
         """Composition/inverse closure; full below limit^2, else a
         deterministic evenly spaced sample."""
@@ -125,10 +119,10 @@ class AutomorphismSet:
             ids = range(0, n, step)
         sampled = [self.elements[i] for i in ids]
         for x in sampled:
-            if element_key(self._invert(x)) not in keys:
+            if element_key(x.inverse()) not in keys:
                 return False
             for y in sampled:
-                if element_key(self._compose(x, y)) not in keys:
+                if element_key(_compose(x, y)) not in keys:
                     return False
         return True
 
@@ -177,33 +171,39 @@ def compare(a: AutomorphismSet, b: AutomorphismSet) -> CompareReport:
 # -- exhaustive enumeration ---------------------------------------------------
 
 def _np_tensor_xfirst(tensor):
-    """Jordan layout [a][b][c] -> vector to fastscan layout [x][a][b][c]."""
+    """Jordan layout [a]..[c] -> vector to fastscan layout [x][a]..[c]."""
     import numpy as np
-    return np.transpose(np.array(tensor, dtype=np.int64),
-                        (3, 0, 1, 2)).tolist()
+    return np.moveaxis(np.array(tensor, dtype=np.int64), -1, 0).tolist()
 
 
-def _sample_ids(n: int, want: int = 8):
-    if n <= want:
-        return range(n)
-    step = max(1, n // want)
-    return range(0, n, step)
+def _budgeted(candidates: int, budget: int) -> int:
+    if candidates > budget:
+        raise BudgetExceeded(f"{candidates} candidates exceed budget {budget}")
+    return candidates
+
+
+def _use_fast(ring: Ring, dim_ok: bool, engine: str, name) -> bool:
+    use_fast = (isinstance(ring, PrimeField) and dim_ok
+                and engine in ("auto", "fast"))
+    if engine == "fast" and not use_fast:
+        raise BadInput(f"fast engine unavailable for {name}")
+    return use_fast
+
+
+def _cross_check(els, is_automorphism, structure, name):
+    """Every (len // 8)-th fast-scan element must pass the pure predicate."""
+    for el in els[::max(1, len(els) // 8)]:
+        if not is_automorphism(structure, el):
+            raise EngineMismatch(f"fast scan of {name} returned "
+                                 f"{element_jsonable(el)}, which the "
+                                 "pure predicate rejects")
 
 
 def _enumerate_pair(pair: JordanPair, name, budget, jobs, engine):
     ring = pair.ring
-    if not ring.is_finite:
-        raise NonEnumerableRing(f"cannot enumerate over {ring.name}")
     if pair.trace is not None:
-        candidates = gl_order(ring, pair.dplus)
-        if candidates > budget:
-            raise BudgetExceeded(
-                f"{candidates} candidates exceed budget {budget}")
-        use_fast = (isinstance(ring, PrimeField) and 2 <= pair.dplus <= 4
-                    and engine in ("auto", "fast"))
-        if engine == "fast" and not use_fast:
-            raise BadInput(f"fast engine unavailable for {name}")
-        if use_fast:
+        candidates = _budgeted(gl_order(ring, pair.dplus), budget)
+        if _use_fast(ring, 2 <= pair.dplus <= 4, engine, name):
             from . import fastscan
             tuples = fastscan.scan_pair_with_trace(
                 ring.p, pair.dplus,
@@ -214,22 +214,17 @@ def _enumerate_pair(pair: JordanPair, name, budget, jobs, engine):
             for tm in tuples:
                 phi = Matrix(ring, pair.dplus, pair.dplus, tm)
                 els.append(PairMap(phi, dual_inverse(pair, phi)))
-            for i in _sample_ids(len(els)):
-                assert is_pair_automorphism(pair, els[i]), \
-                    "fast scan disagrees with the pure predicate"
-            engine_used = "fast"
-        else:
-            els = []
-            for phi in enumerate_GL(pair.dplus, ring):
-                f = PairMap(phi, dual_inverse(pair, phi))
-                if pair_map_respects(pair, f):
-                    els.append(f)
-            engine_used = "pure"
-        return els, candidates, engine_used
+            _cross_check(els, is_pair_automorphism, pair, name)
+            return els, candidates, "fast"
+        els = []
+        for phi in enumerate_GL(pair.dplus, ring):
+            f = PairMap(phi, dual_inverse(pair, phi))
+            if pair_map_respects(pair, f):
+                els.append(f)
+        return els, candidates, "pure"
     # untraced: both sides range independently
-    candidates = gl_order(ring, pair.dplus) * gl_order(ring, pair.dminus)
-    if candidates > budget:
-        raise BudgetExceeded(f"{candidates} candidates exceed budget {budget}")
+    candidates = _budgeted(
+        gl_order(ring, pair.dplus) * gl_order(ring, pair.dminus), budget)
     els = []
     for fp in enumerate_GL(pair.dplus, ring):
         for fm in enumerate_GL(pair.dminus, ring):
@@ -241,24 +236,14 @@ def _enumerate_pair(pair: JordanPair, name, budget, jobs, engine):
 
 def _enumerate_triple(trip: JordanTriple, name, budget, jobs, engine):
     ring = trip.ring
-    if not ring.is_finite:
-        raise NonEnumerableRing(f"cannot enumerate over {ring.name}")
-    candidates = gl_order(ring, trip.dim)
-    if candidates > budget:
-        raise BudgetExceeded(f"{candidates} candidates exceed budget {budget}")
-    use_fast = (isinstance(ring, PrimeField) and 2 <= trip.dim <= 4
-                and engine in ("auto", "fast"))
-    if engine == "fast" and not use_fast:
-        raise BadInput(f"fast engine unavailable for {name}")
-    if use_fast:
+    candidates = _budgeted(gl_order(ring, trip.dim), budget)
+    if _use_fast(ring, 2 <= trip.dim <= 4, engine, name):
         from . import fastscan
         tuples = fastscan.scan_triple(ring.p, trip.dim,
                                       _np_tensor_xfirst(trip.tensor),
                                       jobs=jobs)
         els = [Matrix(ring, trip.dim, trip.dim, tm) for tm in tuples]
-        for i in _sample_ids(len(els)):
-            assert is_triple_automorphism(trip, els[i]), \
-                "fast scan disagrees with the pure predicate"
+        _cross_check(els, is_triple_automorphism, trip, name)
         return els, candidates, "fast"
     els = [phi for phi in enumerate_GL(trip.dim, ring)
            if triple_map_respects(trip, phi)]
@@ -274,36 +259,21 @@ def _unit_pivot(ring: Ring, unit) -> Optional[int]:
 
 def _enumerate_algebra(alg: JordanAlgebra, name, budget, jobs, engine):
     ring = alg.ring
-    if not ring.is_finite:
-        raise NonEnumerableRing(f"cannot enumerate over {ring.name}")
     d = alg.dim
     pivot = None if alg.unit is None else _unit_pivot(ring, alg.unit)
     if pivot is None:
-        candidates = gl_order(ring, d)
-        if candidates > budget:
-            raise BudgetExceeded(
-                f"{candidates} candidates exceed budget {budget}")
+        candidates = _budgeted(gl_order(ring, d), budget)
         els = [phi for phi in enumerate_GL(d, ring)
                if algebra_map_respects(alg, phi)]
         return els, candidates, "pure"
-    candidates = ring.size ** (d * (d - 1))
-    if candidates > budget:
-        raise BudgetExceeded(f"{candidates} candidates exceed budget {budget}")
-    use_fast = (isinstance(ring, PrimeField) and d <= 4
-                and engine in ("auto", "fast"))
-    if engine == "fast" and not use_fast:
-        raise BadInput(f"fast engine unavailable for {name}")
-    if use_fast:
-        import numpy as np
+    candidates = _budgeted(ring.size ** (d * (d - 1)), budget)
+    if _use_fast(ring, d <= 4, engine, name):
         from . import fastscan
-        prod_x = np.transpose(np.array(alg.product, dtype=np.int64),
-                              (2, 0, 1)).tolist()
         tuples = fastscan.scan_algebra_unit_fixing(
-            ring.p, d, prod_x, list(alg.unit), jobs=jobs)
+            ring.p, d, _np_tensor_xfirst(alg.product), list(alg.unit),
+            jobs=jobs)
         els = [Matrix(ring, d, d, tm) for tm in tuples]
-        for i in _sample_ids(len(els)):
-            assert is_algebra_automorphism(alg, els[i]), \
-                "fast scan disagrees with the pure predicate"
+        _cross_check(els, is_algebra_automorphism, alg, name)
         return els, candidates, "fast"
     # pure unit-fixing affine scan: free columns range, pivot column solved
     els = []
@@ -341,19 +311,16 @@ def enumerate_automorphisms(system, budget: Optional[int] = None,
     structure = unwrap(system)
     budget = DEFAULT_BUDGET if budget is None else budget
     if isinstance(structure, JordanPair):
-        els, cand, engine_used = _enumerate_pair(
-            structure, name, budget, jobs, engine)
-        kind = "pair"
+        kind, scan = "pair", _enumerate_pair
     elif isinstance(structure, JordanTriple):
-        els, cand, engine_used = _enumerate_triple(
-            structure, name, budget, jobs, engine)
-        kind = "triple"
+        kind, scan = "triple", _enumerate_triple
     elif isinstance(structure, JordanAlgebra):
-        els, cand, engine_used = _enumerate_algebra(
-            structure, name, budget, jobs, engine)
-        kind = "algebra"
+        kind, scan = "algebra", _enumerate_algebra
     else:
         raise BadInput(f"cannot enumerate a {type(structure).__name__}")
+    if not structure.ring.is_finite:
+        raise NonEnumerableRing(f"cannot enumerate over {structure.ring.name}")
+    els, cand, engine_used = scan(structure, name, budget, jobs, engine)
     return AutomorphismSet.from_elements(
         name, structure.ring.name, kind, "exhaustive", engine_used,
         cand, els)
@@ -361,14 +328,14 @@ def enumerate_automorphisms(system, budget: Optional[int] = None,
 
 # -- closure generation -------------------------------------------------------
 
-def _closure_pure(identity, generators, budget, compose):
+def _closure_pure(identity, generators, budget):
     seen = {element_key(identity): identity}
     frontier = [identity]
     while frontier:
         new_frontier = []
         for x in frontier:
             for g in generators:
-                y = compose(x, g)
+                y = _compose(x, g)
                 k = element_key(y)
                 if k not in seen:
                     if len(seen) >= budget:
@@ -453,12 +420,10 @@ def generate_closure(system, generators: Sequence,
         if generators and isinstance(ring, PrimeField):
             els = _closure_prime_pairs(ring, generators, budget)
         else:
-            els = _closure_pure(identity, generators, budget,
-                                lambda x, g: x.compose(g))
+            els = _closure_pure(identity, generators, budget)
     else:
         identity = Matrix.identity(ring, structure.dim)
-        els = _closure_pure(identity, generators, budget,
-                            lambda x, g: x @ g)
+        els = _closure_pure(identity, generators, budget)
     return AutomorphismSet.from_elements(
         name, ring.name, kind, "generated", "closure", len(els), els)
 
@@ -467,8 +432,6 @@ def family_image(system, kind: str, elements: Iterable,
                  engine: str = "family") -> AutomorphismSet:
     """Package a named-family image as a generated-mode set."""
     name = getattr(system, "name", None) or "anonymous"
-    structure = unwrap(system)
-    out = AutomorphismSet.from_elements(
-        name, structure.ring.name, kind, "generated", engine, 0, elements)
-    return AutomorphismSet(out.system, out.ring_name, out.kind, out.mode,
-                           out.engine, out.order, out.elements)
+    elements = _dedupe_sorted(elements)
+    return AutomorphismSet(name, unwrap(system).ring.name, kind, "generated",
+                           engine, len(elements), elements)

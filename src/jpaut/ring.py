@@ -568,25 +568,6 @@ def mu_n(ring: Ring, n: int) -> list[RingElement]:
     return out
 
 
-def idempotent_splitting(ring: Ring, e1: RingElement) -> tuple[Callable, Callable]:
-    """Projections x -> e1*x and x -> (1-e1)*x onto the two factor ideals.
-
-    Each projection is a ring homomorphism onto e*R whose unit is e itself.
-    """
-    p = e1.payload
-    if ring.mul(p, p) != p:
-        raise NotIdempotent(f"{e1} is not idempotent in {ring.name}")
-    p2 = ring.sub(ring.one_p, p)
-
-    def proj1(x: RingElement) -> RingElement:
-        return RingElement(ring, ring.mul(p, x.payload))
-
-    def proj2(x: RingElement) -> RingElement:
-        return RingElement(ring, ring.mul(p2, x.payload))
-
-    return proj1, proj2
-
-
 def component_inverse(ring: Ring, e: Payload, x: Payload) -> Payload | None:
     """Inverse of x within the component ring e*R, or None.
 

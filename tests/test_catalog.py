@@ -128,6 +128,22 @@ _GUARDS_UNDER_O = textwrap.dedent("""
             make()
         except AxiomFailure:
             print(name, "raised")
+    from jpaut import fastscan, oracle
+    from jpaut.errors import DegenerateForm, EngineMismatch
+    for kind, spec in (("pair", "VhI(1,2,F3)"), ("triple", "ThatIV(2,F3)"),
+                       ("algebra", "Jbilin(2,F3)")):
+        setattr(oracle, f"is_{kind}_automorphism", lambda *args: False)
+        try:
+            oracle.enumerate_automorphisms(catalog.parse_system(spec),
+                                           engine="fast")
+        except EngineMismatch:
+            print(kind, "cross-check raised")
+    try:
+        fastscan.scan_similitudes(3, 2, [[0, 0], [0, 0]], False)
+    except DegenerateForm:
+        print("zero form raised")
+    print("enumerate exit", cli.main(["enumerate", "ThatIV(2,F3)",
+                                      "--out", os.devnull]))
     catalog.check_axioms = lambda s: AxiomReport(
         False, "triple", 0, ({"identity": "forced", "at": (0,)},))
     try:
@@ -139,8 +155,9 @@ _GUARDS_UNDER_O = textwrap.dedent("""
 
 
 def test_catalog_guards_survive_python_O():
-    # asserts vanish under -O; the catalog's axiom and isomorphism checks
-    # must raise AxiomFailure (CLI exit 1) there all the same
+    # asserts vanish under -O; the catalog's axiom and isomorphism checks,
+    # the fast-scan cross-checks and the form pivot must raise there all the
+    # same, and the CLI must exit 1 on them
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ)
@@ -151,4 +168,6 @@ def test_catalog_guards_survive_python_O():
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == [
         "optimize 1", "vti_to_vhi raised", "lambda raised",
+        "pair cross-check raised", "triple cross-check raised",
+        "algebra cross-check raised", "zero form raised", "enumerate exit 1",
         "make_thi raised", "verify exit 1"]

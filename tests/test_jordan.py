@@ -15,9 +15,10 @@ from jpaut import (PrimeField, ProductRing, Rationals, Matrix, PairMap,
                    make_vhi, make_mn_plus, make_bad_pair,
                    make_bilinear_form_algebra, parse_system,
                    enumerate_automorphisms)
-from jpaut.errors import (BudgetExceeded, DegenerateTrace, ShapeMismatch)
-from jpaut.jordan import (_axiom_report, _np_jordan_failures,
-                          _np_pair_failures)
+from jpaut.errors import (BadInput, BudgetExceeded, DegenerateTrace,
+                          ShapeMismatch)
+from jpaut.jordan import (_axiom_report, _carries, _np_jordan_failures,
+                          _np_pair_failures, algebra_map_respects)
 from test_acceptance import _axiom_sweep_systems
 
 F3 = PrimeField(3)
@@ -136,6 +137,91 @@ def test_is_triple_automorphism_shape_guard():
     that = make_type_iv_triple(standard_form(F3, 2))
     with pytest.raises(ShapeMismatch):
         is_triple_automorphism(that, Matrix.identity(F3, 3))
+
+
+def test_algebra_predicate_checks_both_orders_of_a_product():
+    # e1 e0 = e0 and every other basis product is 0; diag(1, 2) respects
+    # every product e_a e_b with a <= b but sends e1 e0 = e0 to e0, while
+    # (2 e1) e0 = 2 e0
+    for ring in (Q, F5):
+        z, o = ring.zero_p, ring.one_p
+        alg = JordanAlgebra(ring, 2, (((z, z), (z, z)), ((o, z), (z, z))),
+                            None, name="noncommutative")
+        phi = Matrix.build(ring, [[1, 0], [0, 2]])
+        assert not algebra_map_respects(alg, phi), ring.name
+
+
+def _nested(arr):
+    return tuple(_nested(x) for x in arr) if isinstance(arr, list) else arr
+
+
+def _random_invertible(rng, ring, d):
+    while True:
+        m = Matrix.build(ring, rng.integers(0, ring.p, size=(d, d)).tolist())
+        if m.is_invertible():
+            return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([3, 5, 7, 2 ** 31 - 1]),
+       arity=st.sampled_from([2, 3]),
+       dims=st.lists(st.integers(1, 3), min_size=4, max_size=4),
+       relation=st.sampled_from(["carried", "perturbed", "random"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_carries_branches_agree_on_prime_fields(p, arity, dims, relation,
+                                                 seed):
+    # dst is src carried through independent invertible maps per slot, the
+    # same with one entry changed, or unrelated; the numpy and pure
+    # branches must agree with each other and with the construction
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    ring = PrimeField(p)
+    dims = dims[:arity] + dims[3:]  # input slots, then the output
+    src = rng.integers(0, p, size=dims)
+    maps = [_random_invertible(rng, ring, d) for d in dims]
+    if relation == "random":
+        dst = rng.integers(0, p, size=dims)
+    else:
+        # dst(e_i, e_j, ..) = out(src(in_0^-1 e_i, in_1^-1 e_j, ..)), with
+        # Python ints so nothing overflows at the largest prime
+        dst = np.einsum("xy,...y->...x", np.array(maps[-1].entries,
+                                                   dtype=object),
+                        src.astype(object)) % p
+        for axis, m in enumerate(maps[:-1]):
+            inv = np.array(m.inverse().entries, dtype=object)
+            dst = np.moveaxis(np.tensordot(inv.T, dst, axes=(1, axis)), 0,
+                              axis) % p
+        if relation == "perturbed":
+            at = tuple(int(rng.integers(0, n)) for n in dims)
+            dst[at] = (dst[at] + 1) % p
+    src, dst = _nested(src.tolist()), _nested(dst.tolist())
+    got = [_carries(ring, src, dst, maps[-1], maps[:-1], vectorize=v)
+           for v in (True, False)]
+    assert got[0] == got[1]
+    if relation != "random":
+        assert got[0] == (relation == "carried")
+
+
+def test_prime_field_payloads_must_be_residues():
+    # 4 and 1 are equal mod 3, yet the checks compare payloads; a triple
+    # holding both used to build and fail outer symmetry at (0, 0, 1)
+    zv = (0, 0)
+    tensor = [[[zv, zv], [zv, zv]], [[zv, zv], [zv, zv]]]
+    tensor[0][0][1], tensor[1][0][0] = (1, 0), (4, 0)
+    with pytest.raises(BadInput):
+        JordanTriple(F3, 2, _nested(tensor))
+    tensor[1][0][0] = (1, 0)
+    report = check_axioms(JordanTriple(F3, 2, _nested(tensor)))
+    assert "outer-symmetry" not in {f["identity"] for f in report.failures}
+    zero = ((((0,),),),)
+    with pytest.raises(BadInput):
+        JordanPair(F3, 1, 1, zero, ((((-1,),),),))
+    prod = (((0, 0), (0, 0)), ((0, 0), (0, 0)))
+    for unit in ((3, 0), (1.0, 0), (Fraction(1), 0), (True, 0)):
+        with pytest.raises(BadInput):
+            JordanAlgebra(F3, 2, prod, unit)
+    with pytest.raises(BadInput):
+        JordanAlgebra(F3, 2, (((0, 0), (0, 5)), ((0, 0), (0, 0))), None)
 
 
 # -- the vectorized checker against the pure sweeps --------------------------
