@@ -11,15 +11,20 @@ algebra-automorphism factorization on triples coming from algebras.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .errors import (BadInput, NonFieldRing, NotFactorable, NotIdempotent,
                      NotInvertible, NotIsometry, NotSimilitude, ShapeMismatch)
-from .jordan import JordanAlgebra, PairMap, basis_vector
-from .matrix import (BilinearForm, Matrix, enumerate_matrices,
-                     similitude_multiplier, standard_form)
-from .ring import (Ring, RingElement, component_inverse, idempotents, mu_n)
+from .jordan import JordanAlgebra, PairMap, is_algebra_automorphism, unwrap
+from .matrix import (BilinearForm, Matrix, enumerate_GL, enumerate_matrices,
+                     similitude_multiplier, solve_scalar_multiple,
+                     standard_form)
+from .ring import (PrimeField, Ring, RingElement, component_inverse,
+                   idempotents, mu_n)
 
 
 # -- linear maps on matrix spaces ------------------------------------------
@@ -270,7 +275,6 @@ def all_twisted_maps(ring: Ring, n: int, sign: int):
 def _det_equal_for_all(f: Matrix, n: int, multiplier) -> bool:
     """det(f(X)) == multiplier * det(X) for all X (exhaustive or grid)."""
     ring = f.ring
-    from .ring import PrimeField
     if isinstance(ring, PrimeField) and n <= 3:
         return _np_det_check(f, n, multiplier)
     if ring.is_finite:
@@ -278,7 +282,6 @@ def _det_equal_for_all(f: Matrix, n: int, multiplier) -> bool:
     else:
         # polynomial identity of per-variable degree <= n: a grid with
         # n+1 values per entry decides it
-        import itertools
         vals = range(n + 1)
         def gen():
             for combo in itertools.product(vals, repeat=n * n):
@@ -293,7 +296,6 @@ def _det_equal_for_all(f: Matrix, n: int, multiplier) -> bool:
 
 
 def _np_det_check(f: Matrix, n: int, multiplier) -> bool:
-    import numpy as np
     from .fastscan import _det, _digit_matrices
     p = f.ring.p
     x = _digit_matrices(np.arange(p ** (n * n), dtype=np.int64), p, n)
@@ -357,7 +359,6 @@ def phi_n_kernel_check(ring: Ring, n: int) -> bool:
     Necessary condition phi(1) = a b^T = 1 prunes the quadratic pair scan;
     survivors get the complete identity test.
     """
-    from .matrix import enumerate_GL
     one_op = Matrix.identity(ring, n * n)
     gl = list(enumerate_GL(n, ring))
     taus = mu_n(ring, 2)
@@ -369,9 +370,7 @@ def phi_n_kernel_check(ring: Ring, n: int) -> bool:
         expected.add((ai, bi, ring.payload_str(ring.one_p)))
     kernel = set()
     eye = Matrix.identity(ring, n)
-    from .ring import PrimeField
     if isinstance(ring, PrimeField):
-        import numpy as np
         p = ring.p
         arr = np.array([g.entries for g in gl], dtype=np.int64)
         prod = np.einsum('aij,bkj->abik', arr, arr, optimize=True) % p
@@ -448,8 +447,6 @@ def factor_triple_aut(alg: JordanAlgebra, phi: Matrix) -> tuple:
     and psi = r^{-1} phi must be an algebra automorphism.  Failure raises
     with a reproducer, since it would contradict the factorization theorem.
     """
-    from .jordan import is_algebra_automorphism, unwrap
-    from .matrix import solve_scalar_multiple
     alg = unwrap(alg)
     ring = alg.ring
     if alg.unit is None:

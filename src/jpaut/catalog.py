@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
 
-from .errors import (AxiomFailure, BadDims, BadInput, DegenerateForm,
+from .autfam import op_transpose
+from .errors import (AxiomFailure, BadDims, BadInput,
                      NoSquareRootOfMinusOne, ParseError)
 from .jordan import (JordanAlgebra, JordanPair, JordanTriple, PairMap,
                      basis_vector, check_axioms, is_pair_isomorphism,
@@ -35,17 +35,17 @@ class NamedSystem:
         return f"{self.tag}({dims}{sep}{self.ring.name})"
 
 
-def _validate(structure) -> None:
-    dims = []
-    if isinstance(structure, JordanPair):
-        dims = [structure.dplus, structure.dminus]
-    elif isinstance(structure, (JordanTriple, JordanAlgebra)):
-        dims = [structure.dim]
-    if max(dims, default=0) <= MAX_AXIOM_DIM:
+def _named(tag: str, ring: Ring, params: tuple, structure) -> NamedSystem:
+    """The named system of a constructed structure, whose axioms must hold
+    wherever the carriers are small enough to check."""
+    dims = ([structure.dplus, structure.dminus]
+            if isinstance(structure, JordanPair) else [structure.dim])
+    if max(dims) <= MAX_AXIOM_DIM:
         report = check_axioms(structure)
         if not report.ok:
             raise AxiomFailure("catalog construction broke axioms: "
                                f"{report.first_failure()}")
+    return NamedSystem(tag, ring, params, structure)
 
 
 def _form_tensor(form: BilinearForm):
@@ -75,9 +75,7 @@ def make_type_iv_pair(form: BilinearForm) -> NamedSystem:
     n = form.gram.rows
     t = _form_tensor(form)
     pair = JordanPair(ring, n, n, t, t, form.gram, name=f"VIV({n},{ring.name})")
-    sys = NamedSystem("VIV", ring, (n,), pair)
-    _validate(pair)
-    return sys
+    return _named("VIV", ring, (n,), pair)
 
 
 def make_type_iv_triple(form: BilinearForm) -> NamedSystem:
@@ -85,9 +83,7 @@ def make_type_iv_triple(form: BilinearForm) -> NamedSystem:
     n = form.gram.rows
     t = _form_tensor(form)
     trip = JordanTriple(ring, n, t, form.gram, name=f"ThatIV({n},{ring.name})")
-    sys = NamedSystem("ThatIV", ring, (n,), trip)
-    _validate(trip)
-    return sys
+    return _named("ThatIV", ring, (n,), trip)
 
 
 def make_bilinear_form_algebra(form: BilinearForm) -> NamedSystem:
@@ -110,9 +106,7 @@ def make_bilinear_form_algebra(form: BilinearForm) -> NamedSystem:
                 prod[a][b] = tuple(vec)
     alg = JordanAlgebra(ring, d, tuple(tuple(r) for r in prod), unit,
                         name=f"Jbilin({d},{ring.name})")
-    sys = NamedSystem("Jbilin", ring, (d,), alg)
-    _validate(alg)
-    return sys
+    return _named("Jbilin", ring, (d,), alg)
 
 
 def make_t_iv(form: BilinearForm) -> NamedSystem:
@@ -123,13 +117,7 @@ def make_t_iv(form: BilinearForm) -> NamedSystem:
     d = alg.dim
     trip = JordanTriple(trip.ring, trip.dim, trip.tensor, None,
                         name=f"TIV({d},{ring.name})")
-    sys = NamedSystem("TIV", ring, (d,), trip)
-    _validate(trip)
-    return sys
-
-
-def _unit_index(n: int, i: int, j: int) -> int:
-    return i * n + j
+    return _named("TIV", ring, (d,), trip)
 
 
 def _matrix_units(ring: Ring, rows: int, cols: int):
@@ -157,7 +145,7 @@ def _tilde_product(x: Matrix, y: Matrix, z: Matrix) -> Matrix:
     return x @ yt @ z + z @ yt @ x
 
 
-def _triple_tensor_from(ring, bx, by, bz, product):
+def _triple_tensor_from(bx, by, bz, product):
     tensor = []
     for x in bx:
         row = []
@@ -178,63 +166,43 @@ def _check_dims(m: int, n: int) -> None:
 def make_vti(m: int, n: int, ring: Ring) -> NamedSystem:
     _check_dims(m, n)
     units = _matrix_units(ring, m, n)
-    t = _triple_tensor_from(ring, units, units, units, _tilde_product)
+    t = _triple_tensor_from(units, units, units, _tilde_product)
     gram = Matrix.identity(ring, m * n)  # tr(E_ij E_kl^T) = delta_ik delta_jl
     pair = JordanPair(ring, m * n, m * n, t, t, gram,
                       name=f"VtI({m},{n},{ring.name})")
-    sys = NamedSystem("VtI", ring, (m, n), pair)
-    _validate(pair)
-    return sys
-
-
-def _vhi_trace_gram(ring: Ring, m: int, n: int) -> Matrix:
-    """Gram of t(x, y) = tr(xy) on M_{m,n} x M_{n,m} in unit bases."""
-    zero, one = ring.zero_p, ring.one_p
-    rows = []
-    for i in range(m):
-        for j in range(n):
-            row = [zero] * (n * m)
-            row[_unit_index(m, j, i)] = one  # tr(E_ij E_kl) = d_jk d_li
-            rows.append(tuple(row))
-    return Matrix(ring, m * n, n * m, tuple(rows))
+    return _named("VtI", ring, (m, n), pair)
 
 
 def make_vhi(m: int, n: int, ring: Ring) -> NamedSystem:
     _check_dims(m, n)
     plus_units = _matrix_units(ring, m, n)
     minus_units = _matrix_units(ring, n, m)
-    t_plus = _triple_tensor_from(ring, plus_units, minus_units, plus_units,
+    t_plus = _triple_tensor_from(plus_units, minus_units, plus_units,
                                  _hat_product)
-    t_minus = _triple_tensor_from(ring, minus_units, plus_units, minus_units,
+    t_minus = _triple_tensor_from(minus_units, plus_units, minus_units,
                                   _hat_product)
-    gram = _vhi_trace_gram(ring, m, n)
+    gram = op_transpose(ring, n, m)  # tr(E_ij E_kl) = d_jk d_li
     pair = JordanPair(ring, m * n, n * m, t_plus, t_minus, gram,
                       name=f"VhI({m},{n},{ring.name})")
-    sys = NamedSystem("VhI", ring, (m, n), pair)
-    _validate(pair)
-    return sys
+    return _named("VhI", ring, (m, n), pair)
 
 
 def make_tti(m: int, n: int, ring: Ring) -> NamedSystem:
     _check_dims(m, n)
     units = _matrix_units(ring, m, n)
-    t = _triple_tensor_from(ring, units, units, units, _tilde_product)
+    t = _triple_tensor_from(units, units, units, _tilde_product)
     gram = Matrix.identity(ring, m * n)
     trip = JordanTriple(ring, m * n, t, gram, name=f"TtI({m},{n},{ring.name})")
-    sys = NamedSystem("TtI", ring, (m, n), trip)
-    _validate(trip)
-    return sys
+    return _named("TtI", ring, (m, n), trip)
 
 
 def make_thi(n: int, ring: Ring) -> NamedSystem:
     _check_dims(n, n)
     units = _matrix_units(ring, n, n)
-    t = _triple_tensor_from(ring, units, units, units, _hat_product)
-    gram = _vhi_trace_gram(ring, n, n)
+    t = _triple_tensor_from(units, units, units, _hat_product)
+    gram = op_transpose(ring, n, n)
     trip = JordanTriple(ring, n * n, t, gram, name=f"ThI({n},{ring.name})")
-    sys = NamedSystem("ThI", ring, (n,), trip)
-    _validate(trip)
-    return sys
+    return _named("ThI", ring, (n,), trip)
 
 
 def make_mn_plus(n: int, ring: Ring) -> NamedSystem:
@@ -252,9 +220,7 @@ def make_mn_plus(n: int, ring: Ring) -> NamedSystem:
     unit = _flatten(Matrix.identity(ring, n))
     alg = JordanAlgebra(ring, n * n, tuple(prod), unit,
                         name=f"Mplus({n},{ring.name})")
-    sys = NamedSystem("Mplus", ring, (n,), alg)
-    _validate(alg)
-    return sys
+    return _named("Mplus", ring, (n,), alg)
 
 
 def make_bad_pair(ring: Ring) -> NamedSystem:
@@ -335,15 +301,7 @@ def vti_to_vhi(m: int, n: int, ring: Ring) -> PairIsomorphism:
     """(x, y) -> (x, y^T) from VtI_{m,n} onto VhI_{m,n}."""
     source = make_vti(m, n, ring).structure
     target = make_vhi(m, n, ring).structure
-    zero, one = ring.zero_p, ring.one_p
-    rows = []
-    for k in range(n):
-        for l in range(m):
-            row = [zero] * (m * n)
-            row[_unit_index(n, l, k)] = one  # E_lk in M_{m,n} -> E_kl
-            rows.append(tuple(row))
-    f = PairMap(Matrix.identity(ring, m * n),
-                Matrix(ring, n * m, m * n, tuple(rows)))
+    f = PairMap(Matrix.identity(ring, m * n), op_transpose(ring, m, n))
     iso = PairIsomorphism(source, target, f, name=f"vti-vhi({m},{n},{ring.name})")
     if not iso.verify():
         raise AxiomFailure(f"{iso.name}: transpose map failed transport "

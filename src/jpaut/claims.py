@@ -211,64 +211,64 @@ def standard_generated(system: NamedSystem, budget=None):
 # (outcome, passed, details).
 
 def _set_comparison(ex, fam):
+    """(details, ok): ok when the sets are equal and ex is group closed."""
     rep = compare(ex, fam)
-    return rep, {
+    details = {
         "exhaustive_order": ex.order,
         "family_order": fam.order,
         "comparison": rep.to_jsonable(),
         "exhaustive_group_closed": ex.verify_group_closed(),
     }
+    return details, rep.equal and details["exhaustive_group_closed"]
+
+
+def _family_comparison(p, system):
+    """(family, details, ok): the exhaustive set against the system's
+    standard family from standard_generated."""
+    ex = exhaustive_set(system, p["budget"], p["jobs"])
+    fam = standard_generated(system, budget=p["budget"])[0]
+    return (fam, *_set_comparison(ex, fam))
+
+
+def _verdict(ok, details):
+    return ("verified" if ok else "failed"), ok, details
 
 
 def _run_autv_iv(p):
-    ring, n = p["ring"], p["n"]
-    system = make_type_iv_pair(standard_form(ring, n))
-    ex = exhaustive_set(system, p["budget"], p["jobs"])
-    form = standard_form(ring, n)
-    fam = family_image(system, "pair",
-                       [go_to_pair_aut(a, form) for a in enumerate_GO(form)])
-    rep, details = _set_comparison(ex, fam)
-    ok = rep.equal and details["exhaustive_group_closed"]
-    return ("verified" if ok else "failed"), ok, details
+    system = make_type_iv_pair(standard_form(p["ring"], p["n"]))
+    _, details, ok = _family_comparison(p, system)
+    return _verdict(ok, details)
 
 
 def _run_autt_iv(p):
-    ring, n = p["ring"], p["n"]
-    system = make_type_iv_triple(standard_form(ring, n))
-    ex = exhaustive_set(system, p["budget"], p["jobs"])
-    form = standard_form(ring, n)
-    fam = family_image(system, "triple",
-                       [ortho_to_triple_aut(a, form)
-                        for a in enumerate_O(form)])
-    rep, details = _set_comparison(ex, fam)
-    ok = rep.equal and details["exhaustive_group_closed"]
-    return ("verified" if ok else "failed"), ok, details
+    system = make_type_iv_triple(standard_form(p["ring"], p["n"]))
+    _, details, ok = _family_comparison(p, system)
+    return _verdict(ok, details)
 
 
-def _factor_all(alg, ex):
-    """Factor every triple automorphism; returns (factors, unfactorable)."""
+def _tiv_factored(p):
+    """(ex, alg_ex, factors, unfactorable): the exhaustive sets of TIV(n)
+    and of its form algebra, with every triple automorphism factored."""
+    form = standard_form(p["ring"], p["n"] - 1)
+    alg_sys = make_bilinear_form_algebra(form)
+    ex = exhaustive_set(make_t_iv(form), p["budget"], p["jobs"])
+    alg_ex = exhaustive_set(alg_sys, p["budget"], p["jobs"])
     factors, unfactorable = {}, []
     for phi in ex.elements:
         try:
-            r, psi = factor_triple_aut(alg, phi)
+            factors[element_key(phi)] = factor_triple_aut(alg_sys.structure,
+                                                          phi)
         except NotFactorable:
             unfactorable.append(phi)
-            continue
-        factors[element_key(phi)] = (r, psi)
-    return factors, unfactorable
+    return ex, alg_ex, factors, unfactorable
 
 
 def _run_aut_tji(p):
     ring, n = p["ring"], p["n"]
     if n < 1:
         raise BadDims("carrier dimension must be at least 1")
-    form = standard_form(ring, n - 1)
-    tri_sys = make_t_iv(form)
-    alg_sys = make_bilinear_form_algebra(form)
-    ex = exhaustive_set(tri_sys, p["budget"], p["jobs"])
-    alg_ex = exhaustive_set(alg_sys, p["budget"], p["jobs"])
+    ex, alg_ex, factors, unfactorable = _tiv_factored(p)
     scalars = mu_n(ring, 2)
-    factors, unfactorable = _factor_all(alg_sys.structure, ex)
     products = {element_key(psi * r)
                 for r in scalars for psi in alg_ex.elements}
     model = len(scalars) * alg_ex.order
@@ -286,18 +286,12 @@ def _run_aut_tji(p):
     }
     ok = (not unfactorable and len(products) == model == ex.order
           and products <= keys)
-    return ("verified" if ok else "failed"), ok, details
+    return _verdict(ok, details)
 
 
 def _run_mnplus(p):
-    ring, n = p["ring"], p["n"]
-    system = make_mn_plus(n, ring)
-    ex = exhaustive_set(system, p["budget"], p["jobs"])
-    fam = family_image(system, "algebra",
-                       [t.as_matrix() for t in all_twisted_maps(ring, n, 1)])
-    rep, details = _set_comparison(ex, fam)
-    ok = rep.equal and details["exhaustive_group_closed"]
-    return ("verified" if ok else "failed"), ok, details
+    _, details, ok = _family_comparison(p, make_mn_plus(p["n"], p["ring"]))
+    return _verdict(ok, details)
 
 
 def _scale_entry_operator(ring: Ring, n: int, cell: int, u) -> Matrix:
@@ -356,7 +350,7 @@ def _run_detsim(p):
 
 def _run_phin_kernel(p):
     ok = phi_n_kernel_check(p["ring"], p["n"])
-    return ("verified" if ok else "failed"), ok, {"kernel_matches": ok}
+    return _verdict(ok, {"kernel_matches": ok})
 
 
 def _run_vhi_square(p):
@@ -384,7 +378,7 @@ def _run_vhi_square(p):
         "exhaustive_group_closed": ex.verify_group_closed(),
     }
     ok = rep1.equal and rep2.equal and details["exhaustive_group_closed"]
-    return ("verified" if ok else "failed"), ok, details
+    return _verdict(ok, details)
 
 
 def _run_vhi_rect(p):
@@ -396,53 +390,36 @@ def _run_vhi_rect(p):
     fam_els = [hat_generators(a, b) for a in enumerate_GL(m, ring)
                for b in enumerate_GL(n, ring)]
     fam = family_image(system, "pair", fam_els)
-    rep, details = _set_comparison(ex, fam)
-    ok = rep.equal and details["exhaustive_group_closed"]
+    details, ok = _set_comparison(ex, fam)
     if m == 1:
         # one-row case: right translations alone already fill the group
         right = family_image(system, "pair",
                              [hat_r(b, m) for b in enumerate_GL(n, ring)])
         details["right_translation_image_order"] = right.order
         ok = ok and compare(ex, right).equal
-    return ("verified" if ok else "failed"), ok, details
+    return _verdict(ok, details)
 
 
 def _run_tti_multiplier(p):
     ring, m, n = p["ring"], p["m"], p["n"]
     if m == n:
         raise BadDims("the multiplier claim is about the m != n case")
-    system = make_tti(m, n, ring)
-    ex = exhaustive_set(system, p["budget"], p["jobs"])
-    fam = family_image(system, "triple", _tti_family(ring, m, n))
-    rep, details = _set_comparison(ex, fam)
-    ok = rep.equal and details["exhaustive_group_closed"]
-    return ("verified" if ok else "failed"), ok, details
+    _, details, ok = _family_comparison(p, make_tti(m, n, ring))
+    return _verdict(ok, details)
 
 
 def _run_thi_product(p):
     ring, n = p["ring"], p["n"]
-    system = make_thi(n, ring)
-    ex = exhaustive_set(system, p["budget"], p["jobs"])
-    scalars = mu_n(ring, 2)
-    twisted = all_twisted_maps(ring, n, 1)
-    fam = family_image(system, "triple", _thi_family(ring, n))
-    rep, details = _set_comparison(ex, fam)
-    details["product_model_order"] = len(scalars) * len(twisted)
+    fam, details, ok = _family_comparison(p, make_thi(n, ring))
+    details["product_model_order"] = \
+        len(mu_n(ring, 2)) * len(all_twisted_maps(ring, n, 1))
     details["product_map_injective"] = \
         fam.order == details["product_model_order"]
-    ok = (rep.equal and details["product_map_injective"]
-          and details["exhaustive_group_closed"])
-    return ("verified" if ok else "failed"), ok, details
+    return _verdict(ok and details["product_map_injective"], details)
 
 
 def _run_schemes(p):
-    ring, n = p["ring"], p["n"]
-    form = standard_form(ring, n - 1)
-    tri_sys = make_t_iv(form)
-    alg_sys = make_bilinear_form_algebra(form)
-    ex = exhaustive_set(tri_sys, p["budget"], p["jobs"])
-    alg_ex = exhaustive_set(alg_sys, p["budget"], p["jobs"])
-    factors, unfactorable = _factor_all(alg_sys.structure, ex)
+    ex, alg_ex, factors, unfactorable = _tiv_factored(p)
     if unfactorable:
         details = {
             "exhaustive_order": ex.order,
@@ -451,7 +428,7 @@ def _run_schemes(p):
                                      for m in unfactorable[:2]],
         }
         return "failed", False, details
-    scalars = mu_n(ring, 2)
+    scalars = mu_n(p["ring"], 2)
     model = len(scalars) * alg_ex.order
     bijective = len(factors) == ex.order == model
     pairs = law_holds = 0
@@ -474,7 +451,7 @@ def _run_schemes(p):
         "product_law_holds": law_holds == pairs,
     }
     ok = bijective and law_holds == pairs
-    return ("verified" if ok else "failed"), ok, details
+    return _verdict(ok, details)
 
 
 def _run_block_grading(p):
@@ -493,7 +470,7 @@ def _run_block_grading(p):
         "recovered_pair_matches": tensors_match,
     }
     ok = lie["ok"] and tensors_match
-    return ("verified" if ok else "failed"), ok, details
+    return _verdict(ok, details)
 
 
 def _run_lambda_iso(p):
@@ -534,7 +511,7 @@ def _run_lambda_iso(p):
         "conjugates_are_source_automorphisms": conj_ok,
     }
     ok = verified and conj_ok
-    return ("verified" if ok else "failed"), ok, details
+    return _verdict(ok, details)
 
 
 def _run_vti_vhi(p):
@@ -557,7 +534,7 @@ def _run_vti_vhi(p):
     }
     ok = (details["pair_isomorphism_verified"]
           and details["conjugation_bijection"])
-    return ("verified" if ok else "failed"), ok, details
+    return _verdict(ok, details)
 
 
 def _run_thi_neq_tti(p):
@@ -570,7 +547,7 @@ def _run_thi_neq_tti(p):
         "orders_differ": thi.order != tti.order,
     }
     ok = details["orders_differ"]
-    return ("verified" if ok else "failed"), ok, details
+    return _verdict(ok, details)
 
 
 # -- catalog ------------------------------------------------------------------

@@ -171,16 +171,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, args)
-        return EXIT_BUDGET
-    except _USAGE_ERRORS as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, args)
-        return EXIT_USAGE
     except ToolkitError as exc:
-        # remaining domain errors mean a claim-level failure
         _emit({"error": type(exc).__name__, "message": str(exc)}, args)
-        return EXIT_FAIL
+        if isinstance(exc, BudgetExceeded):
+            return EXIT_BUDGET
+        # a domain error that is not a usage error is a claim-level failure
+        return EXIT_USAGE if isinstance(exc, _USAGE_ERRORS) else EXIT_FAIL
 
 
 def entry() -> None:

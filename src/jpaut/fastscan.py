@@ -11,9 +11,14 @@ depends only on (p, d, tensor), never on the worker count.  Chunks are
 processed in index order; worker threads only parallelize chunks, never
 reorder them.
 
+Tensors arrive in Jordan layout, T[a][b]..[x] with the output coordinate
+last, as the structures' int64 images hold them; each kernel moves the
+output axis first for its own contractions.
+
 Intermediate values are bounded by 64*p**4 and 6*p**5 (see the per-stage
 bounds in the helpers), so arithmetic runs in int32 when those fit and in
-int64 otherwise; both give identical exact results mod p.
+int64 otherwise; both give identical exact results mod p.  Primes where a
+bound reaches 2**63 are refused.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateForm
+from .errors import BadInput, DegenerateForm
 
 CHUNK = 1 << 16
 MAX_SLOTS = 4
@@ -33,9 +38,18 @@ MatTuple = tuple  # nested tuples of ints, row-major
 
 
 def _work_dtype(p: int) -> type:
-    """int32 when every intermediate bound fits, else int64."""
-    limit = 2 ** 31 - 1
-    return np.int32 if (64 * p ** 4 < limit and 6 * p ** 5 < limit) else np.int64
+    """int32 when every intermediate bound fits, else int64; BadInput when
+    even int64 does not hold them."""
+    bound = max(64 * p ** 4, 6 * p ** 5)
+    if bound >= 2 ** 63:
+        raise BadInput(f"F_{p} is past the int64 bound of the fast scans")
+    return np.int32 if bound < 2 ** 31 - 1 else np.int64
+
+
+def _xfirst(t, p: int, dtype: type) -> np.ndarray:
+    """Residues of a Jordan-layout tensor with the output axis moved first."""
+    moved = np.moveaxis(np.asarray(t, dtype=np.int64) % p, -1, 0)
+    return np.ascontiguousarray(moved, dtype=dtype)
 
 
 def _digits(idx: np.ndarray, p: int, cells: int) -> np.ndarray:
@@ -424,18 +438,20 @@ def _scan(total: int, decode: Callable, slot_pass: Callable, slots: Sequence,
 
 
 def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
-                         gram: Sequence, jobs: int = 1) -> list[MatTuple]:
-    """All phi_plus with (phi_plus, trace-dual inverse) a pair automorphism.
+                         gram: Sequence, jobs: int = 1
+                         ) -> list[tuple[MatTuple, MatTuple]]:
+    """All (phi_plus, phi_minus) pair automorphisms with phi_minus the
+    trace-dual inverse (phi_plus^T G)^{-1} G, ascending in phi_plus.
 
-    t_plus / t_minus are nested [x][a][b][c] integer tensors; gram is the
-    trace Gram matrix as nested integer rows.  The dual inverse is computed
-    division-free via the adjugate: conditions are scaled by det(phi_plus)
-    (a unit), which is an equivalence over a field.
+    t_plus / t_minus are Jordan-layout [a][b][c][x] integer tensors; gram is
+    the trace Gram matrix.  The dual inverse is computed division-free via
+    the adjugate: conditions are scaled by det(phi_plus) (a unit), which is
+    an equivalence over a field.
     """
     dtype = _work_dtype(p)
-    tp = (np.array(t_plus, dtype=np.int64) % p).astype(dtype)
-    tm = (np.array(t_minus, dtype=np.int64) % p).astype(dtype)
-    g = np.array(gram, dtype=np.int64) % p
+    tp = _xfirst(t_plus, p, dtype)
+    tm = _xfirst(t_minus, p, dtype)
+    g = np.asarray(gram, dtype=np.int64) % p
     gram_apply = _make_gram_apply(g, _int_matrix_inverse(g, p), p, dtype)
     tp_byc = _tensor_by_c(tp, dtype)
     total = p ** (d * d)
@@ -473,13 +489,18 @@ def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
     slots = _probe_slots(total, d, decode, slot_pass)
     idx = _scan(total, decode, slot_pass, slots, (check_plus, check_minus),
                 jobs)
-    return _to_tuples(_digit_matrices(idx, p, d))
+    plus = _digit_matrices(idx, p, d).astype(dtype)
+    det, adj = _det_adj(plus, p)
+    inverses = np.array([0] + [pow(x, -1, p) for x in range(1, p)])
+    minus = inverses[det][:, None, None] * gram_apply(adj) % p
+    return list(zip(_to_tuples(plus), _to_tuples(minus)))
 
 
 def scan_triple(p: int, d: int, tensor: Sequence, jobs: int = 1) -> list[MatTuple]:
-    """All invertible phi with phi{x,y,z} == {phi x, phi y, phi z}."""
+    """All invertible phi with phi{x,y,z} == {phi x, phi y, phi z}; tensor
+    is in Jordan layout [a][b][c][x]."""
     dtype = _work_dtype(p)
-    t = (np.array(tensor, dtype=np.int64) % p).astype(dtype)
+    t = _xfirst(tensor, p, dtype)
     t_byc = _tensor_by_c(t, dtype)
     total = p ** (d * d)
 
@@ -508,11 +529,11 @@ def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
     Unit preservation is forced by multiplicativity plus surjectivity, so the
     candidate space is the affine subspace {A : A u = u}: columns other than
     the pivot column are free, the pivot column is solved.  prod is the
-    nested [x][a][b] product tensor, unit the coordinate vector of 1.
+    Jordan-layout [a][b][x] product tensor, unit the coordinate vector of 1.
     """
     dtype = _work_dtype(p)
-    pr = (np.array(prod, dtype=np.int64) % p).astype(dtype)
-    u = np.array(unit, dtype=np.int64) % p
+    pr = _xfirst(prod, p, dtype)
+    u = np.asarray(unit, dtype=np.int64) % p
     prf = np.ascontiguousarray(pr.reshape(d, d * d).T)
     t_col = int(np.nonzero(u)[0][0])
     u_t_inv = pow(int(u[t_col]), -1, p)

@@ -8,8 +8,9 @@ contractions with no sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence
 
@@ -18,8 +19,8 @@ import numpy as np
 from .errors import (AxiomFailure, BadInput, BudgetExceeded,
                      DegenerateTrace, IncompatibleRings, NotInvertible,
                      ShapeMismatch)
-from .matrix import Matrix
-from .ring import PrimeField, Rationals, Ring, RingElement, embedding
+from .matrix import Matrix, as_payload_vec
+from .ring import PrimeField, Rationals, Ring, embedding
 
 # nested payload tuples: Tensor[a][b][c] is the coordinate vector of the
 # product of basis elements (a, b, c); Product[a][b] likewise for algebras.
@@ -27,22 +28,13 @@ Tensor = tuple
 Vector = tuple
 
 MAX_AXIOM_DIM = 6  # per-carrier cap for exhaustive identity sweeps
+_INT64_LIMIT = 2 ** 63
 
 
 def _coerce_vec(ring: Ring, vec: Sequence, dim: int) -> Vector:
     if len(vec) != dim:
         raise ShapeMismatch(f"vector length {len(vec)}, expected {dim}")
-    out = []
-    for v in vec:
-        if isinstance(v, RingElement):
-            if v.ring != ring:
-                raise IncompatibleRings(f"{v.ring.name} vs {ring.name}")
-            out.append(v.payload)
-        elif isinstance(v, int):
-            out.append(ring.from_int(v).payload)
-        else:
-            out.append(v)
-    return tuple(out)
+    return as_payload_vec(ring, vec)
 
 
 def zero_vector(ring: Ring, dim: int) -> Vector:
@@ -112,21 +104,59 @@ def bilinear_eval(ring: Ring, prod: Tensor, x: Vector, y: Vector,
 # -- structures -----------------------------------------------------------
 
 
-def _require_residues(ring: Ring, payloads) -> None:
-    """Over F_p every payload must be an int in range(p).
+def _flatten(tensor, shape: tuple) -> list:
+    """The payloads of a nested tensor of the given shape, in C order.
 
-    The identity checks and predicates compare payloads, so 4 and 1 over F3
-    would count as different constants.
+    Raises ShapeMismatch where a level is not a sequence of the declared
+    length, so ragged data never reaches a contraction.
     """
-    if isinstance(ring, PrimeField):
-        for x in payloads:
-            if type(x) is not int or not 0 <= x < ring.p:
-                raise BadInput(f"payload {x!r} is not an int in range("
-                               f"{ring.p}) for {ring.name}")
+    flat = [tensor]
+    for depth, n in enumerate(shape):
+        if not all(isinstance(row, (tuple, list)) and len(row) == n
+                   for row in flat):
+            raise ShapeMismatch(f"level {depth} is not of length {n} "
+                                f"everywhere; expected shape {shape}")
+        flat = [x for row in flat for x in row]
+    return flat
+
+
+class _Structure:
+    """Shape and payload checks, and the int64 image over F_p.
+
+    `_parts` lists (name, nested payloads, declared shape) for every tensor,
+    the unit and the trace Gram.  Over F_p the payloads must be ints in
+    range(p): the identity checks and predicates compare payloads, so 4
+    and 1 over F3 would count as different constants.
+    """
+
+    def __post_init__(self):
+        p = self.ring.p if isinstance(self.ring, PrimeField) else None
+        for _, nested, shape in self._parts():
+            for x in _flatten(nested, shape):
+                if p is not None and (type(x) is not int or not 0 <= x < p):
+                    raise BadInput(f"payload {x!r} is not an int in "
+                                   f"range({p}) for {self.ring.name}")
+
+    @cached_property
+    def _int64(self) -> Optional[dict]:
+        """Read-only int64 arrays of the parts by name, in Jordan layout
+        (the output coordinate last); None off F_p or past int64."""
+        if not isinstance(self.ring, PrimeField) or self.ring.p > _INT64_LIMIT:
+            return None
+        image = {}
+        for name, nested, shape in self._parts():
+            arr = np.array(nested, dtype=np.int64).reshape(shape)
+            arr.flags.writeable = False
+            image[name] = arr
+        return image
+
+
+def _gram_part(trace: Optional[Matrix], rows: int, cols: int) -> list:
+    return [] if trace is None else [("trace", trace.entries, (rows, cols))]
 
 
 @dataclass(frozen=True)
-class JordanPair:
+class JordanPair(_Structure):
     ring: Ring
     dplus: int
     dminus: int
@@ -135,8 +165,11 @@ class JordanPair:
     trace: Optional[Matrix] = None  # Gram of t: V+ x V- -> R, or None
     name: str = "pair"
 
-    def __post_init__(self):
-        _require_residues(self.ring, _flatten((self.t_plus, self.t_minus), 4))
+    def _parts(self) -> list:
+        dp, dm = self.dplus, self.dminus
+        return [("t_plus", self.t_plus, (dp, dm, dp, dp)),
+                ("t_minus", self.t_minus, (dm, dp, dm, dm)),
+                *_gram_part(self.trace, dp, dm)]
 
     def tensor(self, sigma: int) -> Tensor:
         return self.t_plus if sigma > 0 else self.t_minus
@@ -149,13 +182,6 @@ class JordanPair:
         if len(x) != d or len(z) != d or len(y) != self.dim(-sigma):
             raise ShapeMismatch("bracket operands do not match carrier dims")
         return trilinear_eval(self.ring, self.tensor(sigma), x, y, z, d)
-
-    def tensors_equal(self, other: "JordanPair") -> bool:
-        """Structure-constant equality, ignoring names and traces."""
-        return (self.ring == other.ring and self.dplus == other.dplus
-                and self.dminus == other.dminus
-                and self.t_plus == other.t_plus
-                and self.t_minus == other.t_minus)
 
     def to_jsonable(self) -> dict:
         def enc(tensor):
@@ -171,15 +197,17 @@ class JordanPair:
 
 
 @dataclass(frozen=True)
-class JordanTriple:
+class JordanTriple(_Structure):
     ring: Ring
     dim: int
     tensor: Tensor
     trace: Optional[Matrix] = None
     name: str = "triple"
 
-    def __post_init__(self):
-        _require_residues(self.ring, _flatten(self.tensor, 3))
+    def _parts(self) -> list:
+        d = self.dim
+        return [("tensor", self.tensor, (d, d, d, d)),
+                *_gram_part(self.trace, d, d)]
 
     def bracket(self, x: Vector, y: Vector, z: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim or len(z) != self.dim:
@@ -198,16 +226,17 @@ class JordanTriple:
 
 
 @dataclass(frozen=True)
-class JordanAlgebra:
+class JordanAlgebra(_Structure):
     ring: Ring
     dim: int
     product: Tensor  # [a][b] -> vector
     unit: Optional[Vector] = None
     name: str = "algebra"
 
-    def __post_init__(self):
-        _require_residues(self.ring,
-                          _flatten(self.product, 2) + list(self.unit or ()))
+    def _parts(self) -> list:
+        d = self.dim
+        unit = [] if self.unit is None else [("unit", self.unit, (d,))]
+        return [("product", self.product, (d, d, d)), *unit]
 
     def multiply(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
@@ -390,8 +419,7 @@ def _axiom_report(structure, vectorize: bool) -> AxiomReport:
     if max(dims.values()) > MAX_AXIOM_DIM:
         raise BudgetExceeded(
             f"carrier dim above {MAX_AXIOM_DIM}; refusing sampled checks")
-    failures = (_np_pair_failures(structure.ring, tensors, dims)
-                if vectorize else None)
+    failures = _np_pair_failures(structure) if vectorize else None
     if failures is None:
         failures = _check_pair_tensors(structure.ring, tensors, dims)
     checked = 2 * (dims[1] * dims[-1]) ** 2
@@ -465,40 +493,36 @@ def _check_algebra(alg: JordanAlgebra, vectorize: bool) -> AxiomReport:
 # returns None where that int64 image does not exist or could overflow; the
 # caller then runs the pure sweep.
 
-_INT64_LIMIT = 2 ** 63
 _MAX_FAILURES = 9  # the pure sweeps stop at their ninth failure
 
 
-def _int_tensors(ring: Ring, tensors: list, shapes: list):
-    """(arrays, p, m): exact int64 images of the tensors, or None.
+def _int_tensors(structure, names: tuple):
+    """(arrays, p, m): exact int64 images of the named tensors, or None.
 
-    Over F_p the canonical payloads themselves, p the modulus and m = p - 1.
+    Over F_p the structure's cached image, p the modulus and m = p - 1.
     Over Q the payloads times the LCM of all their denominators, taken
     jointly over the tensors, p None and m the largest magnitude.
     """
-    if not isinstance(ring, (PrimeField, Rationals)):
+    ring = structure.ring
+    if isinstance(ring, PrimeField):
+        image = structure._int64
+        if image is None:
+            return None
+        return [image[n] for n in names], ring.p, ring.p - 1
+    if not isinstance(ring, Rationals):
         return None
-    flats = []
-    for tensor, shape in zip(tensors, shapes):
-        arr = np.array(tensor, dtype=object)
-        if arr.shape != shape:
-            return None
-        flats.append(arr.ravel().tolist())
-    entries = [x for flat in flats for x in flat]
-    if isinstance(ring, PrimeField):  # payloads are checked residues
-        p, m = ring.p, ring.p - 1
-    else:
-        if not all(type(x) in (int, Fraction) for x in entries):
-            return None
-        scale = lcm(*(x.denominator for x in entries))
-        flats = [[x.numerator * (scale // x.denominator) for x in flat]
-                 for flat in flats]
-        p, m = None, max(abs(x) for flat in flats for x in flat)
-        if m >= _INT64_LIMIT:
-            return None
-    arrays = [np.array(flat, dtype=np.int64).reshape(shape)
-              for flat, shape in zip(flats, shapes)]
-    return arrays, p, m
+    arrays = [np.array(getattr(structure, n), dtype=object) for n in names]
+    entries = [x for arr in arrays for x in arr.flat]
+    if not all(type(x) in (int, Fraction) for x in entries):
+        return None
+    scale = lcm(*(x.denominator for x in entries))
+    flats = [[x.numerator * (scale // x.denominator) for x in arr.flat]
+             for arr in arrays]
+    m = max((abs(x) for flat in flats for x in flat), default=0)
+    if m >= _INT64_LIMIT:
+        return None
+    return ([np.array(flat, dtype=np.int64).reshape(arr.shape)
+             for flat, arr in zip(flats, arrays)], None, m)
 
 
 def _fits_int64(p, d: int, m: int, terms: int, degree: int) -> bool:
@@ -540,13 +564,15 @@ def _hits(bad) -> list:
             for at in np.argwhere(bad)[:_MAX_FAILURES]]
 
 
-def _np_pair_failures(ring: Ring, tensors: dict, dims: dict):
+def _np_pair_failures(structure):
     """_check_pair_tensors as contractions, or None."""
-    shapes = [(dims[s], dims[-s], dims[s], dims[s]) for s in (1, -1)]
-    image = _int_tensors(ring, [tensors[1], tensors[-1]], shapes)
+    names = (("t_plus", "t_minus") if isinstance(structure, JordanPair)
+             else ("tensor", "tensor"))
+    image = _int_tensors(structure, names)
     if image is None:
         return None
     (t_plus, t_minus), p, m = image
+    dims = {1: t_plus.shape[0], -1: t_minus.shape[0]}
     if not _fits_int64(p, max(dims.values()), m, terms=4, degree=2):
         return None
     t = {1: t_plus, -1: t_minus}
@@ -584,7 +610,7 @@ def _np_jordan_failures(alg: JordanAlgebra):
     Assumes the product is commutative, as the caller has checked.
     """
     d = alg.dim
-    image = _int_tensors(alg.ring, [alg.product], [(d, d, d)])
+    image = _int_tensors(alg, ("product",))
     if image is None:
         return None
     (prod,), p, m = image
@@ -647,84 +673,79 @@ def pair_from_triple(t: JordanTriple) -> JordanPair:
 def scalar_extend(structure, target: Ring):
     """Same structure constants, pushed through the base-to-target embedding."""
     structure = unwrap(structure)
+    if not isinstance(structure, _Structure):
+        raise ShapeMismatch(
+            f"not a Jordan structure: {type(structure).__name__}")
     emb = embedding(structure.ring, target)
 
-    def ext_vec(vec):
-        return tuple(emb(p) for p in vec)
-
-    def ext3(tensor):
-        return tuple(tuple(tuple(ext_vec(v) for v in row2) for row2 in row)
-                     for row in tensor)
-
-    def ext_gram(g):
-        if g is None:
-            return None
-        return Matrix(target, g.rows, g.cols,
-                      tuple(tuple(emb(p) for p in row) for row in g.entries))
-
-    if isinstance(structure, JordanPair):
-        return JordanPair(target, structure.dplus, structure.dminus,
-                          ext3(structure.t_plus), ext3(structure.t_minus),
-                          ext_gram(structure.trace),
-                          name=f"{structure.name}@{target.name}")
-    if isinstance(structure, JordanTriple):
-        return JordanTriple(target, structure.dim, ext3(structure.tensor),
-                            ext_gram(structure.trace),
-                            name=f"{structure.name}@{target.name}")
-    if isinstance(structure, JordanAlgebra):
-        prod = tuple(tuple(ext_vec(v) for v in row)
-                     for row in structure.product)
-        unit = None if structure.unit is None else ext_vec(structure.unit)
-        return JordanAlgebra(target, structure.dim, prod, unit,
-                             name=f"{structure.name}@{target.name}")
-    raise ShapeMismatch(f"not a Jordan structure: {type(structure).__name__}")
+    def ext(nested, depth):
+        if depth == 0:
+            return emb(nested)
+        return tuple(ext(x, depth - 1) for x in nested)
+    parts = {name: ext(nested, len(shape))
+             for name, nested, shape in structure._parts()}
+    if "trace" in parts:
+        parts["trace"] = Matrix(target, structure.trace.rows,
+                                structure.trace.cols, parts["trace"])
+    return replace(structure, ring=target,
+                   name=f"{structure.name}@{target.name}", **parts)
 
 
 # -- automorphism predicates ----------------------------------------------
 
 
-def _carries(ring: Ring, src: Tensor, dst: Tensor, out_map: Matrix,
-             in_maps: Sequence[Matrix], vectorize: bool = True) -> bool:
+def _carries(ring: Ring, src, dst, out_map, in_maps: Sequence,
+             vectorize: bool = True):
     """out_map carries tensor src to tensor dst.
 
     The tensors have one input slot per map in in_maps (three for pairs
-    and triples, two for algebras) and a coordinate vector at each leaf.
-    The test is, on every basis tuple, out_map(src[a][b]...) ==
+    and triples, two for algebras) and a coordinate vector at each leaf;
+    each is nested payload tuples or, over F_p, its int64 image.  The test
+    is, on every basis tuple, out_map(src[a][b]...) ==
     dst(in_maps[0] e_a, in_maps[1] e_b, ...): both sides are the tensors
     with a matrix applied along each axis.  Over F_p that is one int64
-    contraction per axis, reduced mod p after each; other rings, primes past
-    the int64 bound, and vectorize=False take the same steps in pure Python.
+    matmul per axis, reduced mod p after each; other rings, primes past the
+    int64 bound, and vectorize=False take the same steps in pure Python.
+
+    Over F_p the maps may instead all be int64 stacks (B, d, d) of
+    residues; the result is then a (B,) bool array whose entry b tests the
+    b-th map of every stack.
     """
     k = len(in_maps)
-    dims = [m.rows for m in in_maps] + [out_map.rows]
+    maps = list(in_maps) + [out_map]
+    batched = isinstance(out_map, np.ndarray)
+    dims = [m.shape[-1] if batched else m.rows for m in maps]
     if (vectorize and isinstance(ring, PrimeField)
             and _fits_int64(ring.p, max(dims), ring.p - 1, 1, 2)):
+        if not batched:
+            maps = [np.array(m.entries, dtype=np.int64)[None] for m in maps]
+        out_rows = maps[k]
+        in_rows = [m.transpose(0, 2, 1) for m in maps[:k]]
+
         def load(t):
-            return np.array(t, dtype=np.int64)
+            return np.asarray(t, dtype=np.int64).reshape(1, -1)
 
         def along(t, axis, rows):
-            r = np.array(rows, dtype=np.int64)
-            return np.moveaxis(np.tensordot(r, t, axes=(1, axis)), 0,
-                               axis) % ring.p
+            post = int(np.prod(dims[axis + 1:]))
+            out = rows[:, None] @ t.reshape(t.shape[0], -1, dims[axis], post)
+            return out.reshape(out.shape[0], -1) % ring.p
     else:
+        out_rows = out_map.entries
+        in_rows = [m.transpose().entries for m in in_maps]
+
         def load(t):
-            return _flatten(t, k)
+            return _flatten(t.tolist() if isinstance(t, np.ndarray) else t,
+                            dims)
 
         def along(t, axis, rows):
             return _along(ring, t, dims, axis, rows)
-    lhs = along(load(src), k, out_map.entries)
+    lhs = along(load(src), k, out_rows)
     rhs = load(dst)
-    for axis, m in enumerate(in_maps):
-        rhs = along(rhs, axis, m.transpose().entries)
+    for axis, rows in enumerate(in_rows):
+        rhs = along(rhs, axis, rows)
+    if batched:
+        return (lhs == rhs).all(axis=1)
     return bool(np.all(lhs == rhs))
-
-
-def _flatten(tensor: Tensor, depth: int) -> list:
-    """The entries `depth` levels down in nested tuples, in C order."""
-    flat = tensor
-    for _ in range(depth):
-        flat = [x for row in flat for x in row]
-    return flat
 
 
 def _along(ring: Ring, flat: list, dims: list, axis: int, rows) -> list:
@@ -749,22 +770,27 @@ def _along(ring: Ring, flat: list, dims: list, axis: int, rows) -> list:
     return out
 
 
+def _operand(structure, name: str):
+    """A tensor as _carries reads it: its int64 image where there is one."""
+    image = structure._int64
+    return getattr(structure, name) if image is None else image[name]
+
+
 def pair_map_respects(pair: JordanPair, f: PairMap) -> bool:
     """Tensor transport equality for both signs (no invertibility demand)."""
     return pair_iso_respects(pair, pair, f)
 
 
 def is_pair_automorphism(pair: JordanPair, f: PairMap) -> bool:
-    if not (f.plus.is_invertible() and f.minus.is_invertible()):
-        return False
-    return pair_map_respects(pair, f)
+    return is_pair_isomorphism(pair, pair, f)
 
 
 def triple_map_respects(t: JordanTriple, phi: Matrix) -> bool:
     t = unwrap(t)
     if phi.rows != t.dim or phi.cols != t.dim:
         raise ShapeMismatch("map dim does not match triple dim")
-    return _carries(t.ring, t.tensor, t.tensor, phi, (phi, phi, phi))
+    tensor = _operand(t, "tensor")
+    return _carries(t.ring, tensor, tensor, phi, (phi, phi, phi))
 
 
 def is_triple_automorphism(t: JordanTriple, phi: Matrix) -> bool:
@@ -775,7 +801,8 @@ def algebra_map_respects(alg: JordanAlgebra, phi: Matrix) -> bool:
     alg = unwrap(alg)
     if phi.rows != alg.dim or phi.cols != alg.dim:
         raise ShapeMismatch("map dim does not match algebra dim")
-    return _carries(alg.ring, alg.product, alg.product, phi, (phi, phi))
+    product = _operand(alg, "product")
+    return _carries(alg.ring, product, product, phi, (phi, phi))
 
 
 def is_algebra_automorphism(alg: JordanAlgebra, phi: Matrix) -> bool:
@@ -792,15 +819,15 @@ def pair_iso_respects(src: JordanPair, dst: JordanPair, f: PairMap) -> bool:
         raise ShapeMismatch("map dims do not match source pair")
     if f.plus.rows != dst.dplus or f.minus.rows != dst.dminus:
         raise ShapeMismatch("map dims do not match target pair")
-    return all(_carries(src.ring, src.tensor(s), dst.tensor(s), ms,
-                        (ms, mo, ms))
-               for s, ms, mo in ((1, f.plus, f.minus), (-1, f.minus, f.plus)))
+    return all(_carries(src.ring, _operand(src, name), _operand(dst, name),
+                        ms, (ms, mo, ms))
+               for name, ms, mo in (("t_plus", f.plus, f.minus),
+                                    ("t_minus", f.minus, f.plus)))
 
 
 def is_pair_isomorphism(src: JordanPair, dst: JordanPair, f: PairMap) -> bool:
-    if not (f.plus.is_invertible() and f.minus.is_invertible()):
-        return False
-    return pair_iso_respects(src, dst, f)
+    return (f.plus.is_invertible() and f.minus.is_invertible()
+            and pair_iso_respects(src, dst, f))
 
 
 def dual_inverse(pair: JordanPair, phi_plus: Matrix) -> Matrix:
@@ -817,18 +844,3 @@ def dual_inverse(pair: JordanPair, phi_plus: Matrix) -> Matrix:
         raise NotInvertible("phi_plus is not invertible against the trace")
     return m.inverse() @ g
 
-
-def trace_pairing(pair: JordanPair, x: Vector, y: Vector) -> RingElement:
-    pair = unwrap(pair)
-    if pair.trace is None:
-        raise DegenerateTrace(f"{pair.name} has no registered trace")
-    x = _coerce_vec(pair.ring, x, pair.dplus)
-    y = _coerce_vec(pair.ring, y, pair.dminus)
-    g = pair.trace
-    acc = pair.ring.zero_p
-    for a, xa in enumerate(x):
-        if xa == pair.ring.zero_p:
-            continue
-        for b, yb in enumerate(y):
-            acc = pair.ring.add(acc, pair.ring.mul(pair.ring.mul(xa, g.entries[a][b]), yb))
-    return RingElement(pair.ring, acc)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadInput,
@@ -22,7 +22,8 @@ from .errors import (
     NotInvertible,
     ShapeMismatch,
 )
-from .ring import Payload, PrimeField, Ring, RingElement, component_inverse
+from .ring import (Payload, PrimeField, Ring, RingElement, component_inverse,
+                   embedding)
 
 Vec = tuple  # payload vectors
 
@@ -347,11 +348,6 @@ class BilinearForm:
     def dim(self) -> int:
         return self.gram.rows
 
-    def evaluate(self, x: Sequence, y: Sequence) -> RingElement:
-        xp = as_payload_vec(self.ring, x)
-        yp = as_payload_vec(self.ring, y)
-        return RingElement(self.ring, self._eval_p(xp, yp))
-
     def _eval_p(self, x: Vec, y: Vec) -> Payload:
         return self.ring.dot(x, self.gram.apply(y))
 
@@ -472,7 +468,6 @@ def enumerate_O(form: BilinearForm, ring: Ring | None = None) -> Iterator[Matrix
 def _enumerate_similitudes(form: BilinearForm, ring: Ring | None,
                            isometry_only: bool) -> Iterator[Matrix]:
     if ring is not None and ring != form.ring:
-        from .ring import embedding  # local import to keep module deps one-way
         emb = embedding(form.ring, ring)
         gram = Matrix(ring, form.dim, form.dim,
                       tuple(tuple(emb(x) for x in row) for row in form.gram.entries))
@@ -484,8 +479,8 @@ def _enumerate_similitudes(form: BilinearForm, ring: Ring | None,
         return
     if isinstance(r, PrimeField) and 2 <= n <= 4:
         from . import fastscan
-        gram_int = [[int(x) for x in row] for row in form.gram.entries]
-        for idx in fastscan.scan_similitudes(r.p, n, gram_int, isometry_only):
+        for idx in fastscan.scan_similitudes(r.p, n, form.gram.entries,
+                                             isometry_only):
             yield matrix_from_index(r, n, idx)
         return
     one = r.one_p

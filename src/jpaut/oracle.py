@@ -10,18 +10,20 @@ are counted in invertible candidates considered, never raw tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import (BadInput, BudgetExceeded, EngineMismatch, MixedSystems,
                      NonEnumerableRing)
 from .jordan import (JordanAlgebra, JordanPair, JordanTriple, PairMap,
-                     algebra_map_respects, dual_inverse,
+                     _carries, algebra_map_respects, dual_inverse,
                      is_algebra_automorphism, is_pair_automorphism,
                      is_triple_automorphism, pair_map_respects,
                      triple_map_respects, unwrap)
-from .matrix import Matrix, enumerate_GL, enumerate_matrices
-from .ring import DualNumbers, PrimeField, ProductRing, Rationals, Ring
+from .matrix import Matrix, enumerate_GL
+from .ring import DualNumbers, PrimeField, ProductRing, Ring
 
 DEFAULT_BUDGET = 30_000_000
 
@@ -50,8 +52,6 @@ def element_key(el):
 
 
 def element_jsonable(el):
-    if isinstance(el, PairMap):
-        return {"plus": el.plus.to_jsonable(), "minus": el.minus.to_jsonable()}
     return el.to_jsonable()
 
 
@@ -87,9 +87,6 @@ class AutomorphismSet:
 
     def keys(self) -> frozenset:
         return frozenset(element_key(el) for el in self.elements)
-
-    def contains(self, el) -> bool:
-        return element_key(el) in self.keys()
 
     def to_jsonable(self, include_elements: bool = False) -> dict:
         out = {
@@ -139,16 +136,8 @@ class CompareReport:
     sample_only_b: tuple = ()
 
     def to_jsonable(self) -> dict:
-        return {
-            "system": self.system,
-            "equal": self.equal,
-            "order_a": self.order_a,
-            "order_b": self.order_b,
-            "only_a": self.only_a,
-            "only_b": self.only_b,
-            "sample_only_a": list(self.sample_only_a),
-            "sample_only_b": list(self.sample_only_b),
-        }
+        return {**asdict(self), "sample_only_a": list(self.sample_only_a),
+                "sample_only_b": list(self.sample_only_b)}
 
 
 def compare(a: AutomorphismSet, b: AutomorphismSet) -> CompareReport:
@@ -170,51 +159,70 @@ def compare(a: AutomorphismSet, b: AutomorphismSet) -> CompareReport:
 
 # -- exhaustive enumeration ---------------------------------------------------
 
-def _np_tensor_xfirst(tensor):
-    """Jordan layout [a]..[c] -> vector to fastscan layout [x][a]..[c]."""
-    import numpy as np
-    return np.moveaxis(np.array(tensor, dtype=np.int64), -1, 0).tolist()
-
-
 def _budgeted(candidates: int, budget: int) -> int:
     if candidates > budget:
         raise BudgetExceeded(f"{candidates} candidates exceed budget {budget}")
     return candidates
 
 
-def _use_fast(ring: Ring, dim_ok: bool, engine: str, name) -> bool:
-    use_fast = (isinstance(ring, PrimeField) and dim_ok
+def _use_fast(structure, dim_ok: bool, engine: str, name) -> bool:
+    """The fast kernels read the int64 image, which exists over F_p only."""
+    use_fast = (structure._int64 is not None and dim_ok
                 and engine in ("auto", "fast"))
     if engine == "fast" and not use_fast:
         raise BadInput(f"fast engine unavailable for {name}")
     return use_fast
 
 
-def _cross_check(els, is_automorphism, structure, name):
-    """Every (len // 8)-th fast-scan element must pass the pure predicate."""
-    for el in els[::max(1, len(els) // 8)]:
-        if not is_automorphism(structure, el):
-            raise EngineMismatch(f"fast scan of {name} returned "
-                                 f"{element_jsonable(el)}, which the "
-                                 "pure predicate rejects")
+def _stack(matrices: Sequence[Matrix], d: int) -> np.ndarray:
+    return np.array([m.entries for m in matrices],
+                    dtype=np.int64).reshape(-1, d, d)
+
+
+def _cross_check(els, structure, name):
+    """Every fast-scan element must be an automorphism.
+
+    One batched transport check per structure tensor (jordan._carries, an
+    implementation independent of the scan kernels) decides all elements
+    at once.  Invertibility: for traced pairs plus^T G minus == G, which
+    also pins minus to the trace-dual inverse; else Matrix.is_invertible.
+    """
+    ring, image = structure.ring, structure._int64
+    if isinstance(structure, JordanPair):
+        d = structure.dplus
+        plus = _stack([f.plus for f in els], d)
+        minus = _stack([f.minus for f in els], d)
+        g = image["trace"]
+        ok = ((plus.transpose(0, 2, 1) @ g % ring.p) @ minus % ring.p
+              == g).all(axis=(1, 2))
+        for part, a, b in (("t_plus", plus, minus), ("t_minus", minus, plus)):
+            ok &= _carries(ring, image[part], image[part], a, (a, b, a))
+    else:
+        tensor = image["tensor" if isinstance(structure, JordanTriple)
+                       else "product"]
+        phi = _stack(els, structure.dim)
+        ok = np.array([m.is_invertible() for m in els], dtype=bool)
+        ok &= _carries(ring, tensor, tensor, phi, (phi,) * (tensor.ndim - 1))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise EngineMismatch(f"fast scan of {name} returned "
+                             f"{element_jsonable(els[bad[0]])}, which the "
+                             "transport predicate rejects")
 
 
 def _enumerate_pair(pair: JordanPair, name, budget, jobs, engine):
     ring = pair.ring
     if pair.trace is not None:
         candidates = _budgeted(gl_order(ring, pair.dplus), budget)
-        if _use_fast(ring, 2 <= pair.dplus <= 4, engine, name):
+        if _use_fast(pair, 2 <= pair.dplus <= 4, engine, name):
             from . import fastscan
-            tuples = fastscan.scan_pair_with_trace(
-                ring.p, pair.dplus,
-                _np_tensor_xfirst(pair.t_plus),
-                _np_tensor_xfirst(pair.t_minus),
-                [list(r) for r in pair.trace.entries], jobs=jobs)
-            els = []
-            for tm in tuples:
-                phi = Matrix(ring, pair.dplus, pair.dplus, tm)
-                els.append(PairMap(phi, dual_inverse(pair, phi)))
-            _cross_check(els, is_pair_automorphism, pair, name)
+            image, d = pair._int64, pair.dplus
+            found = fastscan.scan_pair_with_trace(
+                ring.p, d, image["t_plus"], image["t_minus"], image["trace"],
+                jobs=jobs)
+            els = [PairMap(Matrix(ring, d, d, plus), Matrix(ring, d, d, minus))
+                   for plus, minus in found]
+            _cross_check(els, pair, name)
             return els, candidates, "fast"
         els = []
         for phi in enumerate_GL(pair.dplus, ring):
@@ -237,13 +245,12 @@ def _enumerate_pair(pair: JordanPair, name, budget, jobs, engine):
 def _enumerate_triple(trip: JordanTriple, name, budget, jobs, engine):
     ring = trip.ring
     candidates = _budgeted(gl_order(ring, trip.dim), budget)
-    if _use_fast(ring, 2 <= trip.dim <= 4, engine, name):
+    if _use_fast(trip, 2 <= trip.dim <= 4, engine, name):
         from . import fastscan
         tuples = fastscan.scan_triple(ring.p, trip.dim,
-                                      _np_tensor_xfirst(trip.tensor),
-                                      jobs=jobs)
+                                      trip._int64["tensor"], jobs=jobs)
         els = [Matrix(ring, trip.dim, trip.dim, tm) for tm in tuples]
-        _cross_check(els, is_triple_automorphism, trip, name)
+        _cross_check(els, trip, name)
         return els, candidates, "fast"
     els = [phi for phi in enumerate_GL(trip.dim, ring)
            if triple_map_respects(trip, phi)]
@@ -267,13 +274,13 @@ def _enumerate_algebra(alg: JordanAlgebra, name, budget, jobs, engine):
                if algebra_map_respects(alg, phi)]
         return els, candidates, "pure"
     candidates = _budgeted(ring.size ** (d * (d - 1)), budget)
-    if _use_fast(ring, d <= 4, engine, name):
+    if _use_fast(alg, d <= 4, engine, name):
         from . import fastscan
+        image = alg._int64
         tuples = fastscan.scan_algebra_unit_fixing(
-            ring.p, d, _np_tensor_xfirst(alg.product), list(alg.unit),
-            jobs=jobs)
+            ring.p, d, image["product"], image["unit"], jobs=jobs)
         els = [Matrix(ring, d, d, tm) for tm in tuples]
-        _cross_check(els, is_algebra_automorphism, alg, name)
+        _cross_check(els, alg, name)
         return els, candidates, "fast"
     # pure unit-fixing affine scan: free columns range, pivot column solved
     els = []
@@ -297,6 +304,14 @@ def _enumerate_algebra(alg: JordanAlgebra, name, budget, jobs, engine):
     return els, candidates, "pure"
 
 
+def _kind(structure) -> str:
+    for cls, kind in ((JordanPair, "pair"), (JordanTriple, "triple"),
+                      (JordanAlgebra, "algebra")):
+        if isinstance(structure, cls):
+            return kind
+    raise BadInput(f"not a Jordan structure: {type(structure).__name__}")
+
+
 def enumerate_automorphisms(system, budget: Optional[int] = None,
                             jobs: int = 1,
                             engine: str = "auto") -> AutomorphismSet:
@@ -310,14 +325,9 @@ def enumerate_automorphisms(system, budget: Optional[int] = None,
     name = getattr(system, "name", None) or "anonymous"
     structure = unwrap(system)
     budget = DEFAULT_BUDGET if budget is None else budget
-    if isinstance(structure, JordanPair):
-        kind, scan = "pair", _enumerate_pair
-    elif isinstance(structure, JordanTriple):
-        kind, scan = "triple", _enumerate_triple
-    elif isinstance(structure, JordanAlgebra):
-        kind, scan = "algebra", _enumerate_algebra
-    else:
-        raise BadInput(f"cannot enumerate a {type(structure).__name__}")
+    kind = _kind(structure)
+    scan = {"pair": _enumerate_pair, "triple": _enumerate_triple,
+            "algebra": _enumerate_algebra}[kind]
     if not structure.ring.is_finite:
         raise NonEnumerableRing(f"cannot enumerate over {structure.ring.name}")
     els, cand, engine_used = scan(structure, name, budget, jobs, engine)
@@ -348,7 +358,6 @@ def _closure_pure(identity, generators, budget):
 
 
 def _closure_prime_pairs(ring, generators, budget):
-    import numpy as np
     p = ring.p
     dp = generators[0].plus.rows
     dm = generators[0].minus.rows
@@ -403,15 +412,9 @@ def generate_closure(system, generators: Sequence,
     structure = unwrap(system)
     ring = structure.ring
     generators = list(generators)
-    if isinstance(structure, JordanPair):
-        kind = "pair"
-        checker = is_pair_automorphism
-    elif isinstance(structure, JordanTriple):
-        kind = "triple"
-        checker = is_triple_automorphism
-    else:
-        kind = "algebra"
-        checker = is_algebra_automorphism
+    kind = _kind(structure)
+    checker = {"pair": is_pair_automorphism, "triple": is_triple_automorphism,
+               "algebra": is_algebra_automorphism}[kind]
     for g in generators:
         if not checker(structure, g):
             raise BadInput("generator fails the automorphism predicate")

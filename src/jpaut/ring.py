@@ -29,7 +29,6 @@ from .errors import (
     BadInput,
     IncompatibleRings,
     NonEnumerableRing,
-    NotIdempotent,
     NotInvertible,
     ParseError,
 )

@@ -130,9 +130,9 @@ _GUARDS_UNDER_O = textwrap.dedent("""
             print(name, "raised")
     from jpaut import fastscan, oracle
     from jpaut.errors import DegenerateForm, EngineMismatch
+    oracle._carries = lambda *args: False
     for kind, spec in (("pair", "VhI(1,2,F3)"), ("triple", "ThatIV(2,F3)"),
                        ("algebra", "Jbilin(2,F3)")):
-        setattr(oracle, f"is_{kind}_automorphism", lambda *args: False)
         try:
             oracle.enumerate_automorphisms(catalog.parse_system(spec),
                                            engine="fast")

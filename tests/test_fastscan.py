@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from jpaut import PrimeField, standard_form, enumerate_GO, enumerate_O
+from jpaut import (PrimeField, Matrix, JordanAlgebra, JordanPair,
+                   JordanTriple, dual_inverse, enumerate_automorphisms,
+                   gl_order, standard_form, enumerate_GO, enumerate_O)
+from jpaut import fastscan
+from jpaut.errors import BadInput
 from jpaut.fastscan import (_digits_range, _low_digit_block, _det, _det_adj,
                             _tensor_by_c, _slot_rhs, _make_gram_apply,
-                            _work_dtype, scan_pair_with_trace, scan_triple,
+                            _work_dtype, scan_algebra_unit_fixing,
+                            scan_pair_with_trace, scan_triple,
                             scan_similitudes)
-from jpaut import make_vhi, make_type_iv_triple
+from jpaut import make_vhi, make_type_iv_pair, make_type_iv_triple
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -130,10 +135,12 @@ def test_gram_apply_matches_direct_product(gram):
 
 def test_scan_pair_with_trace_recovers_known_group():
     vhi = make_vhi(1, 2, F3).structure
-    mats = scan_pair_with_trace(3, 2, vhi.t_plus, vhi.t_minus,
-                                vhi.trace.entries)
-    assert len(mats) == 48
-    assert sorted(mats) == mats  # canonical ascending order
+    found = scan_pair_with_trace(3, 2, vhi.t_plus, vhi.t_minus,
+                                 vhi.trace.entries)
+    assert len(found) == 48
+    assert sorted(found) == found  # canonical ascending order
+    for plus, minus in found:  # the minus side is the trace-dual inverse
+        assert minus == dual_inverse(vhi, Matrix(F3, 2, 2, plus)).entries
 
 
 def test_scan_triple_recovers_known_group():
@@ -166,3 +173,69 @@ def test_jobs_do_not_change_scan_output():
     four = scan_pair_with_trace(3, 2, vhi.t_plus, vhi.t_minus,
                                 vhi.trace.entries, jobs=4)
     assert one == four
+
+
+# Sparse tensors over F3 at d = 2, drawn at random and written out in C order
+# of the Jordan layout [a][b][c][x] (or [a][b][x]).  A dense random tensor
+# has only the scalars as automorphisms, whichever way it is read, so it
+# cannot tell the layouts apart; these have larger groups that differ.
+_LAYOUT_CASES = {
+    "triple": [[0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]],
+    "pair": [[0] * 16, [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]],
+    "algebra": [[0, 0, 0, 0, 0, 0, 1, 0]],
+}
+
+
+def _nested(arr):
+    return tuple(_nested(x) for x in arr) if isinstance(arr, list) else arr
+
+
+@pytest.mark.parametrize("kind", sorted(_LAYOUT_CASES))
+def test_kernels_read_the_jordan_layout(kind):
+    # VhI(1,2) and ThatIV(2) read the same in both layouts, these tensors
+    # do not; each kernel must match the pure engine element for element
+    ts = [np.array(flat).reshape((2,) * (3 if kind == "algebra" else 4))
+          for flat in _LAYOUT_CASES[kind]]
+    nested = [_nested(t.tolist()) for t in ts]
+    if kind == "triple":
+        structure = JordanTriple(F3, 2, nested[0])
+
+        def scan(tensors):
+            return scan_triple(3, 2, tensors[0])
+    elif kind == "pair":
+        structure = JordanPair(F3, 2, 2, *nested, Matrix.identity(F3, 2))
+
+        def scan(tensors):
+            return scan_pair_with_trace(3, 2, *tensors, [[1, 0], [0, 1]])
+    else:
+        structure = JordanAlgebra(F3, 2, nested[0], (1, 0))
+
+        def scan(tensors):
+            return sorted(scan_algebra_unit_fixing(3, 2, tensors[0], (1, 0)))
+    pure = enumerate_automorphisms(structure, engine="pure").elements
+    expect = [(f.plus.entries, f.minus.entries) if kind == "pair"
+              else f.entries for f in pure]
+    assert len(expect) > 2
+    assert scan(ts) == expect
+    # read as if the output axis came first, the same data has another group
+    assert scan([np.moveaxis(t, 0, -1) for t in ts]) != expect
+
+
+def test_work_dtype_refuses_primes_past_the_int64_bound():
+    # 6 p**5 first reaches 2**63 at the prime 4339; 4337 is the prime below
+    assert _work_dtype(4337) is np.int64
+    with pytest.raises(BadInput):
+        _work_dtype(4339)
+
+
+@pytest.mark.parametrize("make", [make_type_iv_triple, make_type_iv_pair])
+def test_fast_engine_refuses_primes_past_the_bound_before_scanning(
+        make, monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("a scan started")
+    monkeypatch.setattr(fastscan, "_probe_slots", started)
+    monkeypatch.setattr(fastscan, "_scan", started)
+    ring = PrimeField(4339)
+    with pytest.raises(BadInput):
+        enumerate_automorphisms(make(standard_form(ring, 2)),
+                                budget=gl_order(ring, 2), engine="fast")

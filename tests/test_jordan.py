@@ -224,6 +224,26 @@ def test_prime_field_payloads_must_be_residues():
         JordanAlgebra(F3, 2, (((0, 0), (0, 5)), ((0, 0), (0, 0))), None)
 
 
+def test_constructors_reject_wrong_shapes():
+    # leaf vectors of length 3 in a dimension-2 triple used to build and
+    # pass check_axioms; ragged or scalar rows used to fail deep in numpy
+    zv = (0, 0)
+    long_leaves = ((((0, 0, 0),) * 2,) * 2,) * 2
+    ragged = (((zv, zv), (zv, zv)), ((zv, zv), (zv,)))
+    scalar_row = (((zv, zv), (zv, zv)), ((zv, zv), 0))
+    for tensor in (long_leaves, ragged, scalar_row):
+        with pytest.raises(ShapeMismatch):
+            JordanTriple(F3, 2, tensor)
+    good = (((zv, zv), (zv, zv)), ((zv, zv), (zv, zv)))
+    with pytest.raises(ShapeMismatch):
+        JordanTriple(F3, 2, good, Matrix.identity(F3, 3))
+    with pytest.raises(ShapeMismatch):
+        JordanPair(F3, 2, 1, good, good)
+    with pytest.raises(ShapeMismatch):
+        JordanAlgebra(F3, 2, ((zv, zv), (zv, zv)), (1, 0, 0))
+    JordanTriple(F3, 2, good, Matrix.identity(F3, 2))
+
+
 # -- the vectorized checker against the pure sweeps --------------------------
 
 
@@ -235,13 +255,7 @@ def _numpy_failures(structure):
     """What the numpy path reports on its own; None where it declines."""
     if isinstance(structure, JordanAlgebra):
         return _np_jordan_failures(structure)
-    if isinstance(structure, JordanTriple):
-        tensors = {1: structure.tensor, -1: structure.tensor}
-        dims = {1: structure.dim, -1: structure.dim}
-    else:
-        tensors = {1: structure.t_plus, -1: structure.t_minus}
-        dims = {1: structure.dplus, -1: structure.dminus}
-    return _np_pair_failures(structure.ring, tensors, dims)
+    return _np_pair_failures(structure)
 
 
 def test_vectorized_reports_equal_the_pure_sweeps_on_the_axiom_grid():

@@ -14,8 +14,9 @@ from jpaut import (PrimeField, Rationals, Matrix, PairMap, JordanAlgebra,
                    factor_triple_aut, enumerate_automorphisms,
                    generate_closure, family_image, compare, gl_order,
                    DEFAULT_BUDGET)
-from jpaut.errors import (BadInput, BudgetExceeded, MixedSystems,
-                          NonEnumerableRing, NotFactorable)
+from jpaut import fastscan, is_triple_automorphism
+from jpaut.errors import (BadInput, BudgetExceeded, EngineMismatch,
+                          MixedSystems, NonEnumerableRing, NotFactorable)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -104,6 +105,36 @@ def test_fast_and_pure_engines_agree_on_random_tensors(kind, grid, fill,
     pure = enumerate_automorphisms(structure, engine="pure")
     assert fast.engine == "fast"
     assert fast.elements == pure.elements
+
+
+def test_cross_check_covers_every_element(monkeypatch):
+    # O_3(F3) has order 48; a sample of every (len // 8)-th element skips
+    # index 1, where the patched kernel plants a non-automorphism
+    real = fastscan.scan_triple
+    shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+
+    def planted(*args, **kwargs):
+        found = real(*args, **kwargs)
+        return found[:1] + [shear] + found[1:]
+    monkeypatch.setattr(fastscan, "scan_triple", planted)
+    system = make_type_iv_triple(standard_form(F3, 3))
+    assert not is_triple_automorphism(system, Matrix(F3, 3, 3, shear))
+    with pytest.raises(EngineMismatch):
+        enumerate_automorphisms(system, engine="fast")
+
+
+def test_cross_check_pins_the_minus_side(monkeypatch):
+    # every pair map transports the zero tensors, so only the trace check
+    # rejects a minus side other than the trace-dual inverse
+    real = fastscan.scan_pair_with_trace
+
+    def wrong_minus(*args, **kwargs):
+        found = real(*args, **kwargs)
+        return found[:1] + [(found[1][0], found[2][1])] + found[2:]
+    monkeypatch.setattr(fastscan, "scan_pair_with_trace", wrong_minus)
+    with pytest.raises(EngineMismatch):
+        enumerate_automorphisms(_random_structure("pair", 3, 2, "zero", 0),
+                                engine="fast")
 
 
 def test_rectangle_pair_equals_right_translation_image():
