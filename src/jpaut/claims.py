@@ -59,8 +59,6 @@ def clear_cache() -> None:
 def _primitive_unit(ring: PrimeField) -> RingElement:
     """A generator of the unit group of a prime field."""
     p = ring.p
-    if p == 2:
-        return ring.one
     for g in range(2, p):
         x, hits = 1, set()
         for _ in range(p - 1):
@@ -95,14 +93,9 @@ def gl_generators(ring: Ring, d: int):
                        f"not {ring.name}")
     if d == 0:
         return []
-    gens = _transvections(ring, d)
-    g = _primitive_unit(ring)
-    if g != ring.one:
-        gens.append(Matrix.diagonal(
-            ring, [g.payload] + [ring.one_p] * (d - 1)))
-    if not gens:  # d == 1 over F2
-        gens = [Matrix.identity(ring, 1)]
-    return gens
+    g = _primitive_unit(ring)  # p is odd, so g != 1
+    return _transvections(ring, d) + [
+        Matrix.diagonal(ring, [g.payload] + [ring.one_p] * (d - 1))]
 
 
 def _unit_block(ring: Ring, a: Matrix) -> Matrix:

@@ -18,7 +18,7 @@ from .errors import (BadDims, BadInput, BudgetExceeded, NonEnumerableRing,
                      NonFieldRing, ParseError, ShapeMismatch, ToolkitError,
                      UnknownClaim)
 from .jordan import check_axioms
-from .oracle import element_jsonable, enumerate_automorphisms
+from .oracle import enumerate_automorphisms
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -103,7 +103,7 @@ def _cmd_enumerate(args) -> int:
         "generator_provenance": provenance,
     }
     if args.dump_elements:
-        report["elements"] = [element_jsonable(el) for el in aset.elements]
+        report["elements"] = [el.to_jsonable() for el in aset.elements]
     _emit(report, args)
     return EXIT_PASS
 

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadInput, DegenerateForm
+from .errors import BadInput, DegenerateForm, NotInvertible
 
 CHUNK = 1 << 16
 MAX_SLOTS = 4
@@ -452,7 +452,11 @@ def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
     tp = _xfirst(t_plus, p, dtype)
     tm = _xfirst(t_minus, p, dtype)
     g = np.asarray(gram, dtype=np.int64) % p
-    gram_apply = _make_gram_apply(g, _int_matrix_inverse(g, p), p, dtype)
+    det, adj = _det_adj(g[None], p)
+    if det[0] == 0:
+        raise NotInvertible("the trace Gram matrix is singular")
+    ginv = adj[0] * pow(int(det[0]), -1, p) % p
+    gram_apply = _make_gram_apply(g, ginv, p, dtype)
     tp_byc = _tensor_by_c(tp, dtype)
     total = p ** (d * d)
 
@@ -597,20 +601,3 @@ def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
 
     idx = _scan(p ** (n * n), decode, None, (), (check,), jobs)
     return [int(x) for x in idx]
-
-
-def _int_matrix_inverse(g: np.ndarray, p: int) -> np.ndarray:
-    """Exact inverse of an integer matrix mod p (small sizes)."""
-    n = g.shape[0]
-    a = [[int(x) % p for x in row] + [1 if i == j else 0 for j in range(n)]
-         for i, row in enumerate(g)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] % p)
-        a[col], a[piv] = a[piv], a[col]
-        inv_p = pow(a[col][col], -1, p)
-        a[col] = [(inv_p * x) % p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    return np.array([row[n:] for row in a], dtype=np.int64)

@@ -183,18 +183,6 @@ class JordanPair(_Structure):
             raise ShapeMismatch("bracket operands do not match carrier dims")
         return trilinear_eval(self.ring, self.tensor(sigma), x, y, z, d)
 
-    def to_jsonable(self) -> dict:
-        def enc(tensor):
-            return [[[ [self.ring.payload_str(c) for c in vec]
-                       for vec in row2] for row2 in row] for row in tensor]
-        out = {"kind": "pair", "name": self.name, "ring": self.ring.name,
-               "dims": [self.dplus, self.dminus],
-               "tensor_plus": enc(self.t_plus),
-               "tensor_minus": enc(self.t_minus)}
-        if self.trace is not None:
-            out["trace_gram"] = self.trace.to_jsonable()
-        return out
-
 
 @dataclass(frozen=True)
 class JordanTriple(_Structure):
@@ -214,16 +202,6 @@ class JordanTriple(_Structure):
             raise ShapeMismatch("bracket operands do not match dim")
         return trilinear_eval(self.ring, self.tensor, x, y, z, self.dim)
 
-    def to_jsonable(self) -> dict:
-        out = {"kind": "triple", "name": self.name, "ring": self.ring.name,
-               "dim": self.dim,
-               "tensor": [[[ [self.ring.payload_str(c) for c in vec]
-                             for vec in row2] for row2 in row]
-                          for row in self.tensor]}
-        if self.trace is not None:
-            out["trace_gram"] = self.trace.to_jsonable()
-        return out
-
 
 @dataclass(frozen=True)
 class JordanAlgebra(_Structure):
@@ -242,15 +220,6 @@ class JordanAlgebra(_Structure):
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeMismatch("product operands do not match dim")
         return bilinear_eval(self.ring, self.product, x, y, self.dim)
-
-    def to_jsonable(self) -> dict:
-        out = {"kind": "algebra", "name": self.name, "ring": self.ring.name,
-               "dim": self.dim,
-               "product": [[[self.ring.payload_str(c) for c in vec]
-                            for vec in row] for row in self.product]}
-        if self.unit is not None:
-            out["unit"] = [self.ring.payload_str(c) for c in self.unit]
-        return out
 
 
 @dataclass(frozen=True)
@@ -274,9 +243,6 @@ class PairMap:
 
     def inverse(self) -> "PairMap":
         return PairMap(self.plus.inverse(), self.minus.inverse())
-
-    def canonical_key(self):
-        return (self.plus.entries, self.minus.entries)
 
     def to_jsonable(self) -> dict:
         return {"plus": self.plus.to_jsonable(), "minus": self.minus.to_jsonable()}

@@ -204,36 +204,25 @@ class Matrix:
         return RingElement(self.ring, self._det_payload())
 
     def _det_payload(self) -> Payload:
-        n = self.rows
-        ring = self.ring
-        if n == 0:
-            return ring.one_p
-        if n <= 4 or not ring.is_field:
-            if n > 8:
-                raise BadInput(f"determinant of size {n} over {ring.name} unsupported")
-            return _leibniz_det(ring, self.entries, n)
-        return _gauss_det(ring, self.entries, n)
+        """Leibniz (at most 24 terms) up to n = 4 on any ring; above that
+        Gaussian elimination, which needs a field."""
+        if self.rows <= 4:
+            return _leibniz_det(self.ring, self.entries, self.rows)
+        return _gauss(self.ring, self.entries, self.rows)[0]
 
     def adjugate(self) -> "Matrix":
         """The classical adjugate: self @ adjugate() == det() * identity."""
         if not self.is_square:
             raise ShapeMismatch("adjugate of a non-square matrix")
-        n = self.rows
-        ring = self.ring
-        if n == 0:
-            return self
+        n, ring = self.rows, self.ring
         rows = []
         for i in range(n):
             row = []
             for j in range(n):
                 minor = tuple(tuple(self.entries[r][c] for c in range(n) if c != i)
                               for r in range(n) if r != j)
-                m = _leibniz_det(ring, minor, n - 1) if n - 1 <= 8 else None
-                if m is None:
-                    raise BadInput(f"adjugate of size {n} unsupported")
-                if (i + j) % 2:
-                    m = ring.neg(m)
-                row.append(m)
+                m = Matrix(ring, n - 1, n - 1, minor)._det_payload()
+                row.append(ring.neg(m) if (i + j) % 2 else m)
             rows.append(tuple(row))
         return Matrix(ring, n, n, tuple(rows))
 
@@ -243,16 +232,14 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if not self.is_square:
             raise ShapeMismatch("inverse of a non-square matrix")
-        n = self.rows
         ring = self.ring
-        if n == 0:
-            return self
-        if n > 4 and ring.is_field:
-            return _gauss_inverse(ring, self.entries, n)
-        d = self._det_payload()
+        if self.rows > 4:
+            d, inv = _gauss(ring, self.entries, self.rows)
+        else:
+            d = self._det_payload()
         if not ring.is_unit(d):
             raise NotInvertible(f"determinant {ring.payload_str(d)} is not a unit")
-        return self.adjugate().scale(ring.inv(d))
+        return inv if self.rows > 4 else self.adjugate().scale(ring.inv(d))
 
     # -- serialization ----------------------------------------------------------
     def to_jsonable(self) -> list[list[str]]:
@@ -265,6 +252,7 @@ class Matrix:
 
 
 def _leibniz_det(ring: Ring, entries, n: int) -> Payload:
+    """Sum over the n! permutations; callers keep n <= 4."""
     if n == 0:
         return ring.one_p
     if n == 1:
@@ -281,36 +269,22 @@ def _leibniz_det(ring: Ring, entries, n: int) -> Payload:
     return acc
 
 
-def _gauss_det(ring: Ring, entries, n: int) -> Payload:
-    a = [list(row) for row in entries]
+def _gauss(ring: Ring, entries, n: int):
+    """(det, inverse) by Gauss-Jordan elimination over a field; the
+    inverse is None when det is zero."""
+    if not ring.is_field:
+        raise BadInput(f"determinant of size {n} over {ring.name} unsupported")
+    a = [list(row) + [ring.one_p if i == j else ring.zero_p for j in range(n)]
+         for i, row in enumerate(entries)]
     det = ring.one_p
     for col in range(n):
         pivot = next((r for r in range(col, n) if ring.is_unit(a[r][col])), None)
         if pivot is None:
-            return ring.zero_p
+            return ring.zero_p, None
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             det = ring.neg(det)
         det = ring.mul(det, a[col][col])
-        inv_p = ring.inv(a[col][col])
-        for r in range(col + 1, n):
-            f = ring.mul(a[r][col], inv_p)
-            if f == ring.zero_p:
-                continue
-            for c in range(col, n):
-                a[r][c] = ring.sub(a[r][c], ring.mul(f, a[col][c]))
-    return det
-
-
-def _gauss_inverse(ring: Ring, entries, n: int) -> Matrix:
-    a = [list(row) + [ring.one_p if i == j else ring.zero_p for j in range(n)]
-         for i, row in enumerate(entries)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if ring.is_unit(a[r][col])), None)
-        if pivot is None:
-            raise NotInvertible("matrix is singular")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
         inv_p = ring.inv(a[col][col])
         a[col] = [ring.mul(inv_p, x) for x in a[col]]
         for r in range(n):
@@ -318,7 +292,7 @@ def _gauss_inverse(ring: Ring, entries, n: int) -> Matrix:
                 continue
             f = a[r][col]
             a[r] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(a[r], a[col])]
-    return Matrix(ring, n, n, tuple(tuple(row[n:]) for row in a))
+    return det, Matrix(ring, n, n, tuple(tuple(row[n:]) for row in a))
 
 
 # ---------------------------------------------------------------------------

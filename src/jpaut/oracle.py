@@ -9,7 +9,6 @@ are counted in invertible candidates considered, never raw tuples.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -18,11 +17,11 @@ import numpy as np
 from .errors import (BadInput, BudgetExceeded, EngineMismatch, MixedSystems,
                      NonEnumerableRing)
 from .jordan import (JordanAlgebra, JordanPair, JordanTriple, PairMap,
-                     _carries, algebra_map_respects, dual_inverse,
+                     _carries, _fits_int64, algebra_map_respects, dual_inverse,
                      is_algebra_automorphism, is_pair_automorphism,
                      is_triple_automorphism, pair_map_respects,
                      triple_map_respects, unwrap)
-from .matrix import Matrix, enumerate_GL
+from .matrix import Matrix, enumerate_GL, enumerate_matrices
 from .ring import DualNumbers, PrimeField, ProductRing, Ring
 
 DEFAULT_BUDGET = 30_000_000
@@ -51,10 +50,6 @@ def element_key(el):
     return (el.entries,)
 
 
-def element_jsonable(el):
-    return el.to_jsonable()
-
-
 def _compose(x, y):
     return x.compose(y) if isinstance(x, PairMap) else x @ y
 
@@ -62,6 +57,104 @@ def _compose(x, y):
 def _dedupe_sorted(elements: Iterable):
     by_key = {element_key(el): el for el in elements}
     return tuple(by_key[k] for k in sorted(by_key))
+
+
+def _sides(el) -> tuple:
+    return (el.plus, el.minus) if isinstance(el, PairMap) else (el,)
+
+
+class _Rows:
+    """Maps of one shape as int64 rows of payload indices.
+
+    A row holds every side of a map (plus, then minus for a PairMap),
+    row-major.  Over F_p an index is the residue; over other rings payloads
+    are numbered in the order this codec first meets them.
+    """
+
+    def __init__(self, like):
+        self.pair = isinstance(like, PairMap)
+        self.ring = ring = _sides(like)[0].ring
+        self.dims = [m.rows for m in _sides(like)]
+        self.width = sum(d * d for d in self.dims)
+        self.identity = (PairMap.identity(ring, *self.dims) if self.pair
+                         else Matrix.identity(ring, self.dims[0]))
+        self.residues = isinstance(ring, PrimeField) and ring.p <= 2 ** 63
+        self.fast = self.residues and _fits_int64(ring.p, max(self.dims),
+                                                  ring.p - 1, 1, 2)
+        self.index = {}
+
+    def encode(self, els) -> np.ndarray:
+        flat = [x for el in els for m in _sides(el)
+                for row in m.entries for x in row]
+        if not self.residues:
+            flat = [self.index.setdefault(x, len(self.index)) for x in flat]
+        return np.array(flat, dtype=np.int64).reshape(len(els), self.width)
+
+    def split(self, rows: np.ndarray) -> list:
+        """One (B, d, d) stack per side."""
+        cuts = np.cumsum([d * d for d in self.dims])[:-1]
+        return [side.reshape(-1, d, d) for side, d
+                in zip(np.split(rows, cuts, axis=1), self.dims)]
+
+    def decode(self, rows: np.ndarray) -> list:
+        sides = [s.tolist() for s in self.split(rows)]
+        if not self.residues:
+            pool = list(self.index)
+            sides = [[[[pool[i] for i in r] for r in m] for m in side]
+                     for side in sides]
+        mats = [[Matrix(self.ring, d, d, tuple(map(tuple, m))) for m in side]
+                for side, d in zip(sides, self.dims)]
+        return [PairMap(*ms) for ms in zip(*mats)] if self.pair else mats[0]
+
+    def times(self, rows: np.ndarray, g, g_row: np.ndarray) -> np.ndarray:
+        """The rows of x @ g for each row x.  Over F_p one matmul per side
+        while d * (p - 1)**2 < 2**63; elsewhere decode, compose, encode."""
+        if not self.fast:
+            return self.encode([_compose(x, g) for x in self.decode(rows)])
+        p = self.ring.p
+        return np.concatenate(
+            [(a @ b % p).reshape(len(rows), -1)
+             for a, b in zip(self.split(rows), self.split(g_row[None]))],
+            axis=1)
+
+
+def _codec(structure) -> _Rows:
+    ring = structure.ring
+    if isinstance(structure, JordanPair):
+        return _Rows(PairMap.identity(ring, structure.dplus, structure.dminus))
+    return _Rows(Matrix.identity(ring, structure.dim))
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """Rows as one opaque void key each, for sorting and searchsorted."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))
+                     ).ravel()
+
+
+def _closure(codec: _Rows, generators: Sequence, budget: int) -> np.ndarray:
+    """Rows of the identity's closure under right multiplication by the
+    generators, ascending by key; BudgetExceeded past budget elements."""
+    frontier = codec.encode([codec.identity])
+    seen = _keys(frontier)
+    gen_rows = codec.encode(generators)
+    while len(frontier) and len(generators):
+        keys = np.sort(_keys(np.concatenate(
+            [codec.times(frontier, g, r)
+             for g, r in zip(generators, gen_rows)])))
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+        pos = np.searchsorted(seen, keys)
+        fresh = seen[np.minimum(pos, len(seen) - 1)] != keys
+        if len(seen) + np.count_nonzero(fresh) > budget:
+            raise BudgetExceeded(f"closure exceeded budget {budget}")
+        seen = np.insert(seen, pos[fresh], keys[fresh])
+        frontier = keys[fresh].view(np.int64).reshape(-1, codec.width)
+    return seen.view(np.int64).reshape(-1, codec.width)
+
+
+def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys
 
 
 @dataclass(frozen=True)
@@ -99,29 +192,39 @@ class AutomorphismSet:
             "order": self.order,
         }
         if include_elements:
-            out["elements"] = [element_jsonable(el) for el in self.elements]
+            out["elements"] = [el.to_jsonable() for el in self.elements]
         return out
 
-    def verify_group_closed(self, limit: int = 16) -> bool:
-        """Composition/inverse closure; full below limit^2, else a
-        deterministic evenly spaced sample."""
-        keys = self.keys()
-        n = self.order
-        if n == 0:
+    def verify_group_closed(self) -> bool:
+        """The elements form a group; decided for every element.
+
+        Greedily pick generators T from the set: while some element lies
+        outside the closure of T (which holds the identity), add the first
+        one, which must be invertible.  A finite composition-closed set of
+        invertible maps is a group, so the set is one exactly when that
+        closure equals it.  The closure of T is then a subgroup, and each
+        new generator at least doubles it: |T| <= log2(order) + 1.
+        """
+        if not self.elements:
             return False
-        if n <= limit:
-            ids = range(n)
-        else:
-            step = max(1, n // limit)
-            ids = range(0, n, step)
-        sampled = [self.elements[i] for i in ids]
-        for x in sampled:
-            if element_key(x.inverse()) not in keys:
+        codec = _Rows(self.elements[0])
+        mine = _keys(codec.encode(self.elements))
+        unique = np.unique(mine)
+        gens = []
+        while True:
+            try:
+                closed = _keys(_closure(codec, gens, len(unique)))
+            except BudgetExceeded:
                 return False
-            for y in sampled:
-                if element_key(_compose(x, y)) not in keys:
-                    return False
-        return True
+            if np.count_nonzero(_member(unique, closed)) < len(closed):
+                return False  # the closure left the set
+            inside = _member(mine, closed)
+            if inside.all():
+                return True
+            gen = self.elements[int(np.argmin(inside))]
+            if not all(m.is_invertible() for m in _sides(gen)):
+                return False
+            gens.append(gen)
 
 
 @dataclass(frozen=True)
@@ -153,8 +256,8 @@ def compare(a: AutomorphismSet, b: AutomorphismSet) -> CompareReport:
     return CompareReport(
         a.system, not only_a and not only_b, a.order, b.order,
         len(only_a), len(only_b),
-        tuple(element_jsonable(lookup_a[k]) for k in only_a[:4]),
-        tuple(element_jsonable(lookup_b[k]) for k in only_b[:4]))
+        tuple(lookup_a[k].to_jsonable() for k in only_a[:4]),
+        tuple(lookup_b[k].to_jsonable() for k in only_b[:4]))
 
 
 # -- exhaustive enumeration ---------------------------------------------------
@@ -174,13 +277,8 @@ def _use_fast(structure, dim_ok: bool, engine: str, name) -> bool:
     return use_fast
 
 
-def _stack(matrices: Sequence[Matrix], d: int) -> np.ndarray:
-    return np.array([m.entries for m in matrices],
-                    dtype=np.int64).reshape(-1, d, d)
-
-
-def _cross_check(els, structure, name):
-    """Every fast-scan element must be an automorphism.
+def _cross_check(found, structure, name) -> list:
+    """The fast-scan maps as elements, after checking every one.
 
     One batched transport check per structure tensor (jordan._carries, an
     implementation independent of the scan kernels) decides all elements
@@ -188,10 +286,11 @@ def _cross_check(els, structure, name):
     also pins minus to the trace-dual inverse; else Matrix.is_invertible.
     """
     ring, image = structure.ring, structure._int64
+    codec = _codec(structure)
+    rows = np.array(found, dtype=np.int64).reshape(len(found), codec.width)
+    els, sides = codec.decode(rows), codec.split(rows)
     if isinstance(structure, JordanPair):
-        d = structure.dplus
-        plus = _stack([f.plus for f in els], d)
-        minus = _stack([f.minus for f in els], d)
+        plus, minus = sides
         g = image["trace"]
         ok = ((plus.transpose(0, 2, 1) @ g % ring.p) @ minus % ring.p
               == g).all(axis=(1, 2))
@@ -200,14 +299,15 @@ def _cross_check(els, structure, name):
     else:
         tensor = image["tensor" if isinstance(structure, JordanTriple)
                        else "product"]
-        phi = _stack(els, structure.dim)
+        phi = sides[0]
         ok = np.array([m.is_invertible() for m in els], dtype=bool)
         ok &= _carries(ring, tensor, tensor, phi, (phi,) * (tensor.ndim - 1))
     bad = np.flatnonzero(~ok)
     if bad.size:
         raise EngineMismatch(f"fast scan of {name} returned "
-                             f"{element_jsonable(els[bad[0]])}, which the "
+                             f"{els[bad[0]].to_jsonable()}, which the "
                              "transport predicate rejects")
+    return els
 
 
 def _enumerate_pair(pair: JordanPair, name, budget, jobs, engine):
@@ -220,10 +320,7 @@ def _enumerate_pair(pair: JordanPair, name, budget, jobs, engine):
             found = fastscan.scan_pair_with_trace(
                 ring.p, d, image["t_plus"], image["t_minus"], image["trace"],
                 jobs=jobs)
-            els = [PairMap(Matrix(ring, d, d, plus), Matrix(ring, d, d, minus))
-                   for plus, minus in found]
-            _cross_check(els, pair, name)
-            return els, candidates, "fast"
+            return _cross_check(found, pair, name), candidates, "fast"
         els = []
         for phi in enumerate_GL(pair.dplus, ring):
             f = PairMap(phi, dual_inverse(pair, phi))
@@ -247,27 +344,19 @@ def _enumerate_triple(trip: JordanTriple, name, budget, jobs, engine):
     candidates = _budgeted(gl_order(ring, trip.dim), budget)
     if _use_fast(trip, 2 <= trip.dim <= 4, engine, name):
         from . import fastscan
-        tuples = fastscan.scan_triple(ring.p, trip.dim,
-                                      trip._int64["tensor"], jobs=jobs)
-        els = [Matrix(ring, trip.dim, trip.dim, tm) for tm in tuples]
-        _cross_check(els, trip, name)
-        return els, candidates, "fast"
+        found = fastscan.scan_triple(ring.p, trip.dim,
+                                     trip._int64["tensor"], jobs=jobs)
+        return _cross_check(found, trip, name), candidates, "fast"
     els = [phi for phi in enumerate_GL(trip.dim, ring)
            if triple_map_respects(trip, phi)]
     return els, candidates, "pure"
 
 
-def _unit_pivot(ring: Ring, unit) -> Optional[int]:
-    for i, p in enumerate(unit):
-        if ring.is_unit(p):
-            return i
-    return None
-
-
 def _enumerate_algebra(alg: JordanAlgebra, name, budget, jobs, engine):
     ring = alg.ring
     d = alg.dim
-    pivot = None if alg.unit is None else _unit_pivot(ring, alg.unit)
+    units = [i for i, x in enumerate(alg.unit or ()) if ring.is_unit(x)]
+    pivot = units[0] if units else None
     if pivot is None:
         candidates = _budgeted(gl_order(ring, d), budget)
         els = [phi for phi in enumerate_GL(d, ring)
@@ -277,28 +366,19 @@ def _enumerate_algebra(alg: JordanAlgebra, name, budget, jobs, engine):
     if _use_fast(alg, d <= 4, engine, name):
         from . import fastscan
         image = alg._int64
-        tuples = fastscan.scan_algebra_unit_fixing(
+        found = fastscan.scan_algebra_unit_fixing(
             ring.p, d, image["product"], image["unit"], jobs=jobs)
-        els = [Matrix(ring, d, d, tm) for tm in tuples]
-        _cross_check(els, alg, name)
-        return els, candidates, "fast"
-    # pure unit-fixing affine scan: free columns range, pivot column solved
+        return _cross_check(found, alg, name), candidates, "fast"
+    # pure unit-fixing scan: the free columns range, phi(u) = u solves the
+    # pivot column
+    free = tuple(u for j, u in enumerate(alg.unit) if j != pivot)
+    scale = ring.inv(alg.unit[pivot])
     els = []
-    free_cols = [j for j in range(d) if j != pivot]
-    u = alg.unit
-    ut_inv = ring.inv(u[pivot])
-    for combo in itertools.product(ring.payloads(), repeat=d * (d - 1)):
-        cols = {}
-        for slot, j in enumerate(free_cols):
-            cols[j] = combo[slot * d:(slot + 1) * d]
-        acc = list(u)
-        for j in free_cols:
-            for r in range(d):
-                acc[r] = ring.sub(acc[r], ring.mul(u[j], cols[j][r]))
-        cols[pivot] = tuple(ring.mul(ut_inv, x) for x in acc)
-        phi = Matrix(ring, d, d,
-                     tuple(tuple(cols[j][r] for j in range(d))
-                           for r in range(d)))
+    for f in enumerate_matrices(ring, d, d - 1):
+        col = [ring.mul(scale, ring.sub(u, fu))
+               for u, fu in zip(alg.unit, f.apply(free))]
+        phi = Matrix(ring, d, d, tuple(row[:pivot] + (c,) + row[pivot:]
+                                       for row, c in zip(f.entries, col)))
         if phi.is_invertible() and algebra_map_respects(alg, phi):
             els.append(phi)
     return els, candidates, "pure"
@@ -338,68 +418,6 @@ def enumerate_automorphisms(system, budget: Optional[int] = None,
 
 # -- closure generation -------------------------------------------------------
 
-def _closure_pure(identity, generators, budget):
-    seen = {element_key(identity): identity}
-    frontier = [identity]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for g in generators:
-                y = _compose(x, g)
-                k = element_key(y)
-                if k not in seen:
-                    if len(seen) >= budget:
-                        raise BudgetExceeded(
-                            f"closure exceeded budget {budget}")
-                    seen[k] = y
-                    new_frontier.append(y)
-        frontier = new_frontier
-    return list(seen.values())
-
-
-def _closure_prime_pairs(ring, generators, budget):
-    p = ring.p
-    dp = generators[0].plus.rows
-    dm = generators[0].minus.rows
-    gp = [np.array(g.plus.entries, dtype=np.int64) for g in generators]
-    gm = [np.array(g.minus.entries, dtype=np.int64) for g in generators]
-
-    def key(ap, am):
-        return ap.tobytes() + am.tobytes()
-
-    ip = np.eye(dp, dtype=np.int64)
-    im = np.eye(dm, dtype=np.int64)
-    seen = {key(ip, im): (ip, im)}
-    fp, fm = ip[None], im[None]
-    while fp.shape[0]:
-        batch_p, batch_m = [], []
-        for g_p, g_m in zip(gp, gm):
-            batch_p.append(fp @ g_p % p)
-            batch_m.append(fm @ g_m % p)
-        cat_p = np.concatenate(batch_p)
-        cat_m = np.concatenate(batch_m)
-        fresh_p, fresh_m = [], []
-        for i in range(cat_p.shape[0]):
-            k = key(cat_p[i], cat_m[i])
-            if k not in seen:
-                if len(seen) >= budget:
-                    raise BudgetExceeded(f"closure exceeded budget {budget}")
-                seen[k] = (cat_p[i], cat_m[i])
-                fresh_p.append(cat_p[i])
-                fresh_m.append(cat_m[i])
-        if fresh_p:
-            fp, fm = np.stack(fresh_p), np.stack(fresh_m)
-        else:
-            fp = np.empty((0, dp, dp), dtype=np.int64)
-            fm = fp
-
-    def to_matrix(arr, d):
-        return Matrix(ring, d, d,
-                      tuple(tuple(int(x) for x in row) for row in arr))
-    return [PairMap(to_matrix(ap, dp), to_matrix(am, dm))
-            for ap, am in seen.values()]
-
-
 def generate_closure(system, generators: Sequence,
                      budget: Optional[int] = None) -> AutomorphismSet:
     """Smallest composition-closed set containing the generators.
@@ -410,7 +428,6 @@ def generate_closure(system, generators: Sequence,
     budget = DEFAULT_BUDGET if budget is None else budget
     name = getattr(system, "name", None) or "anonymous"
     structure = unwrap(system)
-    ring = structure.ring
     generators = list(generators)
     kind = _kind(structure)
     checker = {"pair": is_pair_automorphism, "triple": is_triple_automorphism,
@@ -418,17 +435,10 @@ def generate_closure(system, generators: Sequence,
     for g in generators:
         if not checker(structure, g):
             raise BadInput("generator fails the automorphism predicate")
-    if kind == "pair":
-        identity = PairMap.identity(ring, structure.dplus, structure.dminus)
-        if generators and isinstance(ring, PrimeField):
-            els = _closure_prime_pairs(ring, generators, budget)
-        else:
-            els = _closure_pure(identity, generators, budget)
-    else:
-        identity = Matrix.identity(ring, structure.dim)
-        els = _closure_pure(identity, generators, budget)
+    codec = _codec(structure)
+    els = codec.decode(_closure(codec, generators, budget))
     return AutomorphismSet.from_elements(
-        name, ring.name, kind, "generated", "closure", len(els), els)
+        name, structure.ring.name, kind, "generated", "closure", len(els), els)
 
 
 def family_image(system, kind: str, elements: Iterable,

@@ -9,7 +9,7 @@ from jpaut import (PrimeField, Matrix, JordanAlgebra, JordanPair,
                    JordanTriple, dual_inverse, enumerate_automorphisms,
                    gl_order, standard_form, enumerate_GO, enumerate_O)
 from jpaut import fastscan
-from jpaut.errors import BadInput
+from jpaut.errors import BadInput, NotInvertible
 from jpaut.fastscan import (_digits_range, _low_digit_block, _det, _det_adj,
                             _tensor_by_c, _slot_rhs, _make_gram_apply,
                             _work_dtype, scan_algebra_unit_fixing,
@@ -239,3 +239,13 @@ def test_fast_engine_refuses_primes_past_the_bound_before_scanning(
     with pytest.raises(BadInput):
         enumerate_automorphisms(make(standard_form(ring, 2)),
                                 budget=gl_order(ring, 2), engine="fast")
+
+
+@pytest.mark.parametrize("gram", [[[0, 0], [0, 0]], [[1, 1], [1, 1]]])
+@pytest.mark.parametrize("engine", ["fast", "pure"])
+def test_singular_trace_gram_raises_not_invertible(gram, engine):
+    vhi = make_vhi(1, 2, F3).structure
+    pair = JordanPair(F3, 2, 2, vhi.t_plus, vhi.t_minus,
+                      Matrix.build(F3, gram))
+    with pytest.raises(NotInvertible):
+        enumerate_automorphisms(pair, engine=engine)

@@ -6,7 +6,8 @@ from jpaut import (PrimeField, Rationals, Matrix, BilinearForm, standard_form,
                    enumerate_matrices, enumerate_GL, enumerate_GO, enumerate_O,
                    gl_order, ProductRing)
 from jpaut.matrix import similitude_multiplier, solve_scalar_multiple
-from jpaut.errors import (ShapeMismatch, NotInvertible, DegenerateForm)
+from jpaut.errors import (BadInput, ShapeMismatch, NotInvertible,
+                          DegenerateForm)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -142,3 +143,22 @@ def test_solve_scalar_multiple():
 def test_to_jsonable_payload_strings():
     m = Matrix.build(F3, [[1, 2], [0, 1]])
     assert m.to_jsonable() == [["1", "2"], ["0", "1"]]
+
+
+def test_determinants_above_four_need_a_field():
+    # Leibniz runs up to n = 4 on every ring; above that elimination
+    # needs a field
+    rng = ProductRing(F3, F3)
+    with pytest.raises(BadInput):
+        Matrix.identity(rng, 5).det()
+    with pytest.raises(BadInput):
+        Matrix.identity(rng, 5).inverse()
+    assert Matrix.identity(rng, 4).det() == rng.one
+    a = Matrix.build(F5, [[(i * j + i + 2 * (i == j)) % 5 for j in range(5)]
+                          for i in range(5)])
+    assert a.is_invertible()
+    assert a @ a.inverse() == Matrix.identity(F5, 5)
+    assert a.adjugate() == a.inverse().scale(a.det().payload)
+    assert not (a - a).is_invertible()
+    with pytest.raises(NotInvertible):
+        (a - a).inverse()

@@ -1,10 +1,13 @@
 """Enumeration oracle: exhaustive scans, family images, closures, budgets."""
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jpaut import (PrimeField, Rationals, Matrix, PairMap, JordanAlgebra,
-                   JordanPair, JordanTriple,
+from jpaut import (PrimeField, ProductRing, Rationals, Matrix, PairMap,
+                   JordanAlgebra, JordanPair, JordanTriple,
                    standard_form, enumerate_GL, enumerate_GO, enumerate_O,
                    pair_from_triple, make_type_iv_pair, make_type_iv_triple,
                    make_t_iv, make_vhi, make_tti, make_mn_plus,
@@ -15,6 +18,8 @@ from jpaut import (PrimeField, Rationals, Matrix, PairMap, JordanAlgebra,
                    generate_closure, family_image, compare, gl_order,
                    DEFAULT_BUDGET)
 from jpaut import fastscan, is_triple_automorphism
+from jpaut.claims import gl_generators
+from jpaut.oracle import AutomorphismSet
 from jpaut.errors import (BadInput, BudgetExceeded, EngineMismatch,
                           MixedSystems, NonEnumerableRing, NotFactorable)
 
@@ -229,14 +234,102 @@ def test_closure_of_a_closed_family_is_itself():
     assert cl.order == len(gens) == 32
 
 
-def test_square_rectangle_closure_order():
-    # |GL_2(F3)|^2 / 2 central classes, doubled by the transpose twist
+@functools.lru_cache(maxsize=None)
+def _square_closure():
     vhi22 = make_vhi(2, 2, F3)
     gens = ([hat_l(a, 2) for a in enumerate_GL(2, F3)]
             + [hat_r(b, 2) for b in enumerate_GL(2, F3)]
             + [transpose_twist(F3, 2)])
-    cl = generate_closure(vhi22, gens)
+    return generate_closure(vhi22, gens)
+
+
+def test_square_rectangle_closure_order():
+    # |GL_2(F3)|^2 / 2 central classes, doubled by the transpose twist
+    cl = _square_closure()
     assert cl.order == 2304 == 48 * 48 // 2 * 2
+    assert cl.verify_group_closed()
+
+
+def test_group_check_misses_no_dropped_element():
+    # an evenly spaced sample of 16 elements passed all of these
+    cl = _square_closure()
+    for i in (0, 1, 2, 3, 5, 100, 1000, 2303):
+        dropped = replace(cl, elements=cl.elements[:i] + cl.elements[i + 1:])
+        assert not dropped.verify_group_closed(), i
+
+
+def test_group_check_rejects_an_added_non_member():
+    cl = _square_closure()
+    i4 = Matrix.identity(F3, 4)
+    shear = Matrix(F3, 4, 4, ((1, 1, 0, 0),) + i4.entries[1:])
+    for extra in (PairMap(shear, i4), PairMap(shear, shear.inverse())):
+        grown = AutomorphismSet.from_elements(
+            cl.system, cl.ring_name, cl.kind, cl.mode, cl.engine,
+            cl.candidates, cl.elements + (extra,))
+        assert grown.order == 2305
+        assert not grown.verify_group_closed()
+
+
+def test_group_check_rejects_singular_and_identity_free_sets():
+    i2, zero = Matrix.identity(F3, 2), Matrix.zeros(F3, 2, 2)
+    swap = Matrix.build(F3, [[0, 1], [1, 0]])
+
+    def check(els):
+        return AutomorphismSet.from_elements(
+            "s", "F3", "triple", "generated", "family", len(els),
+            els).verify_group_closed()
+
+    assert check([i2, swap])
+    assert not check([i2, zero])  # closed under products, not a group
+    assert not check([swap])
+    assert not check([])
+
+
+def test_closure_over_a_product_ring_equals_the_exhaustive_set():
+    ring = ProductRing(F3, F3)
+    vhi = make_vhi(1, 2, ring)
+
+    def lift(g, left):  # g in one factor, the identity in the other
+        return Matrix(ring, 2, 2, tuple(
+            tuple((x, int(i == j)) if left else (int(i == j), x)
+                  for j, x in enumerate(row))
+            for i, row in enumerate(g.entries)))
+    gens = [hat_l(a, 2) for a in enumerate_GL(1, ring)]
+    gens += [hat_r(lift(g, left), 1) for g in gl_generators(F3, 2)
+             for left in (True, False)]
+    ex = enumerate_automorphisms(vhi)
+    cl = generate_closure(vhi, gens)
+    assert ex.order == 48 * 48
+    assert compare(ex, cl).equal
+    assert ex.verify_group_closed()
+
+
+def test_triple_closure_equals_the_exhaustive_set():
+    form = standard_form(F5, 2)
+    that = make_type_iv_triple(form)
+    reflection, swap = (Matrix.build(F5, m)
+                        for m in ([[1, 0], [0, 4]], [[0, 1], [1, 0]]))
+    cl = generate_closure(that, [ortho_to_triple_aut(reflection, form),
+                                 ortho_to_triple_aut(swap, form)])
+    ex = enumerate_automorphisms(that)
+    assert cl.order == 8 and compare(ex, cl).equal
+    assert cl.verify_group_closed()
+
+
+def test_closure_past_the_int64_bound_multiplies_exactly():
+    # d * (p - 1)**2 passes 2**63, so int64 products of these entries wrap;
+    # the closure must fall back to exact arithmetic
+    p = 2 ** 31 - 1
+    ring = PrimeField(p)
+    form = standard_form(ring, 3)
+    v = (4, 5, 19)
+    c = 2 * pow(sum(x * x for x in v), -1, p)
+    a = Matrix.build(ring, [[(int(i == j) - c * v[i] * v[j]) % p
+                             for j in range(3)] for i in range(3)])
+    assert max(sum(x * x for x in row) for row in a.entries) >= 2 ** 63
+    assert a @ a == Matrix.identity(ring, 3)
+    cl = generate_closure(make_type_iv_pair(form), [go_to_pair_aut(a, form)])
+    assert cl.order == 2
     assert cl.verify_group_closed()
 
 
