@@ -296,9 +296,9 @@ def _det_equal_for_all(f: Matrix, n: int, multiplier) -> bool:
 
 
 def _np_det_check(f: Matrix, n: int, multiplier) -> bool:
-    from .fastscan import _det, _digit_matrices
+    from .fastscan import _det, _digit_matrices_range
     p = f.ring.p
-    x = _digit_matrices(np.arange(p ** (n * n), dtype=np.int64), p, n)
+    x = _digit_matrices_range(0, p ** (n * n), p, n)
     fm = np.array(f.entries, dtype=np.int64)
     y = (x.reshape(-1, n * n) @ fm.T % p).reshape(x.shape)
     return bool((_det(y, p) == multiplier * _det(x, p) % p).all())

@@ -91,7 +91,7 @@ def make_bilinear_form_algebra(form: BilinearForm) -> NamedSystem:
     ring = form.gram.ring
     nv = form.gram.rows
     d = nv + 1
-    zero, one = ring.zero_p, ring.one_p
+    zero = ring.zero_p
     prod = [[None] * d for _ in range(d)]
     unit = basis_vector(ring, d, 0)
     for a in range(d):

@@ -4,12 +4,13 @@ Candidates are d x d matrices over F_p indexed by base-p digits in row-major
 entry order, so index order equals the lexicographic order of the pure-Python
 enumeration streams.  Each scan runs staged necessary-condition filters (all
 derived from the defining identities, computed division-free in exact mod-p
-integer arithmetic) and finishes with the complete identity check, so the
-returned candidate list is exactly the solution set.  Filter slots are chosen
-greedily on a fixed probe chunk before any parallel dispatch; the choice
-depends only on (p, d, tensor), never on the worker count.  Chunks are
-processed in index order; worker threads only parallelize chunks, never
-reorder them.
+integer arithmetic) and finishes with the complete identity check.  Each
+chunk keeps the arrays of its surviving candidates, concatenated in index
+order, so the returned int64 stack of matrices is exactly the solution set.
+Filter slots are chosen greedily on a fixed probe chunk before any parallel
+dispatch; the choice depends only on (p, d, tensor), never on the worker
+count.  Chunks are processed in index order; worker threads only
+parallelize chunks, never reorder them.
 
 Tensors arrive in Jordan layout, T[a][b]..[x] with the output coordinate
 last, as the structures' int64 images hold them; each kernel moves the
@@ -34,8 +35,6 @@ from .errors import BadInput, DegenerateForm, NotInvertible
 CHUNK = 1 << 16
 MAX_SLOTS = 4
 
-MatTuple = tuple  # nested tuples of ints, row-major
-
 
 def _work_dtype(p: int) -> type:
     """int32 when every intermediate bound fits, else int64; BadInput when
@@ -50,20 +49,6 @@ def _xfirst(t, p: int, dtype: type) -> np.ndarray:
     """Residues of a Jordan-layout tensor with the output axis moved first."""
     moved = np.moveaxis(np.asarray(t, dtype=np.int64) % p, -1, 0)
     return np.ascontiguousarray(moved, dtype=dtype)
-
-
-def _digits(idx: np.ndarray, p: int, cells: int) -> np.ndarray:
-    """Decode arbitrary candidate indices to (B, cells) base-p digits."""
-    out = np.empty((idx.shape[0], cells), dtype=np.int64)
-    rest = idx
-    for c in range(cells - 1, -1, -1):
-        rest, out[:, c] = np.divmod(rest, p)
-    return out
-
-
-def _digit_matrices(idx: np.ndarray, p: int, d: int) -> np.ndarray:
-    """Decode arbitrary candidate indices to (B, d, d) entries, row-major."""
-    return _digits(idx, p, d * d).reshape(idx.shape[0], d, d)
 
 
 @lru_cache(maxsize=8)
@@ -147,10 +132,9 @@ def _det(a: np.ndarray, p: int) -> np.ndarray:
     return _det4_from_minors(_row_minors(a, 0, 1), bot) % p
 
 
-def _invertible(start: int, a: np.ndarray, p: int):
-    """(indices, matrices) of the chunk's candidates with det != 0."""
-    keep = _det(a, p) != 0
-    return np.arange(start, start + a.shape[0], dtype=np.int64)[keep], a[keep]
+def _invertible(a: np.ndarray, p: int) -> tuple[np.ndarray]:
+    """The chunk's candidates with det != 0."""
+    return (a[_det(a, p) != 0],)
 
 
 @lru_cache(maxsize=None)
@@ -293,17 +277,13 @@ def _make_gram_apply(g: np.ndarray, ginv: np.ndarray, p: int,
     return apply_dense
 
 
-def _chunked(total: int, kernel: Callable[[int, int], np.ndarray],
-             jobs: int = 1, chunk: int = CHUNK) -> list[np.ndarray]:
+def _chunked(total: int, kernel: Callable[[int, int], list],
+             jobs: int = 1, chunk: int = CHUNK) -> list[list]:
     ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
     if jobs <= 1 or len(ranges) <= 1:
         return [kernel(s, e) for s, e in ranges]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(lambda r: kernel(*r), ranges))
-
-
-def _to_tuples(mats: np.ndarray) -> list[MatTuple]:
-    return [tuple(tuple(int(x) for x in row) for row in m) for m in mats]
 
 
 def _tensor_by_c(tensor: np.ndarray, dtype: type) -> tuple[np.ndarray, ...]:
@@ -403,7 +383,7 @@ def _probe_slots(total: int, d: int, decode: Callable,
                  slot_pass: Callable) -> list[tuple[int, int, int]]:
     """Filter slots chosen greedily on the fixed probe chunk."""
     ps = _probe_start(total)
-    _, *probe = decode(ps, min(ps + CHUNK, total))
+    probe = decode(ps, min(ps + CHUNK, total))
 
     def eval_slot(slot, mask):
         arrays = probe if mask is None else [x[mask] for x in probe]
@@ -413,35 +393,36 @@ def _probe_slots(total: int, d: int, decode: Callable,
 
 
 def _scan(total: int, decode: Callable, slot_pass: Callable, slots: Sequence,
-          checks: Sequence[Callable], jobs: int) -> np.ndarray:
-    """Ascending indices in [0, total) that survive every stage.
+          checks: Sequence[Callable], jobs: int) -> list[np.ndarray]:
+    """The per-candidate arrays of the candidates in [0, total) that survive
+    every stage, each concatenated over the chunks in index order.
 
-    decode(start, stop) returns a chunk's candidate indices followed by the
-    per-candidate arrays the stages read; each slot filter
+    decode(start, stop) returns the per-candidate arrays the stages read
+    for a chunk (possibly already filtered); each slot filter
     slot_pass(*arrays, slot), then each complete check(*arrays), returns a
     keep-vector over them.  Chunks run in index order (see _chunked).
     """
     stages = [lambda *arrays, s=s: slot_pass(*arrays, s)
               for s in slots] + list(checks)
 
-    def kernel(start: int, stop: int) -> np.ndarray:
-        idx, *arrays = decode(start, stop)
+    def kernel(start: int, stop: int) -> list[np.ndarray]:
+        arrays = decode(start, stop)
         for stage in stages:
-            if idx.size == 0:
+            if len(arrays[0]) == 0:
                 break
             keep = stage(*arrays)
-            idx, arrays = idx[keep], [x[keep] for x in arrays]
-        return idx
+            arrays = [x[keep] for x in arrays]
+        return arrays
 
-    parts = _chunked(total, kernel, jobs)
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return [np.concatenate(parts)
+            for parts in zip(*_chunked(total, kernel, jobs))]
 
 
 def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
-                         gram: Sequence, jobs: int = 1
-                         ) -> list[tuple[MatTuple, MatTuple]]:
+                         gram: Sequence, jobs: int = 1) -> np.ndarray:
     """All (phi_plus, phi_minus) pair automorphisms with phi_minus the
-    trace-dual inverse (phi_plus^T G)^{-1} G, ascending in phi_plus.
+    trace-dual inverse (phi_plus^T G)^{-1} G, as an int64 (B, 2, d, d)
+    stack ascending in phi_plus.
 
     t_plus / t_minus are Jordan-layout [a][b][c][x] integer tensors; gram is
     the trace Gram matrix.  The dual inverse is computed division-free via
@@ -474,9 +455,8 @@ def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
             det, adj = _det_adj(a, p)
             keep = det != 0
             a, det, adj = a[keep], det[keep], adj[keep]
-        idx = np.arange(start, stop, dtype=np.int64)[keep]
         # btil = det * phi_minus, with phi_minus = (phi_plus^T G)^{-1} G
-        return idx, a, det, gram_apply(adj)
+        return a, det, gram_apply(adj)
 
     def slot_pass(a, det, btil, slot):
         i, j, k = slot
@@ -491,26 +471,24 @@ def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
         return _carried(tm, btil, (btil, a, btil), p, det)
 
     slots = _probe_slots(total, d, decode, slot_pass)
-    idx = _scan(total, decode, slot_pass, slots, (check_plus, check_minus),
-                jobs)
-    plus = _digit_matrices(idx, p, d).astype(dtype)
-    det, adj = _det_adj(plus, p)
+    plus, det, btil = _scan(total, decode, slot_pass, slots,
+                            (check_plus, check_minus), jobs)
     inverses = np.array([0] + [pow(x, -1, p) for x in range(1, p)])
-    minus = inverses[det][:, None, None] * gram_apply(adj) % p
-    return list(zip(_to_tuples(plus), _to_tuples(minus)))
+    minus = inverses[det][:, None, None] * btil % p
+    return np.stack((plus, minus), axis=1).astype(np.int64)
 
 
-def scan_triple(p: int, d: int, tensor: Sequence, jobs: int = 1) -> list[MatTuple]:
-    """All invertible phi with phi{x,y,z} == {phi x, phi y, phi z}; tensor
-    is in Jordan layout [a][b][c][x]."""
+def scan_triple(p: int, d: int, tensor: Sequence, jobs: int = 1) -> np.ndarray:
+    """All invertible phi with phi{x,y,z} == {phi x, phi y, phi z}, as an
+    int64 (B, d, d) stack in index order; tensor is in Jordan layout
+    [a][b][c][x]."""
     dtype = _work_dtype(p)
     t = _xfirst(tensor, p, dtype)
     t_byc = _tensor_by_c(t, dtype)
     total = p ** (d * d)
 
     def decode(start: int, stop: int):
-        return _invertible(start, _digit_matrices_range(start, stop, p, d,
-                                                        dtype), p)
+        return _invertible(_digit_matrices_range(start, stop, p, d, dtype), p)
 
     def slot_pass(a, slot):
         i, j, k = slot
@@ -522,13 +500,14 @@ def scan_triple(p: int, d: int, tensor: Sequence, jobs: int = 1) -> list[MatTupl
         return _carried(t, a, (a, a, a), p)
 
     slots = _probe_slots(total, d, decode, slot_pass)
-    idx = _scan(total, decode, slot_pass, slots, (check,), jobs)
-    return _to_tuples(_digit_matrices(idx, p, d))
+    (found,) = _scan(total, decode, slot_pass, slots, (check,), jobs)
+    return found.astype(np.int64)
 
 
 def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
-                             jobs: int = 1) -> list[MatTuple]:
-    """All invertible unit-fixing phi with phi(x*y) == phi(x)*phi(y).
+                             jobs: int = 1) -> np.ndarray:
+    """All invertible unit-fixing phi with phi(x*y) == phi(x)*phi(y), as an
+    int64 (B, d, d) stack in index order of the free columns.
 
     Unit preservation is forced by multiplicativity plus surjectivity, so the
     candidate space is the affine subspace {A : A u = u}: columns other than
@@ -557,8 +536,8 @@ def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
         return a
 
     def decode(start: int, stop: int):
-        return _invertible(start, assemble(_digits_range(start, stop, p,
-                                                         cells, dtype)), p)
+        return _invertible(assemble(_digits_range(start, stop, p, cells,
+                                                  dtype)), p)
 
     def slot_pass(a, slot):
         i, j = slot
@@ -571,13 +550,14 @@ def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
         return _carried(pr, a, (a, a), p)
 
     slots = [(0, 0), (0, min(1, d - 1)), (min(1, d - 1), 0)]
-    idx = _scan(p ** cells, decode, slot_pass, slots, (check,), jobs)
-    return _to_tuples(assemble(_digits(idx, p, cells).astype(dtype)))
+    (found,) = _scan(p ** cells, decode, slot_pass, slots, (check,), jobs)
+    return found.astype(np.int64)
 
 
 def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
-                     jobs: int = 1) -> list[int]:
-    """Indices of all similitudes (or isometries) of the form, ascending."""
+                     jobs: int = 1) -> np.ndarray:
+    """All similitudes (or isometries) of the form, as an int64 (B, n, n)
+    stack in index order."""
     dtype = _work_dtype(p)
     g = (np.array(gram, dtype=np.int64) % p).astype(dtype)
     nonzero = np.argwhere(g)
@@ -587,8 +567,7 @@ def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
     piv_inv = pow(int(g[pivot]), -1, p)
 
     def decode(start: int, stop: int):
-        return (np.arange(start, stop, dtype=np.int64),
-                _digit_matrices_range(start, stop, p, n, dtype))
+        return (_digit_matrices_range(start, stop, p, n, dtype),)
 
     def check(a):
         m_full = np.einsum('Bax,ab,Bby->Bxy', a, g, a, optimize=True) % p
@@ -599,5 +578,5 @@ def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
             ok &= mult == 1
         return ok
 
-    idx = _scan(p ** (n * n), decode, None, (), (check,), jobs)
-    return [int(x) for x in idx]
+    (found,) = _scan(p ** (n * n), decode, None, (), (check,), jobs)
+    return found.astype(np.int64)

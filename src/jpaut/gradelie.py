@@ -122,7 +122,6 @@ def pair_from_grading(g: GradedGL) -> JordanPair:
     dim = g.dim
 
     def project(vec, wing, at):
-        out = []
         for c, p in enumerate(vec):
             if p != ring.zero_p and c not in wing:
                 raise GradingViolation(

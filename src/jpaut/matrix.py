@@ -399,29 +399,6 @@ def enumerate_matrices(ring: Ring, rows: int, cols: int) -> Iterator[Matrix]:
         yield Matrix(ring, rows, cols, data)
 
 
-def matrix_from_index(ring: Ring, n: int, index: int) -> Matrix:
-    """The index-th matrix of the enumerate_matrices(ring, n, n) stream."""
-    if not ring.is_finite:
-        raise NonEnumerableRing(f"cannot index matrices over {ring.name}")
-    base = ring.size
-    cells = n * n
-    digits = []
-    rem = index
-    for _ in range(cells):
-        digits.append(rem % base)
-        rem //= base
-    digits.reverse()
-    pool = _payload_list(ring)
-    flat = [pool[d] for d in digits]
-    return Matrix(ring, n, n, tuple(tuple(flat[r * n:(r + 1) * n])
-                                    for r in range(n)))
-
-
-@lru_cache(maxsize=None)
-def _payload_list(ring: Ring) -> tuple:
-    return tuple(ring.payloads())
-
-
 def enumerate_GL(n: int, ring: Ring) -> Iterator[Matrix]:
     """Invertible n x n matrices in enumeration order."""
     for m in enumerate_matrices(ring, n, n):
@@ -453,9 +430,9 @@ def _enumerate_similitudes(form: BilinearForm, ring: Ring | None,
         return
     if isinstance(r, PrimeField) and 2 <= n <= 4:
         from . import fastscan
-        for idx in fastscan.scan_similitudes(r.p, n, form.gram.entries,
-                                             isometry_only):
-            yield matrix_from_index(r, n, idx)
+        for m in fastscan.scan_similitudes(r.p, n, form.gram.entries,
+                                           isometry_only).tolist():
+            yield Matrix(r, n, n, tuple(map(tuple, m)))
         return
     one = r.one_p
     for a in enumerate_matrices(r, n, n):

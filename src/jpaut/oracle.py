@@ -14,8 +14,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (BadInput, BudgetExceeded, EngineMismatch, MixedSystems,
-                     NonEnumerableRing)
+from .errors import (BadDims, BadInput, BudgetExceeded, EngineMismatch,
+                     MixedSystems, NonEnumerableRing)
 from .jordan import (JordanAlgebra, JordanPair, JordanTriple, PairMap,
                      _carries, _fits_int64, algebra_map_respects, dual_inverse,
                      is_algebra_automorphism, is_pair_automorphism,
@@ -277,17 +277,19 @@ def _use_fast(structure, dim_ok: bool, engine: str, name) -> bool:
     return use_fast
 
 
-def _cross_check(found, structure, name) -> list:
+def _cross_check(found: np.ndarray, structure, name) -> list:
     """The fast-scan maps as elements, after checking every one.
 
-    One batched transport check per structure tensor (jordan._carries, an
-    implementation independent of the scan kernels) decides all elements
-    at once.  Invertibility: for traced pairs plus^T G minus == G, which
-    also pins minus to the trace-dual inverse; else Matrix.is_invertible.
+    found is a kernel's int64 stack, (B, d, d) or (B, 2, d, d) for traced
+    pairs, so each map reshapes to its _Rows row.  One batched transport
+    check per structure tensor (jordan._carries, an implementation
+    independent of the scan kernels) decides all elements at once.
+    Invertibility: for traced pairs plus^T G minus == G, which also pins
+    minus to the trace-dual inverse; else Matrix.is_invertible.
     """
     ring, image = structure.ring, structure._int64
     codec = _codec(structure)
-    rows = np.array(found, dtype=np.int64).reshape(len(found), codec.width)
+    rows = found.reshape(len(found), codec.width)
     els, sides = codec.decode(rows), codec.split(rows)
     if isinstance(structure, JordanPair):
         plus, minus = sides
@@ -410,6 +412,8 @@ def enumerate_automorphisms(system, budget: Optional[int] = None,
             "algebra": _enumerate_algebra}[kind]
     if not structure.ring.is_finite:
         raise NonEnumerableRing(f"cannot enumerate over {structure.ring.name}")
+    if 0 in structure._parts()[0][2]:  # the first tensor spans every carrier
+        raise BadDims(f"{name} has a carrier of dimension 0")
     els, cand, engine_used = scan(structure, name, budget, jobs, engine)
     return AutomorphismSet.from_elements(
         name, structure.ring.name, kind, "exhaustive", engine_used,

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 
 from jpaut import (PrimeField, Matrix, JordanAlgebra, JordanPair,
                    JordanTriple, dual_inverse, enumerate_automorphisms,
-                   gl_order, standard_form, enumerate_GO, enumerate_O)
+                   gl_order, standard_form, enumerate_GO, enumerate_O,
+                   enumerate_matrices, is_triple_automorphism,
+                   similitude_multiplier)
 from jpaut import fastscan
 from jpaut.errors import BadInput, NotInvertible
 from jpaut.fastscan import (_digits_range, _low_digit_block, _det, _det_adj,
@@ -15,7 +17,8 @@ from jpaut.fastscan import (_digits_range, _low_digit_block, _det, _det_adj,
                             _work_dtype, scan_algebra_unit_fixing,
                             scan_pair_with_trace, scan_triple,
                             scan_similitudes)
-from jpaut import make_vhi, make_type_iv_pair, make_type_iv_triple
+from jpaut import (make_t_iv, make_vhi, make_type_iv_pair,
+                   make_type_iv_triple)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -137,33 +140,61 @@ def test_scan_pair_with_trace_recovers_known_group():
     vhi = make_vhi(1, 2, F3).structure
     found = scan_pair_with_trace(3, 2, vhi.t_plus, vhi.t_minus,
                                  vhi.trace.entries)
-    assert len(found) == 48
-    assert sorted(found) == found  # canonical ascending order
-    for plus, minus in found:  # the minus side is the trace-dual inverse
-        assert minus == dual_inverse(vhi, Matrix(F3, 2, 2, plus)).entries
+    assert found.dtype == np.int64 and found.shape == (48, 2, 2, 2)
+    pairs = found.tolist()
+    assert sorted(pairs) == pairs  # canonical ascending order
+    for plus, minus in pairs:  # the minus side is the trace-dual inverse
+        phi = Matrix.build(F3, plus)
+        assert Matrix.build(F3, minus) == dual_inverse(vhi, phi)
 
 
 def test_scan_triple_recovers_known_group():
     that = make_type_iv_triple(standard_form(F3, 2)).structure
     mats = scan_triple(3, 2, that.tensor)
-    assert len(mats) == 8
+    assert mats.dtype == np.int64 and mats.shape == (8, 2, 2)
 
 
 def test_scan_similitudes_matches_group_enumeration():
     form = standard_form(F3, 2)
     gram = form.gram.entries
-    sim_idx = scan_similitudes(3, 2, gram, isometry_only=False)
-    iso_idx = scan_similitudes(3, 2, gram, isometry_only=True)
-    assert len(sim_idx) == 16 and len(iso_idx) == 8
-    assert set(iso_idx) <= set(sim_idx)
-    # decode indices row-major and compare with the direct enumeration
-    def decode(i):
-        digs = [(i // 3 ** k) % 3 for k in range(3, -1, -1)]
-        return ((digs[0], digs[1]), (digs[2], digs[3]))
-    assert {decode(i) for i in sim_idx} == \
-        {a.entries for a in enumerate_GO(form)}
-    assert {decode(i) for i in iso_idx} == \
-        {a.entries for a in enumerate_O(form)}
+    sim = scan_similitudes(3, 2, gram, isometry_only=False)
+    iso = scan_similitudes(3, 2, gram, isometry_only=True)
+    assert sim.dtype == iso.dtype == np.int64
+    assert sim.shape == (16, 2, 2) and iso.shape == (8, 2, 2)
+    sim, iso = sim.tolist(), iso.tolist()
+    assert all(a in sim for a in iso)
+    # compare with the direct enumeration, element for element
+    assert sim == [[list(r) for r in a.entries] for a in enumerate_GO(form)]
+    assert iso == [[list(r) for r in a.entries] for a in enumerate_O(form)]
+
+
+@pytest.mark.parametrize("enumerate_group,isometry", [
+    (enumerate_GO, False), (enumerate_O, True)])
+def test_similitude_decode_at_n_3_matches_the_pure_filter(enumerate_group,
+                                                          isometry):
+    form = standard_form(F3, 3)
+    expect = []
+    for a in enumerate_matrices(F3, 3, 3):
+        m = similitude_multiplier(a, form)
+        if m is not None and (not isometry or m.payload == F3.one_p):
+            expect.append(a)
+    # in odd dimension every multiplier is a square, so here GO = O
+    assert len(expect) == 48
+    assert list(enumerate_group(form)) == expect
+
+
+def test_scan_triple_concatenates_chunks_in_index_order():
+    # TIV(3,F5): 5**9 candidates in 30 chunks, with 16 survivors
+    system = make_t_iv(standard_form(F5, 2))
+    tensor = system.structure._int64["tensor"]
+    one = scan_triple(5, 3, tensor, jobs=1)
+    two = scan_triple(5, 3, tensor, jobs=2)
+    assert np.array_equal(one, two)
+    assert one.dtype == np.int64 and one.shape == (16, 3, 3)
+    rows = one.reshape(16, 9).tolist()
+    assert all(x < y for x, y in zip(rows, rows[1:]))
+    for m in one.tolist():
+        assert is_triple_automorphism(system, Matrix.build(F5, m))
 
 
 def test_jobs_do_not_change_scan_output():
@@ -172,7 +203,7 @@ def test_jobs_do_not_change_scan_output():
                                vhi.trace.entries, jobs=1)
     four = scan_pair_with_trace(3, 2, vhi.t_plus, vhi.t_minus,
                                 vhi.trace.entries, jobs=4)
-    assert one == four
+    assert np.array_equal(one, four)
 
 
 # Sparse tensors over F3 at d = 2, drawn at random and written out in C order
@@ -201,20 +232,22 @@ def test_kernels_read_the_jordan_layout(kind):
         structure = JordanTriple(F3, 2, nested[0])
 
         def scan(tensors):
-            return scan_triple(3, 2, tensors[0])
+            return scan_triple(3, 2, tensors[0]).tolist()
     elif kind == "pair":
         structure = JordanPair(F3, 2, 2, *nested, Matrix.identity(F3, 2))
 
         def scan(tensors):
-            return scan_pair_with_trace(3, 2, *tensors, [[1, 0], [0, 1]])
+            return scan_pair_with_trace(3, 2, *tensors,
+                                        [[1, 0], [0, 1]]).tolist()
     else:
         structure = JordanAlgebra(F3, 2, nested[0], (1, 0))
 
         def scan(tensors):
-            return sorted(scan_algebra_unit_fixing(3, 2, tensors[0], (1, 0)))
+            return sorted(scan_algebra_unit_fixing(3, 2, tensors[0],
+                                                   (1, 0)).tolist())
     pure = enumerate_automorphisms(structure, engine="pure").elements
-    expect = [(f.plus.entries, f.minus.entries) if kind == "pair"
-              else f.entries for f in pure]
+    expect = np.array([(f.plus.entries, f.minus.entries) if kind == "pair"
+                       else f.entries for f in pure]).tolist()
     assert len(expect) > 2
     assert scan(ts) == expect
     # read as if the output axis came first, the same data has another group

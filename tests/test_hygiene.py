@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every local name a function assigns is read."""
 import ast
 import pathlib
 
@@ -33,3 +34,48 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(fn):
+    """The nodes of fn's body, not descending into nested scopes."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unread_locals(source: str) -> list:
+    """(line, name) of each name a function assigns and never reads, nested
+    functions' reads included; names starting with _ are exempt."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = set()
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                               ast.Store):
+                read.add(node.id)
+        found += [(node.lineno, node.id) for node in _own_nodes(fn)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Store)
+                  and node.id not in read and not node.id.startswith("_")]
+    return sorted(found)
+
+
+def test_the_check_sees_an_unused_local():
+    source = ("def f(x):\n    a, b = x\n    _c = 1\n    d = 2\n"
+              "    def g():\n        e = d\n    return b\n")
+    assert _unread_locals(source) == [(2, "a"), (6, "e")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_local_name_is_read(path):
+    assert _unread_locals(path.read_text(encoding="utf-8")) == []

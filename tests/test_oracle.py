@@ -20,7 +20,7 @@ from jpaut import (PrimeField, ProductRing, Rationals, Matrix, PairMap,
 from jpaut import fastscan, is_triple_automorphism
 from jpaut.claims import gl_generators
 from jpaut.oracle import AutomorphismSet
-from jpaut.errors import (BadInput, BudgetExceeded, EngineMismatch,
+from jpaut.errors import (BadDims, BadInput, BudgetExceeded, EngineMismatch,
                           MixedSystems, NonEnumerableRing, NotFactorable)
 
 F3 = PrimeField(3)
@@ -30,6 +30,16 @@ F5 = PrimeField(5)
 def test_default_budget_covers_the_desk_grid():
     # the largest desk scan is GL_4(F3); the default budget must admit it
     assert DEFAULT_BUDGET >= gl_order(F3, 4)
+
+
+@pytest.mark.parametrize("make,ring", [
+    (make_type_iv_triple, F5), (make_type_iv_pair, F5),
+    (make_type_iv_triple, ProductRing(F3, F3))],
+    ids=["triple-F5", "pair-F5", "triple-F3xF3"])
+def test_carrier_dimension_zero_is_refused(make, ring):
+    # the CLI refuses dimension 0 while parsing (exit 2); the API must too
+    with pytest.raises(BadDims):
+        enumerate_automorphisms(make(standard_form(ring, 0)))
 
 
 def test_small_exhaustive_orders_and_engines():
@@ -119,8 +129,7 @@ def test_cross_check_covers_every_element(monkeypatch):
     shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
 
     def planted(*args, **kwargs):
-        found = real(*args, **kwargs)
-        return found[:1] + [shear] + found[1:]
+        return np.insert(real(*args, **kwargs), 1, shear, axis=0)
     monkeypatch.setattr(fastscan, "scan_triple", planted)
     system = make_type_iv_triple(standard_form(F3, 3))
     assert not is_triple_automorphism(system, Matrix(F3, 3, 3, shear))
@@ -135,7 +144,8 @@ def test_cross_check_pins_the_minus_side(monkeypatch):
 
     def wrong_minus(*args, **kwargs):
         found = real(*args, **kwargs)
-        return found[:1] + [(found[1][0], found[2][1])] + found[2:]
+        found[1, 1] = found[2, 1]  # plus of element 1, minus of element 2
+        return found
     monkeypatch.setattr(fastscan, "scan_pair_with_trace", wrong_minus)
     with pytest.raises(EngineMismatch):
         enumerate_automorphisms(_random_structure("pair", 3, 2, "zero", 0),
