@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import claims as claimcat
 from .catalog import parse_system
@@ -49,8 +50,44 @@ def _pretty_lines(obj, indent=0):
         yield f"{pad}{json.dumps(obj, default=str)}"
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _indented(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True, default=str), byte for byte.
+
+    indent sends json.dumps through its pure-Python encoder, one generator
+    per value; this joins each container's lines directly and encodes each
+    leaf with the C encoder.  Raw newlines occur in JSON text only between
+    tokens, so text rendered at the top level moves to depth by replacing
+    "\n" with pad: dicts with a key that is not a string go that way
+    through json.dumps itself.
+    """
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            return json.dumps(obj, indent=2, sort_keys=True,
+                              default=str).replace("\n", pad)
+        items = [_quote(k) + ": " + (_indented(v, inner)
+                                     if isinstance(v, _CONTAINERS)
+                                     else _leaf(v))
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    items = [_indented(v, inner) if isinstance(v, _CONTAINERS) else _leaf(v)
+             for v in obj]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _leaf(value) -> str:
+    if value.__class__ is str:
+        return _quote(value)
+    return json.dumps(value, default=str)
+
+
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
+    text = _indented(report) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:

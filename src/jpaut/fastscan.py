@@ -1,16 +1,29 @@
 """Vectorized exhaustive scans over prime fields.
 
-Candidates are d x d matrices over F_p indexed by base-p digits in row-major
-entry order, so index order equals the lexicographic order of the pure-Python
-enumeration streams.  Each scan runs staged necessary-condition filters (all
-derived from the defining identities, computed division-free in exact mod-p
-integer arithmetic) and finishes with the complete identity check.  Each
-chunk keeps the arrays of its surviving candidates, concatenated in index
-order, so the returned int64 stack of matrices is exactly the solution set.
-Filter slots are chosen greedily on a fixed probe chunk before any parallel
-dispatch; the choice depends only on (p, d, tensor), never on the worker
-count.  Chunks are processed in index order; worker threads only
-parallelize chunks, never reorder them.
+Each kernel decides every candidate map, in exact mod-p integer arithmetic
+with division-free conditions derived from the defining identities, and
+returns the solution set as an int64 stack in index order.
+
+The triple, traced-pair and unit-fixing algebra kernels search column by
+column (_search): the unknowns are the columns of phi (plus those of
+phi_minus for traced pairs, interleaved plus_0, minus_0, ...), each with
+p**d values, and every identity is checked as soon as the columns it reads
+are fixed.  After the last column the determinant and the complete identity
+check run, and the survivors are sorted into index order.  When the search
+would generate more candidates than the flat scan decodes, the kernel
+returns the flat scan's result instead.
+
+The flat scans (_flat_*, and scan_similitudes) decode candidates as d x d
+matrices indexed by base-p digits in row-major entry order, so index order
+equals the lexicographic order of the pure-Python enumeration streams.
+They keep the invertible ones, run a few one-slot filters chosen greedily
+on a fixed probe chunk, then the complete check, and concatenate each
+chunk's survivors in index order.  The flat triple, pair and algebra scans
+are kept as the search's named oracle and its fallback.
+
+Both ways run in chunks of at most CHUNK candidates; worker threads only
+parallelize chunks, never reorder them, and every choice (slots, fallback)
+depends only on (p, d, tensor), never on the worker count.
 
 Tensors arrive in Jordan layout, T[a][b]..[x] with the output coordinate
 last, as the structures' int64 images hold them; each kernel moves the
@@ -24,7 +37,9 @@ bound reaches 2**63 are refused.
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -33,7 +48,13 @@ import numpy as np
 from .errors import BadInput, DegenerateForm, NotInvertible
 
 CHUNK = 1 << 16
+# A search candidate carries up to 2d columns, and its slot checks build a
+# d*d outer product each; quarter chunks keep a level's working set near
+# the flat scan's at the cost of a few more calls per condition.
+SEARCH_CHUNK = CHUNK // 4
 MAX_SLOTS = 4
+
+_log = logging.getLogger(__name__)
 
 
 def _work_dtype(p: int) -> type:
@@ -277,13 +298,24 @@ def _make_gram_apply(g: np.ndarray, ginv: np.ndarray, p: int,
     return apply_dense
 
 
-def _chunked(total: int, kernel: Callable[[int, int], list],
-             jobs: int = 1, chunk: int = CHUNK) -> list[list]:
-    ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    if jobs <= 1 or len(ranges) <= 1:
-        return [kernel(s, e) for s, e in ranges]
+@contextmanager
+def _pool(jobs: int):
+    """A thread pool of jobs workers, or None (inline) for jobs <= 1."""
+    if jobs <= 1:
+        yield None
+        return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda r: kernel(*r), ranges))
+        yield pool
+
+
+def _chunked(total: int, kernel: Callable[[int, int], list],
+             pool: ThreadPoolExecutor | None, chunk: int = CHUNK) -> list:
+    """kernel(start, stop) over [0, total) in chunks, results in index
+    order; the pool only runs chunks at the same time."""
+    ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+    if pool is None or len(ranges) <= 1:
+        return [kernel(s, e) for s, e in ranges]
+    return list(pool.map(lambda r: kernel(*r), ranges))
 
 
 def _tensor_by_c(tensor: np.ndarray, dtype: type) -> tuple[np.ndarray, ...]:
@@ -307,6 +339,13 @@ def _slot_rhs(t_byc: tuple[np.ndarray, ...], u: np.ndarray, v: np.ndarray,
     for c in range(1, d):
         acc += (uv @ t_byc[c]) * w[:, c, None]
     return acc % p
+
+
+def _bilinear_rhs(prf: np.ndarray, u: np.ndarray, v: np.ndarray,
+                  p: int) -> np.ndarray:
+    """P(u, v) for batches of reduced vectors, prf being the product as a
+    (d*d, d_out) matrix; |acc| <= d*d * p**3."""
+    return (u[:, :, None] * v[:, None, :]).reshape(len(u), -1) @ prf % p
 
 
 def _carried(tensor: np.ndarray, out: np.ndarray, maps: Sequence[np.ndarray],
@@ -414,29 +453,118 @@ def _scan(total: int, decode: Callable, slot_pass: Callable, slots: Sequence,
             arrays = [x[keep] for x in arrays]
         return arrays
 
-    return [np.concatenate(parts)
-            for parts in zip(*_chunked(total, kernel, jobs))]
+    with _pool(jobs) as pool:
+        chunks = _chunked(total, kernel, pool)
+    return [np.concatenate(parts) for parts in zip(*chunks)]
 
 
-def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
-                         gram: Sequence, jobs: int = 1) -> np.ndarray:
-    """All (phi_plus, phi_minus) pair automorphisms with phi_minus the
-    trace-dual inverse (phi_plus^T G)^{-1} G, as an int64 (B, 2, d, d)
-    stack ascending in phi_plus.
+def _search(p: int, d: int, unknowns: int, conditions: Sequence,
+            flat_total: int, jobs: int, dtype: type) -> np.ndarray | None:
+    """The values of the unknown columns that pass every condition, as a
+    (B, unknowns, d) stack, or None when the search would generate more
+    candidates than the flat scan decodes (flat_total).
 
-    t_plus / t_minus are Jordan-layout [a][b][c][x] integer tensors; gram is
-    the trace Gram matrix.  The dual inverse is computed division-free via
-    the adjugate: conditions are scaled by det(phi_plus) (a unit), which is
-    an equivalence over a field.
+    Level k extends each surviving prefix (the values of unknowns 0..k-1)
+    by all p**d vectors in index order, then keeps the candidates that pass
+    each condition whose last unknown is k, in list order.  A condition is
+    a pair (unknowns read, test), where test(cols) returns a keep-vector
+    over a (B, k + 1, d) stack.  Each level runs in chunks of SEARCH_CHUNK
+    candidates on one thread pool (see _chunked), so survivors and fallback
+    are the same for any jobs.
     """
-    dtype = _work_dtype(p)
-    tp = _xfirst(t_plus, p, dtype)
-    tm = _xfirst(t_minus, p, dtype)
+    vectors = _low_digit_block(p, d).astype(dtype)
+    q = len(vectors)
+    tests = [[] for _ in range(unknowns)]
+    for reads, test in conditions:
+        tests[max(reads)].append(test)
+    cols = np.zeros((1, 0, d), dtype=dtype)
+    spent = 0
+    with _pool(jobs) as pool:
+        for level, level_tests in enumerate(tests):
+            total = len(cols) * q
+            spent += total
+            if spent > flat_total:
+                _log.debug("search level %d would bring the candidates to "
+                           "%d of the flat %d: flat scan", level, spent,
+                           flat_total)
+                return None
+            prefixes = cols
+
+            def kernel(start: int, stop: int) -> np.ndarray:
+                idx = np.arange(start, stop)
+                out = np.concatenate((prefixes[idx // q],
+                                      vectors[idx % q, None]), axis=1)
+                for test in level_tests:
+                    if len(out) == 0:
+                        break
+                    out = out[test(out)]
+                return out
+
+            parts = _chunked(total, kernel, pool, SEARCH_CHUNK)
+            cols = (np.concatenate(parts) if parts
+                    else np.empty((0, level + 1, d), dtype=dtype))
+            _log.debug("search level %d kept %d of %d", level, len(cols),
+                       total)
+    return cols
+
+
+def _slot_conditions(t: np.ndarray, image: Callable, out: Sequence[int],
+                     ins: Sequence[Sequence[int]], p: int) -> list:
+    """One search condition per slot (a, b, ..) of the output-first tensor t,
+    phi(T(e_a, e_b, ..)) == T(phi e_a, phi e_b, ..) read on the unknowns:
+
+        Sum_x t[x, a, b, ..] col[out[x]] == image(col[ins[0][a]],
+                                                  col[ins[1][b]], ..)
+
+    out maps an output coordinate, ins[s] a coordinate of input slot s, to
+    its unknown; image evaluates T on batches of reduced vectors."""
+    conditions = []
+    for slot in np.ndindex(t.shape[1:]):
+        coef = t[(slice(None),) + slot]
+        terms = [(int(coef[x]), out[x]) for x in np.flatnonzero(coef)]
+        args = [side[i] for side, i in zip(ins, slot)]
+
+        def test(cols, terms=terms, args=args):
+            lhs = sum(c * cols[:, k] for c, k in terms) % p
+            return (lhs == image(*(cols[:, k] for k in args))).all(axis=1)
+        conditions.append(({k for _, k in terms} | set(args), test))
+    return conditions
+
+
+def _in_index_order(stack: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """stack reordered so that the row-major rows of keys ascend."""
+    rows = keys.reshape(len(keys), -1)
+    return stack[np.lexsort(rows.T[::-1])]
+
+
+def _columns(cols: np.ndarray) -> np.ndarray:
+    """The (B, d, d) matrices whose columns are the given unknowns."""
+    return cols.transpose(0, 2, 1)
+
+
+def _trace_gram(gram: Sequence, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The trace Gram matrix mod p and its inverse."""
     g = np.asarray(gram, dtype=np.int64) % p
     det, adj = _det_adj(g[None], p)
     if det[0] == 0:
         raise NotInvertible("the trace Gram matrix is singular")
-    ginv = adj[0] * pow(int(det[0]), -1, p) % p
+    return g, adj[0] * pow(int(det[0]), -1, p) % p
+
+
+def _flat_pair_with_trace(p: int, d: int, t_plus: Sequence,
+                          t_minus: Sequence, gram: Sequence,
+                          jobs: int = 1) -> np.ndarray:
+    """scan_pair_with_trace by decoding all p**(d*d) matrices phi_plus: its
+    oracle and its fallback.
+
+    The dual inverse is computed division-free via the adjugate:
+    conditions are scaled by det(phi_plus) (a unit), which is an
+    equivalence over a field.
+    """
+    dtype = _work_dtype(p)
+    tp = _xfirst(t_plus, p, dtype)
+    tm = _xfirst(t_minus, p, dtype)
+    g, ginv = _trace_gram(gram, p)
     gram_apply = _make_gram_apply(g, ginv, p, dtype)
     tp_byc = _tensor_by_c(tp, dtype)
     total = p ** (d * d)
@@ -478,10 +606,10 @@ def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
     return np.stack((plus, minus), axis=1).astype(np.int64)
 
 
-def scan_triple(p: int, d: int, tensor: Sequence, jobs: int = 1) -> np.ndarray:
-    """All invertible phi with phi{x,y,z} == {phi x, phi y, phi z}, as an
-    int64 (B, d, d) stack in index order; tensor is in Jordan layout
-    [a][b][c][x]."""
+def _flat_triple(p: int, d: int, tensor: Sequence,
+                 jobs: int = 1) -> np.ndarray:
+    """scan_triple by decoding all p**(d*d) matrices: its oracle and its
+    fallback."""
     dtype = _work_dtype(p)
     t = _xfirst(tensor, p, dtype)
     t_byc = _tensor_by_c(t, dtype)
@@ -504,16 +632,11 @@ def scan_triple(p: int, d: int, tensor: Sequence, jobs: int = 1) -> np.ndarray:
     return found.astype(np.int64)
 
 
-def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
-                             jobs: int = 1) -> np.ndarray:
-    """All invertible unit-fixing phi with phi(x*y) == phi(x)*phi(y), as an
-    int64 (B, d, d) stack in index order of the free columns.
-
-    Unit preservation is forced by multiplicativity plus surjectivity, so the
-    candidate space is the affine subspace {A : A u = u}: columns other than
-    the pivot column are free, the pivot column is solved.  prod is the
-    Jordan-layout [a][b][x] product tensor, unit the coordinate vector of 1.
-    """
+def _flat_algebra_unit_fixing(p: int, d: int, prod: Sequence,
+                              unit: Sequence, jobs: int = 1) -> np.ndarray:
+    """scan_algebra_unit_fixing by decoding all p**(d*(d-1)) free-column
+    choices: its oracle and its fallback.  The pivot column is solved from
+    A u = u."""
     dtype = _work_dtype(p)
     pr = _xfirst(prod, p, dtype)
     u = np.asarray(unit, dtype=np.int64) % p
@@ -542,8 +665,7 @@ def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
     def slot_pass(a, slot):
         i, j = slot
         lhs = (a @ pr[:, i, j]) % p
-        outer = a[:, :, i][:, :, None] * a[:, :, j][:, None, :]
-        rhs = outer.reshape(-1, d * d) @ prf % p
+        rhs = _bilinear_rhs(prf, a[:, :, i], a[:, :, j], p)
         return (lhs == rhs).all(axis=1)
 
     def check(a):
@@ -552,6 +674,119 @@ def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
     slots = [(0, 0), (0, min(1, d - 1)), (min(1, d - 1), 0)]
     (found,) = _scan(p ** cells, decode, slot_pass, slots, (check,), jobs)
     return found.astype(np.int64)
+
+
+
+
+def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
+                         gram: Sequence, jobs: int = 1) -> np.ndarray:
+    """All (phi_plus, phi_minus) pair automorphisms with phi_minus the
+    trace-dual inverse (phi_plus^T G)^{-1} G, as an int64 (B, 2, d, d)
+    stack ascending in phi_plus.
+
+    t_plus / t_minus are Jordan-layout [a][b][c][x] integer tensors; gram is
+    the trace Gram matrix.  The unknowns are the columns of both sides,
+    fixed in the order plus_0, minus_0, plus_1, ...; the conditions are the
+    entries of phi_plus^T G phi_minus == G, which pin phi_minus to the dual
+    inverse, and the slots of both tensors.
+    """
+    dtype = _work_dtype(p)
+    tp = _xfirst(t_plus, p, dtype)
+    tm = _xfirst(t_minus, p, dtype)
+    g, _ = _trace_gram(gram, p)
+    g_t = g.astype(dtype)
+    plus, minus = range(0, 2 * d, 2), range(1, 2 * d, 2)
+
+    def gram_entry(r: int, c: int) -> Callable:
+        def test(cols):
+            row = cols[:, plus[r]] @ g_t % p
+            return (row * cols[:, minus[c]]).sum(axis=1) % p == g[r, c]
+        return test
+
+    def check(cols):
+        a, b = _columns(cols[:, plus]), _columns(cols[:, minus])
+        ok = _det(a, p) != 0
+        ok &= _carried(tp, a, (a, b, a), p)
+        return ok & _carried(tm, b, (b, a, b), p)
+
+    conditions = [({plus[r], minus[c]}, gram_entry(r, c))
+                  for r in range(d) for c in range(d)]
+    for t, side, other in ((tp, plus, minus), (tm, minus, plus)):
+        t_byc = _tensor_by_c(t, dtype)
+        conditions += _slot_conditions(
+            t, lambda u, v, w, t_byc=t_byc: _slot_rhs(t_byc, u, v, w, p),
+            side, (side, other, side), p)
+    conditions.append((range(2 * d), check))
+    found = _search(p, d, 2 * d, conditions, p ** (d * d), jobs, dtype)
+    if found is None:
+        return _flat_pair_with_trace(p, d, t_plus, t_minus, gram, jobs=jobs)
+    a, b = _columns(found[:, plus]), _columns(found[:, minus])
+    return _in_index_order(np.stack((a, b), axis=1), a).astype(np.int64)
+
+
+def scan_triple(p: int, d: int, tensor: Sequence, jobs: int = 1) -> np.ndarray:
+    """All invertible phi with phi{x,y,z} == {phi x, phi y, phi z}, as an
+    int64 (B, d, d) stack in index order; tensor is in Jordan layout
+    [a][b][c][x].  The unknowns are the columns of phi in ascending order,
+    the conditions the slots of the tensor."""
+    dtype = _work_dtype(p)
+    t = _xfirst(tensor, p, dtype)
+    t_byc = _tensor_by_c(t, dtype)
+    unknowns = range(d)
+
+    def check(cols):
+        a = _columns(cols)
+        return (_det(a, p) != 0) & _carried(t, a, (a, a, a), p)
+
+    conditions = _slot_conditions(
+        t, lambda u, v, w: _slot_rhs(t_byc, u, v, w, p), unknowns,
+        (unknowns,) * 3, p)
+    conditions.append((unknowns, check))
+    found = _search(p, d, d, conditions, p ** (d * d), jobs, dtype)
+    if found is None:
+        return _flat_triple(p, d, tensor, jobs=jobs)
+    a = _columns(found)
+    return _in_index_order(a, a).astype(np.int64)
+
+
+def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
+                             jobs: int = 1) -> np.ndarray:
+    """All invertible unit-fixing phi with phi(x*y) == phi(x)*phi(y), as an
+    int64 (B, d, d) stack in index order of the free columns.
+
+    Unit preservation is forced by multiplicativity plus surjectivity, so the
+    candidate space is the affine subspace {A : A u = u}: columns other than
+    the pivot column (the first with u != 0) are free, the pivot column is
+    determined.  prod is the Jordan-layout [a][b][x] product tensor, unit
+    the coordinate vector of 1.  The unknowns are the columns of phi in
+    ascending order, the conditions A u = u and the slots of the product.
+    """
+    dtype = _work_dtype(p)
+    pr = _xfirst(prod, p, dtype)
+    prf = np.ascontiguousarray(pr.reshape(d, d * d).T)
+    u = np.asarray(unit, dtype=np.int64) % p
+    support = [int(j) for j in np.flatnonzero(u)]
+    unknowns = range(d)
+
+    def fixes_unit(cols):
+        image = sum(int(u[j]) * cols[:, j] for j in support) % p
+        return (image == u).all(axis=1)
+
+    def check(cols):
+        a = _columns(cols)
+        return (_det(a, p) != 0) & _carried(pr, a, (a, a), p)
+
+    conditions = [(support, fixes_unit)]
+    conditions += _slot_conditions(
+        pr, lambda x, y: _bilinear_rhs(prf, x, y, p), unknowns,
+        (unknowns, unknowns), p)
+    conditions.append((unknowns, check))
+    found = _search(p, d, d, conditions, p ** (d * (d - 1)), jobs, dtype)
+    if found is None:
+        return _flat_algebra_unit_fixing(p, d, prod, unit, jobs=jobs)
+    a = _columns(found)
+    return _in_index_order(a, np.delete(a, support[0], axis=2)).astype(
+        np.int64)
 
 
 def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,

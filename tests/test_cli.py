@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from jpaut import cli
 from jpaut.cli import main
+
+from test_acceptance import DETERMINISM_BATTERY
 
 
 def run_cli(argv, capsys):
@@ -139,3 +142,36 @@ def test_cli_reports_are_byte_identical_across_jobs():
     four = subprocess.run(cmd + ["--jobs", "4"], capture_output=True, env=env)
     assert one.returncode == 0 and four.returncode == 0
     assert one.stdout == four.stdout
+
+
+_ERROR_COMMANDS = [
+    ["enumerate", "Nope(2,F3)"],
+    ["enumerate", "VhI(2,2,F3)", "--budget", "100"],
+    ["enumerate", "VIV(2,Q)"],
+    ["check", "no-such-claim"],
+    ["check", "vhi-rect", "--m", "2", "--n", "2"],
+    ["verify", "BadPair(F3)"],
+    ["claims"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", text, "--jobs", "1"] + dump
+    for text in DETERMINISM_BATTERY for dump in ([], ["--dump-elements"])
+] + _ERROR_COMMANDS, ids=" ".join)
+def test_report_writer_equals_indented_json_dumps(argv, tmp_path,
+                                                  monkeypatch):
+    # the report bytes are part of the determinism contract, so the
+    # writer must reproduce json.dumps(indent=2) exactly
+    reports = []
+    real = cli._emit
+
+    def spy(report, args):
+        reports.append(report)
+        return real(report, args)
+    monkeypatch.setattr(cli, "_emit", spy)
+    target = tmp_path / "report.json"
+    main(argv + ["--out", str(target)])
+    (report,) = reports
+    expect = json.dumps(report, indent=2, sort_keys=True, default=str)
+    assert target.read_text(encoding="utf-8") == expect + "\n"

@@ -18,7 +18,10 @@ from jpaut.fastscan import (_digits_range, _low_digit_block, _det, _det_adj,
                             scan_pair_with_trace, scan_triple,
                             scan_similitudes)
 from jpaut import (make_t_iv, make_vhi, make_type_iv_pair,
-                   make_type_iv_triple)
+                   make_type_iv_triple, parse_system)
+
+from _helpers import nested, random_structure
+from test_acceptance import DETERMINISM_BATTERY, _axiom_sweep_systems
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -184,11 +187,12 @@ def test_similitude_decode_at_n_3_matches_the_pure_filter(enumerate_group,
 
 
 def test_scan_triple_concatenates_chunks_in_index_order():
-    # TIV(3,F5): 5**9 candidates in 30 chunks, with 16 survivors
+    # TIV(3,F5): the flat scan decodes 5**9 candidates in 30 chunks, with
+    # 16 survivors
     system = make_t_iv(standard_form(F5, 2))
     tensor = system.structure._int64["tensor"]
-    one = scan_triple(5, 3, tensor, jobs=1)
-    two = scan_triple(5, 3, tensor, jobs=2)
+    one = fastscan._flat_triple(5, 3, tensor, jobs=1)
+    two = fastscan._flat_triple(5, 3, tensor, jobs=2)
     assert np.array_equal(one, two)
     assert one.dtype == np.int64 and one.shape == (16, 3, 3)
     rows = one.reshape(16, 9).tolist()
@@ -217,31 +221,34 @@ _LAYOUT_CASES = {
 }
 
 
-def _nested(arr):
-    return tuple(_nested(x) for x in arr) if isinstance(arr, list) else arr
+def _layout_tensors(kind):
+    return [np.array(flat).reshape((2,) * (3 if kind == "algebra" else 4))
+            for flat in _LAYOUT_CASES[kind]]
+
+
+def _layout_structure(kind, tensors):
+    payloads = [nested(t.tolist()) for t in tensors]
+    if kind == "triple":
+        return JordanTriple(F3, 2, payloads[0])
+    if kind == "pair":
+        return JordanPair(F3, 2, 2, *payloads, Matrix.identity(F3, 2))
+    return JordanAlgebra(F3, 2, payloads[0], (1, 0))
 
 
 @pytest.mark.parametrize("kind", sorted(_LAYOUT_CASES))
 def test_kernels_read_the_jordan_layout(kind):
     # VhI(1,2) and ThatIV(2) read the same in both layouts, these tensors
     # do not; each kernel must match the pure engine element for element
-    ts = [np.array(flat).reshape((2,) * (3 if kind == "algebra" else 4))
-          for flat in _LAYOUT_CASES[kind]]
-    nested = [_nested(t.tolist()) for t in ts]
+    ts = _layout_tensors(kind)
+    structure = _layout_structure(kind, ts)
     if kind == "triple":
-        structure = JordanTriple(F3, 2, nested[0])
-
         def scan(tensors):
             return scan_triple(3, 2, tensors[0]).tolist()
     elif kind == "pair":
-        structure = JordanPair(F3, 2, 2, *nested, Matrix.identity(F3, 2))
-
         def scan(tensors):
             return scan_pair_with_trace(3, 2, *tensors,
                                         [[1, 0], [0, 1]]).tolist()
     else:
-        structure = JordanAlgebra(F3, 2, nested[0], (1, 0))
-
         def scan(tensors):
             return sorted(scan_algebra_unit_fixing(3, 2, tensors[0],
                                                    (1, 0)).tolist())
@@ -266,8 +273,8 @@ def test_fast_engine_refuses_primes_past_the_bound_before_scanning(
         make, monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("a scan started")
-    monkeypatch.setattr(fastscan, "_probe_slots", started)
-    monkeypatch.setattr(fastscan, "_scan", started)
+    for stage in ("_probe_slots", "_scan", "_search"):
+        monkeypatch.setattr(fastscan, stage, started)
     ring = PrimeField(4339)
     with pytest.raises(BadInput):
         enumerate_automorphisms(make(standard_form(ring, 2)),
@@ -282,3 +289,144 @@ def test_singular_trace_gram_raises_not_invertible(gram, engine):
                       Matrix.build(F3, gram))
     with pytest.raises(NotInvertible):
         enumerate_automorphisms(pair, engine=engine)
+
+
+def test_search_levels_span_chunks_in_index_order(monkeypatch):
+    # the fifth level of VhI(2,2,F3) extends 4,896 prefixes by 81 vectors
+    # each: 396,576 candidates, in many chunks
+    real = fastscan._chunked
+    calls = []
+
+    def spy(total, kernel, pool, chunk=fastscan.CHUNK):
+        calls.append((total, chunk))
+        return real(total, kernel, pool, chunk)
+    monkeypatch.setattr(fastscan, "_chunked", spy)
+    vhi = make_vhi(2, 2, F3).structure
+    image = vhi._int64
+    args = (3, 4, image["t_plus"], image["t_minus"], image["trace"])
+    one = scan_pair_with_trace(*args, jobs=1)
+    size = dict(calls)[4896 * 81]
+    assert 4896 * 81 > 6 * size and size <= fastscan.CHUNK
+    two = scan_pair_with_trace(*args, jobs=2)
+    assert np.array_equal(one, two)
+    assert one.dtype == np.int64 and one.shape == (2304, 2, 4, 4)
+    rows = one.reshape(2304, 32).tolist()
+    assert all(x < y for x, y in zip(rows, rows[1:]))
+
+
+def _kernel_call(structure):
+    """(kernel suffix, arguments) of the fast kernel that enumerates
+    structure, read from its int64 image as the oracle reads it."""
+    image, p = structure._int64, structure.ring.p
+    if isinstance(structure, JordanPair):
+        return "pair_with_trace", (p, structure.dplus, image["t_plus"],
+                                   image["t_minus"], image["trace"])
+    if isinstance(structure, JordanTriple):
+        return "triple", (p, structure.dim, image["tensor"])
+    return "algebra_unit_fixing", (p, structure.dim, image["product"],
+                                   image["unit"])
+
+
+_FLAT_ORACLES = {name: getattr(fastscan, f"_flat_{name}")
+                 for name in ("triple", "pair_with_trace",
+                              "algebra_unit_fixing")}
+_FLAT_RESULTS = {}
+
+
+def _flat(name, args):
+    """The flat oracle's result, computed once per test run."""
+    key = (name,) + tuple(np.asarray(a).tobytes() for a in args)
+    if key not in _FLAT_RESULTS:
+        _FLAT_RESULTS[key] = _FLAT_ORACLES[name](*args, jobs=2)
+    return _FLAT_RESULTS[key]
+
+
+def _flat_count(structure):
+    p, d = structure.ring.p, _kernel_call(structure)[1][1]
+    return p ** (d * (d - 1) if isinstance(structure, JordanAlgebra)
+                 else d * d)
+
+
+def _grid_structures():
+    """Every structure the search kernels serve on the gate grid: the
+    criterion-1 systems over F3 and F5 with carrier dimension 2-4 and at
+    most 3**16 flat candidates, the criterion-12 battery, and the tensors
+    of the layout and random-tensor engine tests."""
+    out = {}
+    for text in _axiom_sweep_systems() + DETERMINISM_BATTERY:
+        structure = parse_system(text).structure
+        if (structure.ring.name in ("F3", "F5")
+                and 2 <= _kernel_call(structure)[1][1] <= 4
+                and _flat_count(structure) <= 3 ** 16):
+            out[text] = structure
+    for kind in _LAYOUT_CASES:
+        ts = _layout_tensors(kind)
+        out[f"layout {kind}"] = _layout_structure(kind, ts)
+        out[f"layout {kind} moved"] = _layout_structure(
+            kind, [np.moveaxis(t, 0, -1) for t in ts])
+    for kind in ("triple", "pair", "algebra"):
+        for grid in ((3, 2), (5, 2), (7, 2), (3, 3)):
+            for fill, seeds in (("random", (0, 1, 2)), ("zero", (0,)),
+                                ("identity", (0,))):
+                for seed in seeds:
+                    out[f"random {kind} {grid} {fill} {seed}"] = \
+                        random_structure(kind, *grid, fill, seed)
+    return out
+
+
+def test_search_equals_the_flat_oracle_on_every_grid_point(monkeypatch):
+    # a search that falls back reads the cached flat result, so each
+    # flat scan runs once
+    for name in _FLAT_ORACLES:
+        monkeypatch.setattr(fastscan, f"_flat_{name}",
+                            lambda *args, jobs, name=name: _flat(name, args))
+    structures = _grid_structures()
+    assert {"ThI(2,F3)", "TtI(2,2,F3)", "VhI(2,2,F3)", "Mplus(2,F3)",
+            "TIV(3,F5)", "VIV(3,F5)", "ThatIV(4,F3)"} <= set(structures)
+    assert not any(name.startswith(("ThI(2,F5)", "TtI(2,2,F5)"))
+                   for name in structures)
+    for name, structure in structures.items():
+        kernel, args = _kernel_call(structure)
+        found = getattr(fastscan, f"scan_{kernel}")(*args)
+        expect = _flat(kernel, args)
+        assert found.dtype == expect.dtype == np.int64, name
+        assert found.shape == expect.shape, name
+        assert np.array_equal(found, expect), name
+
+
+def test_zero_traced_pair_falls_back_to_the_flat_scan(monkeypatch):
+    # zero tensors: every slot holds, so only the trace entries prune, and
+    # the search would pass the 3**9 flat candidates by its fourth level
+    pair = random_structure("pair", 3, 3, "zero", 0)
+    _, args = _kernel_call(pair)
+    real = fastscan._flat_pair_with_trace
+    calls = []
+
+    def spy(*a, **kw):
+        calls.append(kw["jobs"])
+        return real(*a, **kw)
+    monkeypatch.setattr(fastscan, "_flat_pair_with_trace", spy)
+    one = scan_pair_with_trace(*args, jobs=1)
+    two = scan_pair_with_trace(*args, jobs=2)
+    assert calls == [1, 2] and np.array_equal(one, two)
+    assert one.shape == (gl_order(F3, 3), 2, 3, 3)
+    plus, minus = one[:, 0], one[:, 1]
+    assert (_det(plus, 3) != 0).all()
+    rows = plus.reshape(len(plus), 9).tolist()
+    assert all(x < y for x, y in zip(rows, rows[1:]))
+    # with G = I the minus side is the inverse transpose
+    eye = np.broadcast_to(np.eye(3, dtype=np.int64), plus.shape)
+    assert np.array_equal(plus.transpose(0, 2, 1) @ minus % 3, eye)
+
+
+def test_search_enumerates_without_the_flat_scan(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the flat scan ran")
+    for name in ("_flat_triple", "_flat_pair_with_trace",
+                 "_flat_algebra_unit_fixing"):
+        monkeypatch.setattr(fastscan, name, refused)
+    orders = {"ThI(2,F3)": 96, "VhI(2,2,F3)": 2304, "TtI(2,2,F3)": 128,
+              "Mplus(2,F3)": 48, "TIV(3,F5)": 16}
+    for text, order in orders.items():
+        found = enumerate_automorphisms(parse_system(text), engine="fast")
+        assert (found.engine, found.order) == ("fast", order), text

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jpaut import (PrimeField, ProductRing, Rationals, Matrix, PairMap,
-                   JordanAlgebra, JordanPair, JordanTriple,
                    standard_form, enumerate_GL, enumerate_GO, enumerate_O,
                    pair_from_triple, make_type_iv_pair, make_type_iv_triple,
                    make_t_iv, make_vhi, make_tti, make_mn_plus,
@@ -22,6 +21,8 @@ from jpaut.claims import gl_generators
 from jpaut.oracle import AutomorphismSet
 from jpaut.errors import (BadDims, BadInput, BudgetExceeded, EngineMismatch,
                           MixedSystems, NonEnumerableRing, NotFactorable)
+
+from _helpers import random_structure
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -59,49 +60,6 @@ def test_fast_and_pure_engines_agree():
     assert fast.elements == pure.elements
 
 
-def _nested(arr):
-    return tuple(_nested(x) for x in arr) if isinstance(arr, list) else arr
-
-
-def _random_structure(kind, p, d, fill, seed):
-    """A triple, traced pair or unital algebra over F_p, not necessarily
-    Jordan.  fill "zero" is the zero product; "identity" is the product of
-    the standard form, {x, y, z} = (x.y) z and x y = (x.y) e_0, whose traced
-    pair has all of GL_d as automorphisms."""
-    rng = np.random.default_rng(seed)
-    ring = PrimeField(p)
-    arity = 2 if kind == "algebra" else 3
-    shape = (d,) * (arity + 1)
-    if fill == "random":
-        tensors = [rng.integers(0, p, size=shape) for _ in range(2)]
-    else:
-        t = np.zeros(shape, dtype=np.int64)
-        if fill == "identity":
-            for a in range(d):
-                if arity == 3:
-                    t[a, a, np.arange(d), np.arange(d)] = 1
-                else:
-                    t[a, a, 0] = 1
-        tensors = [t, t]
-    t_plus, t_minus = (_nested(t.tolist()) for t in tensors)
-    if kind == "triple":
-        return JordanTriple(ring, d, t_plus)
-    if kind == "pair":
-        gram = Matrix.identity(ring, d)
-        while fill == "random":
-            gram = Matrix.build(ring, rng.integers(0, p, size=(d, d)).tolist())
-            if gram.is_invertible():
-                break
-        return JordanPair(ring, d, d, t_plus, t_minus, gram)
-    unit = np.zeros(d, dtype=np.int64)
-    unit[0] = 1
-    while fill == "random":
-        unit = rng.integers(0, p, size=d)
-        if unit.any():
-            break
-    return JordanAlgebra(ring, d, t_plus, tuple(int(x) for x in unit))
-
-
 @settings(max_examples=12, deadline=None)
 @given(kind=st.sampled_from(["triple", "pair", "algebra"]),
        grid=st.sampled_from([(3, 2), (5, 2), (7, 2), (3, 3)]),
@@ -115,7 +73,7 @@ def _random_structure(kind, p, d, fill, seed):
 @example(kind="algebra", grid=(3, 3), fill="identity", seed=0)
 def test_fast_and_pure_engines_agree_on_random_tensors(kind, grid, fill,
                                                        seed):
-    structure = _random_structure(kind, *grid, fill, seed)
+    structure = random_structure(kind, *grid, fill, seed)
     fast = enumerate_automorphisms(structure, engine="fast")
     pure = enumerate_automorphisms(structure, engine="pure")
     assert fast.engine == "fast"
@@ -148,7 +106,7 @@ def test_cross_check_pins_the_minus_side(monkeypatch):
         return found
     monkeypatch.setattr(fastscan, "scan_pair_with_trace", wrong_minus)
     with pytest.raises(EngineMismatch):
-        enumerate_automorphisms(_random_structure("pair", 3, 2, "zero", 0),
+        enumerate_automorphisms(random_structure("pair", 3, 2, "zero", 0),
                                 engine="fast")
 
 
