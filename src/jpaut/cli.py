@@ -8,10 +8,14 @@ tables behind --pretty); exit codes are
 """
 
 import argparse
+import itertools
 import json
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+
+import numpy as np
 
 from . import claims as claimcat
 from .catalog import parse_system
@@ -19,7 +23,7 @@ from .errors import (BadDims, BadInput, BudgetExceeded, NonEnumerableRing,
                      NonFieldRing, ParseError, ShapeMismatch, ToolkitError,
                      UnknownClaim)
 from .jordan import check_axioms
-from .oracle import enumerate_automorphisms
+from .oracle import _Rows, enumerate_automorphisms
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -32,9 +36,11 @@ _USAGE_ERRORS = (ParseError, UnknownClaim, BadDims, BadInput,
 
 def _pretty_lines(obj, indent=0):
     pad = "  " * indent
+    if isinstance(obj, _Dump):
+        obj = obj.to_jsonable()
     if isinstance(obj, dict):
         for key, value in obj.items():
-            if isinstance(value, (dict, list)) and value:
+            if isinstance(value, (dict, list, _Dump)) and value:
                 yield f"{pad}{key}:"
                 yield from _pretty_lines(value, indent + 1)
             else:
@@ -50,11 +56,65 @@ def _pretty_lines(obj, indent=0):
         yield f"{pad}{json.dumps(obj, default=str)}"
 
 
-_CONTAINERS = (dict, list, tuple)
+class _Dump:
+    """The elements of an automorphism set, for --dump-elements.
+
+    Written by _indented as the list of their to_jsonable() forms, without
+    building those: the elements become int64 rows of payload indices
+    (oracle._Rows), _indented renders one placeholder element whose leaves
+    are its row positions, and every element fills that template from one
+    table of quoted payload strings.
+    """
+
+    def __init__(self, elements):
+        self.elements = elements
+
+    def __len__(self):
+        return len(self.elements)
+
+    def to_jsonable(self) -> list:
+        return [el.to_jsonable() for el in self.elements]
+
+    def render(self, pad: str) -> str:
+        inner = pad + "  "
+        codec = _Rows(self.elements[0])
+        rows = codec.encode(self.elements)
+        values, index = np.unique(rows, return_inverse=True)
+        payloads = values.tolist()
+        if not codec.residues:
+            pool = list(codec.index)
+            payloads = [pool[i] for i in payloads]
+        quoted = np.array([_quote(codec.ring.payload_str(x))
+                           for x in payloads], dtype=object)
+        template = _indented(_numbered(self.elements[0].to_jsonable(),
+                                       itertools.count()), inner)
+        parts = re.split(r'"(\d+)"', template)
+        order = [int(k) for k in parts[1::2]]
+        sep = "," + inner
+        cells = np.empty((len(rows), 2 * len(order) + 1), dtype=object)
+        cells[:, 0::2] = np.array(parts[0::2], dtype=object)
+        cells[:, -1] = parts[-1] + sep
+        cells[:, 1::2] = quoted[index.reshape(rows.shape)[:, order]]
+        text = "".join(cells.ravel().tolist())
+        return "[" + inner + text[:-len(sep)] + pad + "]"
+
+
+def _numbered(obj, count):
+    """obj with its leaves replaced by "0", "1", ... in iteration order,
+    which for Matrix and PairMap forms is the _Rows row order."""
+    if isinstance(obj, dict):
+        return {k: _numbered(v, count) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_numbered(v, count) for v in obj]
+    return str(next(count))
+
+
+_CONTAINERS = (dict, list, tuple, _Dump)
 
 
 def _indented(obj, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True, default=str), byte for byte.
+    """json.dumps(obj, indent=2, sort_keys=True, default=str), byte for byte,
+    with a _Dump written as its to_jsonable() list.
 
     indent sends json.dumps through its pure-Python encoder, one generator
     per value; this joins each container's lines directly and encodes each
@@ -63,6 +123,8 @@ def _indented(obj, pad: str = "\n") -> str:
     "\n" with pad: dicts with a key that is not a string go that way
     through json.dumps itself.
     """
+    if isinstance(obj, _Dump) and obj:
+        return obj.render(pad)
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
     inner = pad + "  "
@@ -140,7 +202,7 @@ def _cmd_enumerate(args) -> int:
         "generator_provenance": provenance,
     }
     if args.dump_elements:
-        report["elements"] = [el.to_jsonable() for el in aset.elements]
+        report["elements"] = _Dump(aset.elements)
     _emit(report, args)
     return EXIT_PASS
 

@@ -4,22 +4,23 @@ Each kernel decides every candidate map, in exact mod-p integer arithmetic
 with division-free conditions derived from the defining identities, and
 returns the solution set as an int64 stack in index order.
 
-The triple, traced-pair and unit-fixing algebra kernels search column by
-column (_search): the unknowns are the columns of phi (plus those of
-phi_minus for traced pairs, interleaved plus_0, minus_0, ...), each with
-p**d values, and every identity is checked as soon as the columns it reads
-are fixed.  After the last column the determinant and the complete identity
+Every kernel searches column by column (_search): the unknowns are the
+columns of phi (plus those of phi_minus for traced pairs, interleaved
+plus_0, minus_0, ...), each with p**d values, and every identity is checked
+as soon as the columns it reads are fixed: the tensor slots, the trace-Gram
+entries, A u = u, and for similitudes the multiplier and the entries of
+a^T G a.  After the last column the determinant and the complete identity
 check run, and the survivors are sorted into index order.  When the search
 would generate more candidates than the flat scan decodes, the kernel
 returns the flat scan's result instead.
 
-The flat scans (_flat_*, and scan_similitudes) decode candidates as d x d
-matrices indexed by base-p digits in row-major entry order, so index order
-equals the lexicographic order of the pure-Python enumeration streams.
-They keep the invertible ones, run a few one-slot filters chosen greedily
-on a fixed probe chunk, then the complete check, and concatenate each
-chunk's survivors in index order.  The flat triple, pair and algebra scans
-are kept as the search's named oracle and its fallback.
+The flat scans (_flat_*) decode candidates as d x d matrices indexed by
+base-p digits in row-major entry order, so index order equals the
+lexicographic order of the pure-Python enumeration streams.  They keep the
+invertible ones, run a few one-slot filters chosen greedily on a fixed
+probe chunk (none when the whole space is one chunk), then the complete
+check, and concatenate each chunk's survivors in index order.  They are
+kept as the search's named oracle and its fallback.
 
 Both ways run in chunks of at most CHUNK candidates; worker threads only
 parallelize chunks, never reorder them, and every choice (slots, fallback)
@@ -420,7 +421,11 @@ def _greedy_slots(d: int, count: int,
 
 def _probe_slots(total: int, d: int, decode: Callable,
                  slot_pass: Callable) -> list[tuple[int, int, int]]:
-    """Filter slots chosen greedily on the fixed probe chunk."""
+    """Filter slots chosen greedily on the fixed probe chunk; none when the
+    whole space is one chunk, which the complete check decides for less
+    than the probe's slot evaluations cost."""
+    if total <= CHUNK:
+        return []
     ps = _probe_start(total)
     probe = decode(ps, min(ps + CHUNK, total))
 
@@ -676,8 +681,6 @@ def _flat_algebra_unit_fixing(p: int, d: int, prod: Sequence,
     return found.astype(np.int64)
 
 
-
-
 def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
                          gram: Sequence, jobs: int = 1) -> np.ndarray:
     """All (phi_plus, phi_minus) pair automorphisms with phi_minus the
@@ -789,17 +792,23 @@ def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
         np.int64)
 
 
-def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
-                     jobs: int = 1) -> np.ndarray:
-    """All similitudes (or isometries) of the form, as an int64 (B, n, n)
-    stack in index order."""
+def _form_gram(gram: Sequence, p: int,
+               dtype: type) -> tuple[np.ndarray, tuple[int, int], int]:
+    """The Gram matrix mod p, its pivot (the first nonzero entry, row-major)
+    and the pivot's inverse; DegenerateForm when the Gram is singular."""
+    g = np.asarray(gram, dtype=np.int64) % p
+    if _det(g[None], p)[0] == 0:
+        raise DegenerateForm("the Gram matrix is singular")
+    pivot = tuple(int(x) for x in np.argwhere(g)[0])
+    return g.astype(dtype), pivot, pow(int(g[pivot]), -1, p)
+
+
+def _flat_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
+                      jobs: int = 1) -> np.ndarray:
+    """scan_similitudes by decoding all p**(n*n) matrices: its oracle and
+    its fallback."""
     dtype = _work_dtype(p)
-    g = (np.array(gram, dtype=np.int64) % p).astype(dtype)
-    nonzero = np.argwhere(g)
-    if nonzero.size == 0:
-        raise DegenerateForm("the zero Gram matrix has no pivot")
-    pivot = tuple(nonzero[0])  # the first nonzero entry, row-major
-    piv_inv = pow(int(g[pivot]), -1, p)
+    g, pivot, piv_inv = _form_gram(gram, p, dtype)
 
     def decode(start: int, stop: int):
         return (_digit_matrices_range(start, stop, p, n, dtype),)
@@ -815,3 +824,49 @@ def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
 
     (found,) = _scan(p ** (n * n), decode, None, (), (check,), jobs)
     return found.astype(np.int64)
+
+
+def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
+                     jobs: int = 1) -> np.ndarray:
+    """All similitudes (or isometries) a of the nondegenerate form G,
+    a^T G a == lambda G with lambda a unit (or 1), as an int64 (B, n, n)
+    stack in index order; DegenerateForm for a singular G.
+
+    The unknowns are the columns of a in ascending order.  The multiplier
+    lambda is read at the pivot (r, c) of G: col_r^T G col_c == lambda G[r, c].
+    The conditions are lambda != 0 (lambda == 1 for isometries), and
+    col_i^T G col_j G[r, c] == col_r^T G col_c G[i, j] for every other
+    entry (i, j), division-free; where G[i, j] == 0 that reads columns i
+    and j only.
+    """
+    dtype = _work_dtype(p)
+    g, (r, c), piv_inv = _form_gram(gram, p, dtype)
+
+    def form(cols, i: int, j: int) -> np.ndarray:
+        return (cols[:, i] @ g % p * cols[:, j]).sum(axis=1) % p
+
+    def multiplier(cols):
+        mult = form(cols, r, c) * piv_inv % p
+        return mult == 1 if isometry_only else mult != 0
+
+    def entry(i: int, j: int) -> Callable:
+        if not g[i, j]:
+            return lambda cols: form(cols, i, j) == 0
+
+        def test(cols):
+            return (form(cols, i, j) * int(g[r, c]) % p
+                    == form(cols, r, c) * int(g[i, j]) % p)
+        return test
+
+    def check(cols):
+        return _det(_columns(cols), p) != 0
+
+    conditions = [({r, c}, multiplier)]
+    conditions += [({i, j} | ({r, c} if g[i, j] else set()), entry(i, j))
+                   for i in range(n) for j in range(n) if (i, j) != (r, c)]
+    conditions.append((range(n), check))
+    found = _search(p, n, n, conditions, p ** (n * n), jobs, dtype)
+    if found is None:
+        return _flat_similitudes(p, n, gram, isometry_only, jobs=jobs)
+    a = _columns(found)
+    return _in_index_order(a, a).astype(np.int64)

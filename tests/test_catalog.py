@@ -142,6 +142,11 @@ _GUARDS_UNDER_O = textwrap.dedent("""
         fastscan.scan_similitudes(3, 2, [[0, 0], [0, 0]], False)
     except DegenerateForm:
         print("zero form raised")
+    for scan in (fastscan.scan_similitudes, fastscan._flat_similitudes):
+        try:
+            scan(3, 2, [[1, 0], [0, 0]], False)
+        except DegenerateForm:
+            print(scan.__name__, "singular form raised")
     print("enumerate exit", cli.main(["enumerate", "ThatIV(2,F3)",
                                       "--out", os.devnull]))
     catalog.check_axioms = lambda s: AxiomReport(
@@ -156,8 +161,8 @@ _GUARDS_UNDER_O = textwrap.dedent("""
 
 def test_catalog_guards_survive_python_O():
     # asserts vanish under -O; the catalog's axiom and isomorphism checks,
-    # the fast-scan cross-checks and the form pivot must raise there all the
-    # same, and the CLI must exit 1 on them
+    # the fast-scan cross-checks and the similitude scans' singular-Gram
+    # refusal must raise there all the same, and the CLI must exit 1 on them
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ)
@@ -169,5 +174,7 @@ def test_catalog_guards_survive_python_O():
     assert run.stdout.splitlines() == [
         "optimize 1", "vti_to_vhi raised", "lambda raised",
         "pair cross-check raised", "triple cross-check raised",
-        "algebra cross-check raised", "zero form raised", "enumerate exit 1",
+        "algebra cross-check raised", "zero form raised",
+        "scan_similitudes singular form raised",
+        "_flat_similitudes singular form raised", "enumerate exit 1",
         "make_thi raised", "verify exit 1"]

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from jpaut import cli
+from jpaut import cli, enumerate_automorphisms, parse_system
+from jpaut.claims import standard_generated
 from jpaut.cli import main
 
 from test_acceptance import DETERMINISM_BATTERY
@@ -173,5 +174,53 @@ def test_report_writer_equals_indented_json_dumps(argv, tmp_path,
     target = tmp_path / "report.json"
     main(argv + ["--out", str(target)])
     (report,) = reports
+    if "elements" in report:  # a cli._Dump, written as its nested lists
+        report = {**report, "elements": report["elements"].to_jsonable()}
     expect = json.dumps(report, indent=2, sort_keys=True, default=str)
     assert target.read_text(encoding="utf-8") == expect + "\n"
+
+
+def _nested_dump_report(text, mode, capsys):
+    """The --dump-elements report built the direct way: the report without
+    elements, plus to_jsonable() of each element of an independently
+    enumerated set."""
+    argv = ["enumerate", text, "--mode", mode, "--jobs", "1"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    system = parse_system(text)
+    aset = (enumerate_automorphisms(system, jobs=1) if mode == "exhaustive"
+            else standard_generated(system)[0])
+    report["elements"] = [el.to_jsonable() for el in aset.elements]
+    return argv + ["--dump-elements"], report
+
+
+@pytest.mark.parametrize("text,mode", [
+    ("VhI(1,3,F3)", "exhaustive"),     # traced pair, 11,232 elements
+    ("ThI(2,F3)", "exhaustive"),       # triple
+    ("Mplus(2,F3)", "exhaustive"),     # algebra
+    ("VhI(1,2,F3xF3)", "exhaustive"),  # pure engine, payloads first-met
+    ("VhI(2,2,F3)", "generated"),
+])
+def test_dump_from_rows_equals_json_dumps_of_the_nested_report(text, mode,
+                                                               capsys):
+    argv, report = _nested_dump_report(text, mode, capsys)
+    assert main(argv) == 0
+    expect = json.dumps(report, indent=2, sort_keys=True, default=str)
+    assert capsys.readouterr().out == expect + "\n"
+
+
+@pytest.mark.parametrize("text", ["ThatIV(2,F3)", "VhI(1,2,F3)"])
+def test_pretty_dump_renders_the_nested_report(text, capsys, monkeypatch):
+    reports = []
+    real = cli._emit
+
+    def spy(report, args):
+        reports.append(report)
+        return real(report, args)
+    monkeypatch.setattr(cli, "_emit", spy)
+    argv, nested = _nested_dump_report(text, "exhaustive", capsys)
+    assert main(argv + ["--pretty"]) == 0
+    out = capsys.readouterr().out
+    report = {**reports[-1], "elements": nested["elements"]}
+    assert out == "\n".join(cli._pretty_lines(report)) + "\n"
+    assert '- "2"' in out

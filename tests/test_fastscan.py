@@ -17,7 +17,7 @@ from jpaut.fastscan import (_digits_range, _low_digit_block, _det, _det_adj,
                             _work_dtype, scan_algebra_unit_fixing,
                             scan_pair_with_trace, scan_triple,
                             scan_similitudes)
-from jpaut import (make_t_iv, make_vhi, make_type_iv_pair,
+from jpaut import (extended_form, make_t_iv, make_vhi, make_type_iv_pair,
                    make_type_iv_triple, parse_system)
 
 from _helpers import nested, random_structure
@@ -419,14 +419,55 @@ def test_zero_traced_pair_falls_back_to_the_flat_scan(monkeypatch):
     assert np.array_equal(plus.transpose(0, 2, 1) @ minus % 3, eye)
 
 
+# hyperbolic plane (plus a norm-one line at n = 3): the pivot, the first
+# nonzero Gram entry, sits off the diagonal
+_HYPERBOLIC = {2: np.array([[0, 1], [1, 0]]),
+               3: np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]])}
+
+
+def _similitude_grams(p, n):
+    """The standard and extended forms of the claims, a hyperbolic form and
+    three seeded random nondegenerate symmetric Grams over F_p."""
+    ring = PrimeField(p)
+    forms = {"standard": standard_form(ring, n).gram,
+             "extended": extended_form(standard_form(ring, n - 1)).gram}
+    out = {name: np.array(g.entries, dtype=np.int64)
+           for name, g in forms.items()}
+    out["hyperbolic"] = _HYPERBOLIC[n]
+    rng = np.random.default_rng(100 * p + n)
+    while len(out) < 6:
+        g = rng.integers(0, p, size=(n, n))
+        g = np.triu(g) + np.triu(g, 1).T
+        if _det(g[None], p)[0]:
+            out[f"random {len(out) - 3}"] = g
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (5, 3)])
+def test_similitude_search_equals_the_flat_oracle(p, n):
+    for name, gram in _similitude_grams(p, n).items():
+        for isometry in (False, True):
+            found = scan_similitudes(p, n, gram, isometry)
+            expect = fastscan._flat_similitudes(p, n, gram, isometry)
+            assert found.dtype == expect.dtype == np.int64, name
+            assert found.shape == expect.shape, name
+            assert np.array_equal(found, expect), (name, isometry)
+
+
 def test_search_enumerates_without_the_flat_scan(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the flat scan ran")
     for name in ("_flat_triple", "_flat_pair_with_trace",
-                 "_flat_algebra_unit_fixing"):
+                 "_flat_algebra_unit_fixing", "_flat_similitudes"):
         monkeypatch.setattr(fastscan, name, refused)
     orders = {"ThI(2,F3)": 96, "VhI(2,2,F3)": 2304, "TtI(2,2,F3)": 128,
               "Mplus(2,F3)": 48, "TIV(3,F5)": 16}
     for text, order in orders.items():
         found = enumerate_automorphisms(parse_system(text), engine="fast")
         assert (found.engine, found.order) == ("fast", order), text
+    # GO_3(F5) and O_3(F5) of the identity form (the lambda-iso claim's
+    # extended form at n = 3) and of a hyperbolic form, whose pivot is off
+    # the diagonal
+    for gram in (np.eye(3, dtype=np.int64), _HYPERBOLIC[3]):
+        assert len(scan_similitudes(5, 3, gram, False)) == 480
+        assert len(scan_similitudes(5, 3, gram, True)) == 240
