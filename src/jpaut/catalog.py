@@ -11,10 +11,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .autfam import op_transpose
 from .errors import (AxiomFailure, BadDims, BadInput,
                      NoSquareRootOfMinusOne, ParseError)
-from .jordan import (JordanAlgebra, JordanPair, JordanTriple, PairMap,
+from .jordan import (JordanAlgebra, JordanPair, JordanTriple, PairMap, _nest,
                      basis_vector, check_axioms, is_pair_isomorphism,
                      pair_from_triple, triple_from_algebra, MAX_AXIOM_DIM)
 from .matrix import BilinearForm, Matrix, standard_form
@@ -112,50 +114,36 @@ def make_bilinear_form_algebra(form: BilinearForm) -> NamedSystem:
 def make_t_iv(form: BilinearForm) -> NamedSystem:
     """The triple system of J(V, b); carrier dim = 1 + dim V."""
     alg = make_bilinear_form_algebra(form).structure
-    trip = triple_from_algebra(alg)
-    ring = form.gram.ring
-    d = alg.dim
-    trip = JordanTriple(trip.ring, trip.dim, trip.tensor, None,
-                        name=f"TIV({d},{ring.name})")
+    ring, d = alg.ring, alg.dim
+    trip = triple_from_algebra(alg, name=f"TIV({d},{ring.name})")
     return _named("TIV", ring, (d,), trip)
 
 
-def _matrix_units(ring: Ring, rows: int, cols: int):
-    """Basis E_ij of M_{rows,cols} in row-major order, as Matrix objects."""
-    zero = ring.zero_p
-    units = []
-    for i in range(rows):
-        for j in range(cols):
-            units.append(Matrix(ring, rows, cols, tuple(
-                tuple(ring.one_p if (r, c) == (i, j) else zero
-                      for c in range(cols)) for r in range(rows))))
-    return units
+def _units(rows: int, cols: int) -> np.ndarray:
+    """One-hot matrix units E_ij of M_{rows,cols}, row-major: (rows*cols,
+    rows, cols)."""
+    return np.eye(rows * cols, dtype=np.int64).reshape(-1, rows, cols)
 
 
-def _flatten(m: Matrix):
-    return tuple(p for row in m.entries for p in row)
+def _triple_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_a y_b x_c + x_c y_b x_a for stacks of units, flattened row-major
+    at [a, b, c].
+
+    Products of units are units or zero (E_ij E_kl E_st = d_jk d_ls E_it),
+    so every entry is a count in {0, 1, 2}.
+    """
+    xyx = np.einsum("abik,ckl->abcil", np.einsum("aij,bjk->abik", x, y), x)
+    counts = xyx + xyx.transpose(2, 1, 0, 3, 4)
+    return counts.reshape(counts.shape[:3] + (-1,))
 
 
-def _hat_product(x: Matrix, y: Matrix, z: Matrix) -> Matrix:
-    return x @ y @ z + z @ y @ x
-
-
-def _tilde_product(x: Matrix, y: Matrix, z: Matrix) -> Matrix:
-    yt = y.transpose()
-    return x @ yt @ z + z @ yt @ x
-
-
-def _triple_tensor_from(bx, by, bz, product):
-    tensor = []
-    for x in bx:
-        row = []
-        for y in by:
-            entry = []
-            for z in bz:
-                entry.append(_flatten(product(x, y, z)))
-            row.append(tuple(entry))
-        tensor.append(tuple(row))
-    return tuple(tensor)
+def _constants(ring: Ring, counts: np.ndarray, scale=None):
+    """Nested payload tuples with count k read as the payload of k, times
+    scale where one is given."""
+    values = [ring.int_payload(k) for k in range(int(counts.max()) + 1)]
+    if scale is not None:
+        values = [ring.mul(scale, v) for v in values]
+    return _nest([values[k] for k in counts.ravel().tolist()], counts.shape)
 
 
 def _check_dims(m: int, n: int) -> None:
@@ -165,8 +153,8 @@ def _check_dims(m: int, n: int) -> None:
 
 def make_vti(m: int, n: int, ring: Ring) -> NamedSystem:
     _check_dims(m, n)
-    units = _matrix_units(ring, m, n)
-    t = _triple_tensor_from(units, units, units, _tilde_product)
+    units = _units(m, n)
+    t = _constants(ring, _triple_counts(units, units.transpose(0, 2, 1)))
     gram = Matrix.identity(ring, m * n)  # tr(E_ij E_kl^T) = delta_ik delta_jl
     pair = JordanPair(ring, m * n, m * n, t, t, gram,
                       name=f"VtI({m},{n},{ring.name})")
@@ -175,12 +163,9 @@ def make_vti(m: int, n: int, ring: Ring) -> NamedSystem:
 
 def make_vhi(m: int, n: int, ring: Ring) -> NamedSystem:
     _check_dims(m, n)
-    plus_units = _matrix_units(ring, m, n)
-    minus_units = _matrix_units(ring, n, m)
-    t_plus = _triple_tensor_from(plus_units, minus_units, plus_units,
-                                 _hat_product)
-    t_minus = _triple_tensor_from(minus_units, plus_units, minus_units,
-                                  _hat_product)
+    plus, minus = _units(m, n), _units(n, m)
+    t_plus = _constants(ring, _triple_counts(plus, minus))
+    t_minus = _constants(ring, _triple_counts(minus, plus))
     gram = op_transpose(ring, n, m)  # tr(E_ij E_kl) = d_jk d_li
     pair = JordanPair(ring, m * n, n * m, t_plus, t_minus, gram,
                       name=f"VhI({m},{n},{ring.name})")
@@ -189,8 +174,8 @@ def make_vhi(m: int, n: int, ring: Ring) -> NamedSystem:
 
 def make_tti(m: int, n: int, ring: Ring) -> NamedSystem:
     _check_dims(m, n)
-    units = _matrix_units(ring, m, n)
-    t = _triple_tensor_from(units, units, units, _tilde_product)
+    units = _units(m, n)
+    t = _constants(ring, _triple_counts(units, units.transpose(0, 2, 1)))
     gram = Matrix.identity(ring, m * n)
     trip = JordanTriple(ring, m * n, t, gram, name=f"TtI({m},{n},{ring.name})")
     return _named("TtI", ring, (m, n), trip)
@@ -198,8 +183,8 @@ def make_tti(m: int, n: int, ring: Ring) -> NamedSystem:
 
 def make_thi(n: int, ring: Ring) -> NamedSystem:
     _check_dims(n, n)
-    units = _matrix_units(ring, n, n)
-    t = _triple_tensor_from(units, units, units, _hat_product)
+    units = _units(n, n)
+    t = _constants(ring, _triple_counts(units, units))
     gram = op_transpose(ring, n, n)
     trip = JordanTriple(ring, n * n, t, gram, name=f"ThI({n},{ring.name})")
     return _named("ThI", ring, (n,), trip)
@@ -208,17 +193,12 @@ def make_thi(n: int, ring: Ring) -> NamedSystem:
 def make_mn_plus(n: int, ring: Ring) -> NamedSystem:
     """M_n as a Jordan algebra with x o y = (xy + yx)/2."""
     _check_dims(n, n)
-    half = ring.half_p
-    units = _matrix_units(ring, n, n)
-    prod = []
-    for x in units:
-        row = []
-        for y in units:
-            s = x @ y + y @ x
-            row.append(tuple(ring.mul(half, p) for p in _flatten(s)))
-        prod.append(tuple(row))
-    unit = _flatten(Matrix.identity(ring, n))
-    alg = JordanAlgebra(ring, n * n, tuple(prod), unit,
+    units = _units(n, n)
+    xy = np.einsum("aij,bjk->abik", units, units)
+    counts = (xy + xy.transpose(1, 0, 2, 3)).reshape(n * n, n * n, -1)
+    prod = _constants(ring, counts, scale=ring.half_p)
+    unit = _constants(ring, np.eye(n, dtype=np.int64).ravel())
+    alg = JordanAlgebra(ring, n * n, prod, unit,
                         name=f"Mplus({n},{ring.name})")
     return _named("Mplus", ring, (n,), alg)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import BadDims, GradingViolation
-from .jordan import JordanPair, add_vec, bilinear_eval, zero_vector
+from .jordan import JordanPair, bilinear_eval, zero_vector
 from .ring import Ring
 
 
@@ -73,6 +73,23 @@ def make_graded_gl(m: int, n: int, ring: Ring) -> GradedGL:
     return GradedGL(ring, m, n, tuple(rows), tuple(degrees))
 
 
+def _double_brackets(g: GradedGL):
+    """double(*uvw), the sum of [[e_u, e_v], e_w] over the index triples
+    uvw, read from the nonzero entries of bracket[u][v] and bracket[c][w]."""
+    ring, zero = g.ring, g.ring.zero_p
+    nonzero = [[[(c, x) for c, x in enumerate(vec) if x != zero]
+                for vec in row] for row in g.bracket]
+
+    def double(*uvw):
+        acc = [zero] * g.dim
+        for u, v, w in uvw:
+            for c, x in nonzero[u][v]:
+                for k, y in nonzero[c][w]:
+                    acc[k] = ring.add(acc[k], ring.mul(x, y))
+        return tuple(acc)
+    return double
+
+
 def check_graded_lie(g: GradedGL) -> dict:
     """Exhaustive antisymmetry, Jacobi, and degree additivity on the basis."""
     ring, dim = g.ring, g.dim
@@ -95,18 +112,12 @@ def check_graded_lie(g: GradedGL) -> dict:
                     failures.append({"identity": "degree-additivity",
                                      "at": (u, v), "component": c})
                     break
-    basis = [tuple(ring.one_p if i == u else ring.zero_p for i in range(dim))
-             for u in range(dim)]
+    double = _double_brackets(g)
     for u in range(dim):
         for v in range(dim):
             for w in range(dim):
                 checked += 1
-                acc = g.apply_bracket(g.bracket[u][v], basis[w])
-                acc = add_vec(ring, acc,
-                              g.apply_bracket(g.bracket[v][w], basis[u]))
-                acc = add_vec(ring, acc,
-                              g.apply_bracket(g.bracket[w][u], basis[v]))
-                if acc != zero:
+                if double((u, v, w), (v, w, u), (w, u, v)) != zero:
                     failures.append({"identity": "jacobi", "at": (u, v, w)})
                 if len(failures) > 8:
                     return {"ok": False, "checked": checked,
@@ -119,7 +130,7 @@ def pair_from_grading(g: GradedGL) -> JordanPair:
     ring = g.ring
     plus = g.wing_indices(1)
     minus = g.wing_indices(-1)
-    dim = g.dim
+    double = _double_brackets(g)
 
     def project(vec, wing, at):
         for c, p in enumerate(vec):
@@ -129,21 +140,10 @@ def pair_from_grading(g: GradedGL) -> JordanPair:
         return tuple(vec[c] for c in wing)
 
     def wing_tensor(first, second):
-        ds, do = len(first), len(second)
-        rows = []
-        for a in range(ds):
-            row = []
-            for b in range(do):
-                inner = g.bracket[first[a]][second[b]]
-                entry = []
-                for c in range(ds):
-                    basis_c = tuple(ring.one_p if i == first[c] else ring.zero_p
-                                    for i in range(dim))
-                    val = g.apply_bracket(inner, basis_c)
-                    entry.append(project(val, first, (a, b, c)))
-                row.append(tuple(entry))
-            rows.append(tuple(row))
-        return tuple(rows)
+        return tuple(tuple(tuple(
+            project(double((u, v, w)), first, (a, b, c))
+            for c, w in enumerate(first)) for b, v in enumerate(second))
+            for a, u in enumerate(first))
 
     t_plus = wing_tensor(plus, minus)
     t_minus = wing_tensor(minus, plus)

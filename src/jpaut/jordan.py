@@ -120,22 +120,41 @@ def _flatten(tensor, shape: tuple) -> list:
     return flat
 
 
+def _nest(flat: list, shape: tuple) -> tuple:
+    """The payloads of a C-order flat list as nested tuples of the shape."""
+    for depth in range(len(shape) - 1, 0, -1):
+        n, rows = shape[depth], int(np.prod(shape[:depth]))
+        flat = [tuple(flat[i * n:i * n + n]) for i in range(rows)]
+    return tuple(flat)
+
+
 class _Structure:
-    """Shape and payload checks, and the int64 image over F_p.
+    """Shape and payload checks, the int64 image over F_p, and the axiom
+    report.
 
     `_parts` lists (name, nested payloads, declared shape) for every tensor,
     the unit and the trace Gram.  Over F_p the payloads must be ints in
     range(p): the identity checks and predicates compare payloads, so 4
-    and 1 over F3 would count as different constants.
+    and 1 over F3 would count as different constants.  Tensors and unit
+    given as lists are stored as tuples, so the structure is hashable and
+    the cached image and report cannot go stale.
     """
 
     def __post_init__(self):
         p = self.ring.p if isinstance(self.ring, PrimeField) else None
-        for _, nested, shape in self._parts():
-            for x in _flatten(nested, shape):
+        for name, nested, shape in self._parts():
+            flat = _flatten(nested, shape)
+            for x in flat:
                 if p is not None and (type(x) is not int or not 0 <= x < p):
                     raise BadInput(f"payload {x!r} is not an int in "
                                    f"range({p}) for {self.ring.name}")
+            if name != "trace":
+                object.__setattr__(self, name, _nest(flat, shape))
+
+    @cached_property
+    def _axioms(self) -> "AxiomReport":
+        """The check_axioms report, computed on first use."""
+        return _axiom_report(self, vectorize=True)
 
     @cached_property
     def _int64(self) -> Optional[dict]:
@@ -356,15 +375,25 @@ def unwrap(structure):
     return inner if inner is not None else structure
 
 
+def _jordan_structure(structure) -> _Structure:
+    """unwrap, refusing anything that is not a pair, triple or algebra."""
+    structure = unwrap(structure)
+    if not isinstance(structure, _Structure):
+        raise ShapeMismatch(
+            f"not a Jordan structure: {type(structure).__name__}")
+    return structure
+
+
 def check_axioms(structure) -> AxiomReport:
     """Exhaustive identity check on basis tuples.
 
     Valid by multilinearity.  Refuses carriers larger than MAX_AXIOM_DIM
     rather than sampling.  Over F_p and Q the identities are whole-basis
     int64 contractions; other rings, and data past the int64 bounds, take
-    the pure sweeps, which give the same report.
+    the pure sweeps, which give the same report.  Each structure computes
+    its report once.
     """
-    return _axiom_report(unwrap(structure), vectorize=True)
+    return _jordan_structure(structure)._axioms
 
 
 def _axiom_report(structure, vectorize: bool) -> AxiomReport:
@@ -375,13 +404,10 @@ def _axiom_report(structure, vectorize: bool) -> AxiomReport:
         kind = "pair"
         tensors = {1: structure.t_plus, -1: structure.t_minus}
         dims = {1: structure.dplus, -1: structure.dminus}
-    elif isinstance(structure, JordanTriple):
+    else:
         kind = "triple"
         tensors = {1: structure.tensor, -1: structure.tensor}
         dims = {1: structure.dim, -1: structure.dim}
-    else:
-        raise ShapeMismatch(
-            f"not a Jordan structure: {type(structure).__name__}")
     if max(dims.values()) > MAX_AXIOM_DIM:
         raise BudgetExceeded(
             f"carrier dim above {MAX_AXIOM_DIM}; refusing sampled checks")
@@ -602,31 +628,25 @@ def _np_jordan_failures(alg: JordanAlgebra):
 # -- derived constructions ------------------------------------------------
 
 
-def triple_from_algebra(alg: JordanAlgebra) -> JordanTriple:
+def triple_from_algebra(alg: JordanAlgebra,
+                        name: Optional[str] = None) -> JordanTriple:
     """Triple product {x,y,z} = (xy)z + (zy)x - (zx)y on the same carrier."""
     alg = unwrap(alg)
     report = check_axioms(alg)
     if not report.ok:
         raise AxiomFailure(f"not a Jordan algebra: {report.first_failure()}")
-    ring, d = alg.ring, alg.dim
+    ring, d, prod = alg.ring, alg.dim, alg.product
     basis = [basis_vector(ring, d, i) for i in range(d)]
-    mul = alg.multiply
-    tensor = []
-    for a in range(d):
-        row = []
-        for b in range(d):
-            entry = []
-            for c in range(d):
-                x, y, z = basis[a], basis[b], basis[c]
-                val = sub_vec(ring,
-                              add_vec(ring, mul(mul(x, y), z),
-                                      mul(mul(z, y), x)),
-                              mul(mul(z, x), y))
-                entry.append(val)
-            row.append(tuple(entry))
-        tensor.append(tuple(row))
-    return JordanTriple(ring, d, tuple(tensor), None,
-                        name=f"triple({alg.name})")
+    # ab_c[a][b][c] = (e_a e_b) e_c; the product is commutative
+    ab_c = [[[bilinear_eval(ring, prod, prod[a][b], basis[c], d)
+              for c in range(d)] for b in range(d)] for a in range(d)]
+    tensor = tuple(tuple(tuple(sub_vec(ring, add_vec(ring, ab_c[a][b][c],
+                                                     ab_c[c][b][a]),
+                                       ab_c[c][a][b])
+                               for c in range(d)) for b in range(d))
+                   for a in range(d))
+    return JordanTriple(ring, d, tensor, None,
+                        name=name or f"triple({alg.name})")
 
 
 def pair_from_triple(t: JordanTriple) -> JordanPair:
@@ -638,17 +658,9 @@ def pair_from_triple(t: JordanTriple) -> JordanPair:
 
 def scalar_extend(structure, target: Ring):
     """Same structure constants, pushed through the base-to-target embedding."""
-    structure = unwrap(structure)
-    if not isinstance(structure, _Structure):
-        raise ShapeMismatch(
-            f"not a Jordan structure: {type(structure).__name__}")
+    structure = _jordan_structure(structure)
     emb = embedding(structure.ring, target)
-
-    def ext(nested, depth):
-        if depth == 0:
-            return emb(nested)
-        return tuple(ext(x, depth - 1) for x in nested)
-    parts = {name: ext(nested, len(shape))
+    parts = {name: _nest([emb(x) for x in _flatten(nested, shape)], shape)
              for name, nested, shape in structure._parts()}
     if "trace" in parts:
         parts["trace"] = Matrix(target, structure.trace.rows,

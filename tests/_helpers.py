@@ -6,6 +6,7 @@ import numpy as np
 
 from jpaut import (JordanAlgebra, JordanPair, JordanTriple, Matrix,
                    PrimeField)
+from jpaut.jordan import add_vec, basis_vector, sub_vec
 
 
 def some_gl(ring, n, count, seed=7):
@@ -24,15 +25,77 @@ def some_gl(ring, n, count, seed=7):
     return out
 
 
-def unit_basis(ring, n):
-    """The n*n matrix units E_ij in row-major order."""
+def matrix_units(ring, rows, cols):
+    """The matrix units E_ij of M_{rows,cols} in row-major order."""
     out = []
-    for i in range(n):
-        for j in range(n):
-            rows = [[ring.zero_p] * n for _ in range(n)]
-            rows[i][j] = ring.one_p
-            out.append(Matrix(ring, n, n, tuple(tuple(r) for r in rows)))
+    for i in range(rows):
+        for j in range(cols):
+            ent = [[ring.zero_p] * cols for _ in range(rows)]
+            ent[i][j] = ring.one_p
+            out.append(Matrix(ring, rows, cols, tuple(tuple(r) for r in ent)))
     return out
+
+
+# -- the matrix-product construction of the type I constants ---------------
+#
+# The catalog contracts one-hot unit arrays into integer counts; the oracle
+# below evaluates every product of matrix units with Matrix arithmetic over
+# the ring itself.
+
+
+def _entries(m):
+    return tuple(p for row in m.entries for p in row)
+
+
+def hat_product(x, y, z):
+    return x @ y @ z + z @ y @ x
+
+
+def tilde_product(x, y, z):
+    yt = y.transpose()
+    return x @ yt @ z + z @ yt @ x
+
+
+def triple_tensor(bx, by, bz, product):
+    """T[a][b][c] = the coordinates of product(bx[a], by[b], bz[c])."""
+    return tuple(tuple(tuple(_entries(product(x, y, z)) for z in bz)
+                       for y in by) for x in bx)
+
+
+def matrix_product_parts(tag, ring, dims):
+    """The parts of the catalog system tag(*dims, ring), by field name,
+    from Matrix products of matrix units."""
+    if tag == "Mplus":
+        (n,) = dims
+        units = matrix_units(ring, n, n)
+        half = ring.half_p
+        product = tuple(tuple(tuple(ring.mul(half, p)
+                                    for p in _entries(x @ y + y @ x))
+                              for y in units) for x in units)
+        return {"product": product,
+                "unit": _entries(Matrix.identity(ring, n))}
+    if tag == "ThI":
+        units = matrix_units(ring, *dims, *dims)
+        return {"tensor": triple_tensor(units, units, units, hat_product)}
+    m, n = dims
+    if tag == "VhI":
+        plus, minus = matrix_units(ring, m, n), matrix_units(ring, n, m)
+        return {"t_plus": triple_tensor(plus, minus, plus, hat_product),
+                "t_minus": triple_tensor(minus, plus, minus, hat_product)}
+    units = matrix_units(ring, m, n)
+    t = triple_tensor(units, units, units, tilde_product)
+    return {"tensor": t} if tag == "TtI" else {"t_plus": t, "t_minus": t}
+
+
+def basis_vector_triple(alg):
+    """The tensor of {x,y,z} = (xy)z + (zy)x - (zx)y, every product taken
+    by alg.multiply on basis vectors."""
+    ring, d, mul = alg.ring, alg.dim, alg.multiply
+    e = [basis_vector(ring, d, i) for i in range(d)]
+    return tuple(tuple(tuple(
+        sub_vec(ring, add_vec(ring, mul(mul(x, y), z), mul(mul(z, y), x)),
+                mul(mul(z, x), y))
+        for z in e) for y in e) for x in e)
 
 
 def nested(arr):

@@ -13,6 +13,9 @@ from jpaut import (PrimeField, Rationals, Matrix, check_axioms, standard_form,
                    parse_system, lambda_isomorphism, vti_to_vhi,
                    find_sqrt_minus_one)
 from jpaut.errors import (ParseError, BadDims, NoSquareRootOfMinusOne)
+from jpaut.ring import parse_ring
+
+from _helpers import basis_vector_triple, matrix_product_parts
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -29,6 +32,30 @@ def test_constructor_dimensions():
     assert make_tti(1, 2, F3).structure.dim == 2
     assert make_thi(2, F3).structure.dim == 4
     assert make_mn_plus(2, F3).structure.dim == 4
+
+
+_CONSTANT_GRID = [(tag, dims) for tag in ("VhI", "VtI", "TtI")
+                  for dims in ((1, 1), (1, 2), (2, 2))]
+_CONSTANT_GRID += [(tag, (n,)) for tag in ("ThI", "Mplus") for n in (1, 2, 3)]
+_CONSTANT_GRID += [("TIV", (n,)) for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("ring_name", ["F3", "F5", "Q", "F3xF3", "F3[t]"])
+def test_constants_equal_the_matrix_product_oracle(ring_name):
+    # the type I constants come from integer counts of matrix-unit
+    # products, and the TIV triple from the algebra's product table; each
+    # must equal, payload for payload, its construction over the ring
+    ring = parse_ring(ring_name)
+    for tag, dims in _CONSTANT_GRID:
+        spec = f"{tag}({','.join(map(str, dims))},{ring_name})"
+        s = parse_system(spec).structure
+        if tag == "TIV":
+            alg = make_bilinear_form_algebra(standard_form(ring, dims[0] - 1))
+            want = {"tensor": basis_vector_triple(alg.structure)}
+        else:
+            want = matrix_product_parts(tag, ring, dims)
+        for name, parts in want.items():
+            assert repr(getattr(s, name)) == repr(parts), (spec, name)
 
 
 def test_every_maker_satisfies_axioms():

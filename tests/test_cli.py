@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from jpaut import cli, enumerate_automorphisms, parse_system
+from jpaut import cli, enumerate_automorphisms, jordan, parse_system
 from jpaut.claims import standard_generated
 from jpaut.cli import main
 
@@ -34,6 +34,31 @@ def test_verify_failing_system(capsys):
     assert code == 1 and rep["ok"] is False
     assert rep["failures"][0]["identity"] == "outer-symmetry"
     assert len(rep["failures"]) <= 4
+
+
+@pytest.mark.parametrize("spec, checks", [
+    ("TIV(4,F3)", 2), ("VhI(1,3,Q)", 1), ("BadPair(F3)", 1)])
+def test_verify_sweeps_each_structure_once(spec, checks, monkeypatch,
+                                           tmp_path):
+    # the catalog's construction guard, triple_from_algebra's check and
+    # verify itself share one report per structure: TIV builds its algebra
+    # and its triple, the others one structure
+    swept = []
+    real = jordan._axiom_report
+
+    def counted(structure, vectorize):
+        swept.append(structure)
+        return real(structure, vectorize)
+    monkeypatch.setattr(jordan, "_axiom_report", counted)
+    out = tmp_path / "report.json"
+    code = main(["verify", spec, "--out", str(out)])
+    rep = json.loads(out.read_text())
+    assert len(swept) == checks
+    assert len({id(s) for s in swept}) == checks
+    assert code == (1 if spec.startswith("Bad") else 0)
+    assert rep["ok"] is (code == 0)
+    if code:
+        assert rep["failures"][0]["identity"] == "outer-symmetry"
 
 
 def test_verify_parse_error(capsys):

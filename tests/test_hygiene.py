@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every local name a function assigns is read."""
+"""Source hygiene: every name a module imports is used in that module,
+every local name a function assigns is read, and every private top-level
+function or class is referenced somewhere in the package."""
 import ast
 import pathlib
 
@@ -79,3 +80,43 @@ def test_the_check_sees_an_unused_local():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_local_name_is_read(path):
     assert _unread_locals(path.read_text(encoding="utf-8")) == []
+
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _referenced(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _dead_private_defs(sources: dict) -> list:
+    """(module, name) of each private top-level function or class that no
+    code outside its own definition references, in any of the modules."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = top.name if isinstance(top, _DEFS) else None
+            if owner and owner.startswith("_") and not owner.startswith("__"):
+                defined.append((module, owner))
+            used.update(name for name in map(_referenced, ast.walk(top))
+                        if name and name != owner)
+    return sorted(d for d in defined if d[1] not in used)
+
+
+def test_the_check_sees_a_dead_private_helper():
+    sources = {"a": "def _dead(n):\n    return _dead(n - 1)\n"
+                    "def _used():\n    pass\nclass _Base:\n    pass\n",
+               "b": "from a import _used\nclass C(a._Base):\n"
+                    "    x = _used()\n"}
+    assert _dead_private_defs(sources) == [("a", "_dead")]
+
+
+def test_every_private_helper_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    assert _dead_private_defs(sources) == []

@@ -14,7 +14,8 @@ from jpaut import (PrimeField, ProductRing, Rationals, Matrix, PairMap,
                    make_type_iv_pair, make_type_iv_triple, make_t_iv,
                    make_vhi, make_mn_plus, make_bad_pair,
                    make_bilinear_form_algebra, parse_system,
-                   enumerate_automorphisms)
+                   enumerate_automorphisms, make_tti)
+from jpaut import jordan
 from jpaut.errors import (BadInput, BudgetExceeded, DegenerateTrace,
                           ShapeMismatch)
 from jpaut.jordan import (_axiom_report, _carries, _np_jordan_failures,
@@ -242,6 +243,44 @@ def test_constructors_reject_wrong_shapes():
     with pytest.raises(ShapeMismatch):
         JordanAlgebra(F3, 2, ((zv, zv), (zv, zv)), (1, 0, 0))
     JordanTriple(F3, 2, good, Matrix.identity(F3, 2))
+
+
+def _lists(nested):
+    return [_lists(x) for x in nested] if isinstance(nested, tuple) else nested
+
+
+def test_list_built_structures_are_frozen():
+    # the tensor used to stay a list: mutating it after check_axioms left
+    # the cached int64 image, and so the report, describing the old tensor
+    tensor = make_tti(1, 2, F3).structure.tensor
+    source = _lists(tensor)
+    built = JordanTriple(F3, 2, source)
+    assert check_axioms(built).ok
+    source[0][1][0][0] = (source[0][1][0][0] + 1) % 3
+    assert built.tensor == tensor and _pure(built).ok
+    assert check_axioms(built) == _pure(built)
+    assert built == JordanTriple(F3, 2, tensor)
+    assert hash(built) == hash(JordanTriple(F3, 2, tensor))
+    alg = make_mn_plus(2, F3).structure
+    unit = list(alg.unit)
+    listed = JordanAlgebra(F3, 4, _lists(alg.product), unit, name=alg.name)
+    unit[0] = 0
+    assert listed == alg and hash(listed) == hash(alg)
+    assert check_axioms(listed).ok and _pure(listed).ok
+
+
+def test_each_structure_checks_its_axioms_once(monkeypatch):
+    calls = []
+    real = jordan._axiom_report
+
+    def counted(structure, vectorize):
+        calls.append(structure)
+        return real(structure, vectorize)
+    monkeypatch.setattr(jordan, "_axiom_report", counted)
+    pair = make_vhi(1, 2, F3)
+    for _ in range(3):
+        assert check_axioms(pair) is check_axioms(pair.structure)
+    assert calls == [pair.structure]
 
 
 # -- the vectorized checker against the pure sweeps --------------------------
