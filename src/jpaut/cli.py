@@ -8,6 +8,7 @@ tables behind --pretty); exit codes are
 """
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -23,7 +24,7 @@ from .errors import (BadDims, BadInput, BudgetExceeded, NonEnumerableRing,
                      NonFieldRing, ParseError, ShapeMismatch, ToolkitError,
                      UnknownClaim)
 from .jordan import check_axioms
-from .oracle import _Rows, enumerate_automorphisms
+from .oracle import enumerate_automorphisms
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -60,25 +61,23 @@ class _Dump:
     """The elements of an automorphism set, for --dump-elements.
 
     Written by _indented as the list of their to_jsonable() forms, without
-    building those: the elements become int64 rows of payload indices
-    (oracle._Rows), _indented renders one placeholder element whose leaves
-    are its row positions, and every element fills that template from one
-    table of quoted payload strings.
+    building those: _indented renders one placeholder element whose leaves
+    are its positions in the set's int64 rows (oracle._Rows), and every
+    row fills that template from one table of quoted payload strings.
     """
 
-    def __init__(self, elements):
-        self.elements = elements
+    def __init__(self, aset):
+        self.aset = aset
 
     def __len__(self):
-        return len(self.elements)
+        return self.aset.order
 
     def to_jsonable(self) -> list:
-        return [el.to_jsonable() for el in self.elements]
+        return [el.to_jsonable() for el in self.aset.elements]
 
     def render(self, pad: str) -> str:
         inner = pad + "  "
-        codec = _Rows(self.elements[0])
-        rows = codec.encode(self.elements)
+        codec, rows = self.aset.codec, self.aset.rows
         values, index = np.unique(rows, return_inverse=True)
         payloads = values.tolist()
         if not codec.residues:
@@ -86,7 +85,8 @@ class _Dump:
             payloads = [pool[i] for i in payloads]
         quoted = np.array([_quote(codec.ring.payload_str(x))
                            for x in payloads], dtype=object)
-        template = _indented(_numbered(self.elements[0].to_jsonable(),
+        first = codec.decode(rows[:1])[0]
+        template = _indented(_numbered(first.to_jsonable(),
                                        itertools.count()), inner)
         parts = re.split(r'"(\d+)"', template)
         order = [int(k) for k in parts[1::2]]
@@ -202,7 +202,7 @@ def _cmd_enumerate(args) -> int:
         "generator_provenance": provenance,
     }
     if args.dump_elements:
-        report["elements"] = _Dump(aset.elements)
+        report["elements"] = _Dump(aset)
     _emit(report, args)
     return EXIT_PASS
 
@@ -218,7 +218,10 @@ def _add_output_flags(sub) -> None:
                      help="human-readable table instead of JSON on stdout")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The jpaut parser, built once per process: parse_args leaves it
+    unchanged, so main may call it any number of times."""
     parser = argparse.ArgumentParser(
         prog="jpaut",
         description="Exact-arithmetic checks of Jordan pair, triple and "

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import BadDims, GradingViolation
-from .jordan import JordanPair, bilinear_eval, zero_vector
+from .jordan import JordanPair, zero_vector
 from .ring import Ring
 
 
@@ -32,10 +32,6 @@ class GradedGL:
     @property
     def dim(self) -> int:
         return self.size ** 2
-
-    def apply_bracket(self, x, y):
-        return bilinear_eval(self.ring, self.bracket, tuple(x), tuple(y),
-                             self.dim)
 
     def wing_indices(self, degree: int) -> tuple:
         return tuple(u for u, d in enumerate(self.degrees) if d == degree)

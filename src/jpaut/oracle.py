@@ -9,7 +9,8 @@ are counted in invertible candidates considered, never raw tuples.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -54,11 +55,6 @@ def _compose(x, y):
     return x.compose(y) if isinstance(x, PairMap) else x @ y
 
 
-def _dedupe_sorted(elements: Iterable):
-    by_key = {element_key(el): el for el in elements}
-    return tuple(by_key[k] for k in sorted(by_key))
-
-
 def _sides(el) -> tuple:
     return (el.plus, el.minus) if isinstance(el, PairMap) else (el,)
 
@@ -96,20 +92,50 @@ class _Rows:
         return [side.reshape(-1, d, d) for side, d
                 in zip(np.split(rows, cuts, axis=1), self.dims)]
 
-    def decode(self, rows: np.ndarray) -> list:
+    def element_keys(self, rows: np.ndarray) -> list:
+        """The element_key of each row's map, without building the map."""
         sides = [s.tolist() for s in self.split(rows)]
         if not self.residues:
             pool = list(self.index)
             sides = [[[[pool[i] for i in r] for r in m] for m in side]
                      for side in sides]
-        mats = [[Matrix(self.ring, d, d, tuple(map(tuple, m))) for m in side]
-                for side, d in zip(sides, self.dims)]
+        return list(zip(*[[tuple(map(tuple, m)) for m in side]
+                          for side in sides]))
+
+    def decode(self, rows: np.ndarray) -> list:
+        keys = self.element_keys(rows)
+        mats = [[Matrix(self.ring, d, d, k[s]) for k in keys]
+                for s, d in enumerate(self.dims)]
         return [PairMap(*ms) for ms in zip(*mats)] if self.pair else mats[0]
 
-    def times(self, rows: np.ndarray, g, g_row: np.ndarray) -> np.ndarray:
+    def sorted_unique(self, rows: np.ndarray) -> np.ndarray:
+        """rows without repeats, in element_key order: lexicographic in the
+        payloads, which over F_p are the indices themselves."""
+        ranked = rows
+        if not self.residues:
+            pool = list(self.index)
+            rank = np.empty(len(pool), dtype=np.int64)
+            rank[sorted(range(len(pool)), key=pool.__getitem__)] = \
+                np.arange(len(pool))
+            ranked = rank[rows]
+        order = np.lexsort(ranked.T[::-1])
+        ranked = ranked[order]
+        fresh = np.ones(len(rows), dtype=bool)
+        fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        return rows[order[fresh]]
+
+    def adopt(self, other: "_Rows", rows: np.ndarray) -> np.ndarray:
+        """Rows of other's codec renumbered into this one's payloads."""
+        if other is self or self.residues:
+            return rows
+        own = [self.index.setdefault(x, len(self.index)) for x in other.index]
+        return np.array(own, dtype=np.int64)[rows]
+
+    def times(self, rows: np.ndarray, g_row: np.ndarray) -> np.ndarray:
         """The rows of x @ g for each row x.  Over F_p one matmul per side
         while d * (p - 1)**2 < 2**63; elsewhere decode, compose, encode."""
         if not self.fast:
+            g = self.decode(g_row[None])[0]
             return self.encode([_compose(x, g) for x in self.decode(rows)])
         p = self.ring.p
         return np.concatenate(
@@ -132,16 +158,14 @@ def _keys(rows: np.ndarray) -> np.ndarray:
                      ).ravel()
 
 
-def _closure(codec: _Rows, generators: Sequence, budget: int) -> np.ndarray:
+def _closure(codec: _Rows, gen_rows: np.ndarray, budget: int) -> np.ndarray:
     """Rows of the identity's closure under right multiplication by the
-    generators, ascending by key; BudgetExceeded past budget elements."""
+    generator rows, ascending by key; BudgetExceeded past budget elements."""
     frontier = codec.encode([codec.identity])
     seen = _keys(frontier)
-    gen_rows = codec.encode(generators)
-    while len(frontier) and len(generators):
+    while len(frontier) and len(gen_rows):
         keys = np.sort(_keys(np.concatenate(
-            [codec.times(frontier, g, r)
-             for g, r in zip(generators, gen_rows)])))
+            [codec.times(frontier, r) for r in gen_rows])))
         keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
         pos = np.searchsorted(seen, keys)
         fresh = seen[np.minimum(pos, len(seen) - 1)] != keys
@@ -157,29 +181,51 @@ def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     return sorted_keys[pos] == keys
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutomorphismSet:
-    """A finite automorphism set with deterministic canonical ordering."""
+    """A finite automorphism set with deterministic canonical ordering.
+
+    The set is its rows: one int64 row per map (see _Rows), unique and in
+    element_key order.  The Matrix/PairMap objects are built from them on
+    first access to elements.
+    """
     system: str
     ring_name: str
     kind: str  # pair | triple | algebra
     mode: str  # exhaustive | generated
     engine: str  # fast | pure | closure | family
     candidates: int
-    elements: tuple
+    codec: Optional[_Rows] = field(repr=False)  # None for the empty set
+    rows: np.ndarray = field(repr=False)
+
+    @classmethod
+    def from_rows(cls, system, ring_name, kind, mode, engine, candidates,
+                  codec: _Rows, rows: np.ndarray) -> "AutomorphismSet":
+        return cls(system, ring_name, kind, mode, engine, candidates, codec,
+                   codec.sorted_unique(rows))
 
     @classmethod
     def from_elements(cls, system, ring_name, kind, mode, engine,
                       candidates, elements) -> "AutomorphismSet":
-        return cls(system, ring_name, kind, mode, engine, candidates,
-                   _dedupe_sorted(elements))
+        elements = list(elements)
+        if not elements:
+            return cls(system, ring_name, kind, mode, engine, candidates,
+                       None, np.zeros((0, 0), dtype=np.int64))
+        codec = _Rows(elements[0])
+        return cls.from_rows(system, ring_name, kind, mode, engine,
+                             candidates, codec, codec.encode(elements))
+
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(self.codec.decode(self.rows)) if len(self.rows) else ()
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
 
     def keys(self) -> frozenset:
-        return frozenset(element_key(el) for el in self.elements)
+        return frozenset(self.codec.element_keys(self.rows)) if self.order \
+            else frozenset()
 
     def to_jsonable(self, include_elements: bool = False) -> dict:
         out = {
@@ -205,12 +251,12 @@ class AutomorphismSet:
         closure equals it.  The closure of T is then a subgroup, and each
         new generator at least doubles it: |T| <= log2(order) + 1.
         """
-        if not self.elements:
+        if not self.order:
             return False
-        codec = _Rows(self.elements[0])
-        mine = _keys(codec.encode(self.elements))
-        unique = np.unique(mine)
-        gens = []
+        codec = self.codec
+        mine = _keys(self.rows)
+        unique = np.sort(mine)
+        gens = self.rows[:0]
         while True:
             try:
                 closed = _keys(_closure(codec, gens, len(unique)))
@@ -221,10 +267,11 @@ class AutomorphismSet:
             inside = _member(mine, closed)
             if inside.all():
                 return True
-            gen = self.elements[int(np.argmin(inside))]
+            at = int(np.argmin(inside))
+            gen = codec.decode(self.rows[at:at + 1])[0]
             if not all(m.is_invertible() for m in _sides(gen)):
                 return False
-            gens.append(gen)
+            gens = np.concatenate([gens, self.rows[at:at + 1]])
 
 
 @dataclass(frozen=True)
@@ -248,16 +295,18 @@ def compare(a: AutomorphismSet, b: AutomorphismSet) -> CompareReport:
         raise MixedSystems(
             f"({a.system}, {a.ring_name}, {a.kind}) vs "
             f"({b.system}, {b.ring_name}, {b.kind})")
-    ka, kb = a.keys(), b.keys()
-    only_a = sorted(ka - kb)
-    only_b = sorted(kb - ka)
-    lookup_a = {element_key(el): el for el in a.elements}
-    lookup_b = {element_key(el): el for el in b.elements}
+    only_a, only_b = a.rows, b.rows
+    if a.order and b.order:
+        ka, kb = _keys(a.rows), _keys(a.codec.adopt(b.codec, b.rows))
+        only_a = a.rows[~_member(ka, np.sort(kb))]
+        only_b = b.rows[~_member(kb, np.sort(ka))]
+
+    def samples(s, rows):
+        return tuple(el.to_jsonable() for el in s.codec.decode(rows[:4])) \
+            if len(rows) else ()
     return CompareReport(
-        a.system, not only_a and not only_b, a.order, b.order,
-        len(only_a), len(only_b),
-        tuple(lookup_a[k].to_jsonable() for k in only_a[:4]),
-        tuple(lookup_b[k].to_jsonable() for k in only_b[:4]))
+        a.system, not len(only_a) and not len(only_b), a.order, b.order,
+        len(only_a), len(only_b), samples(a, only_a), samples(b, only_b))
 
 
 # -- exhaustive enumeration ---------------------------------------------------
@@ -277,20 +326,43 @@ def _use_fast(structure, dim_ok: bool, engine: str, name) -> bool:
     return use_fast
 
 
-def _cross_check(found: np.ndarray, structure, name) -> list:
-    """The fast-scan maps as elements, after checking every one.
+def _invertible_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
+    """Which matrices of a (B, d, d) stack of residues are invertible mod p.
+
+    Fraction-free Gaussian elimination on the whole stack: at column k a
+    row with a nonzero entry moves up, and each lower row becomes
+    pivot * row - entry * pivot row, which keeps the rank.  A matrix is
+    invertible exactly when every column finds a pivot.
+    """
+    a = mats % p
+    ok = np.ones(len(a), dtype=bool)
+    at = np.arange(len(a))
+    for k in range(a.shape[1]):
+        nonzero = a[:, k:, k] != 0
+        ok &= nonzero.any(axis=1)
+        piv = k + nonzero.argmax(axis=1)
+        a[at, k], a[at, piv] = a[at, piv], a[at, k].copy()
+        below, top = a[:, k + 1:], a[:, k]
+        a[:, k + 1:] = (below * top[:, k, None, None] % p
+                        - below[:, :, k, None] * top[:, None] % p) % p
+    return ok
+
+
+def _cross_check(found: np.ndarray, structure, name) -> np.ndarray:
+    """The fast-scan maps as _Rows rows, after checking every one.
 
     found is a kernel's int64 stack, (B, d, d) or (B, 2, d, d) for traced
-    pairs, so each map reshapes to its _Rows row.  One batched transport
-    check per structure tensor (jordan._carries, an implementation
-    independent of the scan kernels) decides all elements at once.
-    Invertibility: for traced pairs plus^T G minus == G, which also pins
-    minus to the trace-dual inverse; else Matrix.is_invertible.
+    pairs, so each map reshapes to its row.  One batched transport check
+    per structure tensor (jordan._carries, an implementation independent of
+    the scan kernels) decides all elements at once.  Invertibility: for
+    traced pairs plus^T G minus == G, which also pins minus to the
+    trace-dual inverse; else a batched elimination mod p.
     """
     ring, image = structure.ring, structure._int64
     codec = _codec(structure)
-    rows = found.reshape(len(found), codec.width)
-    els, sides = codec.decode(rows), codec.split(rows)
+    rows = np.ascontiguousarray(found, dtype=np.int64).reshape(
+        len(found), codec.width)
+    sides = codec.split(rows)
     if isinstance(structure, JordanPair):
         plus, minus = sides
         g = image["trace"]
@@ -302,14 +374,15 @@ def _cross_check(found: np.ndarray, structure, name) -> list:
         tensor = image["tensor" if isinstance(structure, JordanTriple)
                        else "product"]
         phi = sides[0]
-        ok = np.array([m.is_invertible() for m in els], dtype=bool)
+        ok = _invertible_mod_p(phi, ring.p)
         ok &= _carries(ring, tensor, tensor, phi, (phi,) * (tensor.ndim - 1))
     bad = np.flatnonzero(~ok)
     if bad.size:
+        el = codec.decode(rows[bad[0]:bad[0] + 1])[0]
         raise EngineMismatch(f"fast scan of {name} returned "
-                             f"{els[bad[0]].to_jsonable()}, which the "
+                             f"{el.to_jsonable()}, which the "
                              "transport predicate rejects")
-    return els
+    return rows
 
 
 def _enumerate_pair(pair: JordanPair, name, budget, jobs, engine):
@@ -414,10 +487,12 @@ def enumerate_automorphisms(system, budget: Optional[int] = None,
         raise NonEnumerableRing(f"cannot enumerate over {structure.ring.name}")
     if 0 in structure._parts()[0][2]:  # the first tensor spans every carrier
         raise BadDims(f"{name} has a carrier of dimension 0")
-    els, cand, engine_used = scan(structure, name, budget, jobs, engine)
-    return AutomorphismSet.from_elements(
+    found, cand, engine_used = scan(structure, name, budget, jobs, engine)
+    codec = _codec(structure)
+    rows = found if engine_used == "fast" else codec.encode(found)
+    return AutomorphismSet.from_rows(
         name, structure.ring.name, kind, "exhaustive", engine_used,
-        cand, els)
+        cand, codec, rows)
 
 
 # -- closure generation -------------------------------------------------------
@@ -440,15 +515,18 @@ def generate_closure(system, generators: Sequence,
         if not checker(structure, g):
             raise BadInput("generator fails the automorphism predicate")
     codec = _codec(structure)
-    els = codec.decode(_closure(codec, generators, budget))
-    return AutomorphismSet.from_elements(
-        name, structure.ring.name, kind, "generated", "closure", len(els), els)
+    rows = _closure(codec, codec.encode(generators), budget)
+    return AutomorphismSet.from_rows(
+        name, structure.ring.name, kind, "generated", "closure", len(rows),
+        codec, rows)
 
 
 def family_image(system, kind: str, elements: Iterable,
                  engine: str = "family") -> AutomorphismSet:
     """Package a named-family image as a generated-mode set."""
     name = getattr(system, "name", None) or "anonymous"
-    elements = _dedupe_sorted(elements)
-    return AutomorphismSet(name, unwrap(system).ring.name, kind, "generated",
-                           engine, len(elements), elements)
+    structure = unwrap(system)
+    codec = _codec(structure)
+    rows = codec.sorted_unique(codec.encode(list(elements)))
+    return AutomorphismSet(name, structure.ring.name, kind, "generated",
+                           engine, len(rows), codec, rows)

@@ -6,7 +6,7 @@ import numpy as np
 
 from jpaut import (JordanAlgebra, JordanPair, JordanTriple, Matrix,
                    PrimeField)
-from jpaut.jordan import add_vec, basis_vector, sub_vec
+from jpaut.jordan import add_vec, basis_vector, bilinear_eval, sub_vec
 
 
 def some_gl(ring, n, count, seed=7):
@@ -23,6 +23,12 @@ def some_gl(ring, n, count, seed=7):
             out.append(m)
     assert len(out) == count, (ring.name, n)
     return out
+
+
+def apply_bracket(g, x, y):
+    """[x, y] in the graded algebra g, one bilinear evaluation of its
+    bracket table: the oracle for gradelie's table lookups."""
+    return bilinear_eval(g.ring, g.bracket, tuple(x), tuple(y), g.dim)
 
 
 def matrix_units(ring, rows, cols):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from jpaut import cli, enumerate_automorphisms, jordan, parse_system
+from jpaut import cli, enumerate_automorphisms, jordan, oracle, parse_system
 from jpaut.claims import standard_generated
 from jpaut.cli import main
 
@@ -249,3 +249,59 @@ def test_pretty_dump_renders_the_nested_report(text, capsys, monkeypatch):
     report = {**reports[-1], "elements": nested["elements"]}
     assert out == "\n".join(cli._pretty_lines(report)) + "\n"
     assert '- "2"' in out
+
+
+_REPEATED = [
+    ["verify", "VIV(n=2, ring=F5)"],
+    ["check", "vhi-rect", "--ring", "F3", "--jobs", "1"],
+    ["enumerate", "ThatIV(2,F3)", "--dump-elements", "--jobs", "1"],
+    ["verify", "Nope(2,F3)"],                 # ParseError, exit 2
+    ["enumerate", "ThatIV(2,F3)", "--mode", "sideways"],  # argparse, exit 2
+]
+
+
+def _exit_and_output(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_successive_main_calls_equal_fresh_calls(capsys):
+    # main builds its parser once per process; a parser that kept state
+    # from one call would change a later call's exit code or bytes
+    fresh = []
+    for argv in _REPEATED:
+        cli.build_parser.cache_clear()
+        fresh.append(_exit_and_output(argv, capsys))
+    cli.build_parser.cache_clear()
+    reused = [_exit_and_output(argv, capsys) for argv in _REPEATED * 2]
+    assert reused == fresh * 2
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 2]
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("text,mode,dump", [
+    ("VhI(1,3,F3)", "exhaustive", True),
+    ("VhI(1,3,F3)", "generated", True),
+    ("VhI(2,2,F3)", "generated", False),
+])
+def test_fp_dump_paths_build_no_objects(text, mode, dump, capsys,
+                                        monkeypatch):
+    # over F_p the set stays int64 rows from the scan or the closure to
+    # the written bytes; only the dump template decodes one row
+    argv, report = _nested_dump_report(text, mode, capsys)
+    if not dump:
+        argv, report = argv[:-1], {k: v for k, v in report.items()
+                                   if k != "elements"}
+    real = oracle._Rows.decode
+
+    def one_row_only(codec, rows):
+        assert len(rows) <= 1, f"decoded {len(rows)} rows"
+        return real(codec, rows)
+    monkeypatch.setattr(oracle._Rows, "decode", one_row_only)
+    assert main(argv) == 0
+    expect = json.dumps(report, indent=2, sort_keys=True, default=str)
+    assert capsys.readouterr().out == expect + "\n"

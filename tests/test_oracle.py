@@ -1,5 +1,6 @@
 """Enumeration oracle: exhaustive scans, family images, closures, budgets."""
 import functools
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,8 @@ from jpaut import (PrimeField, ProductRing, Rationals, Matrix, PairMap,
                    DEFAULT_BUDGET)
 from jpaut import fastscan, is_triple_automorphism
 from jpaut.claims import gl_generators
-from jpaut.oracle import AutomorphismSet
+from jpaut.oracle import (AutomorphismSet, CompareReport, _invertible_mod_p,
+                          element_key)
 from jpaut.errors import (BadDims, BadInput, BudgetExceeded, EngineMismatch,
                           MixedSystems, NonEnumerableRing, NotFactorable)
 
@@ -108,6 +110,35 @@ def test_cross_check_pins_the_minus_side(monkeypatch):
     with pytest.raises(EngineMismatch):
         enumerate_automorphisms(random_structure("pair", 3, 2, "zero", 0),
                                 engine="fast")
+
+
+def test_cross_check_rejects_a_singular_map(monkeypatch):
+    # every map carries the zero tensor, so only the invertibility test
+    # rejects the planted zero matrix
+    real = fastscan.scan_triple
+
+    def planted(*args, **kwargs):
+        found = real(*args, **kwargs)
+        return np.insert(found, 3, np.zeros_like(found[0]), axis=0)
+    monkeypatch.setattr(fastscan, "scan_triple", planted)
+    with pytest.raises(EngineMismatch):
+        enumerate_automorphisms(random_structure("triple", 3, 2, "zero", 0),
+                                engine="fast")
+
+
+@pytest.mark.parametrize("p,d,count", [(3, 2, None), (5, 2, None),
+                                       (3, 3, None), (5, 4, 3000),
+                                       (7, 3, 3000)])
+def test_batched_invertibility_equals_the_determinant(p, d, count):
+    ring = PrimeField(p)
+    if count is None:  # every matrix
+        stack = np.array(list(np.ndindex(*(p,) * (d * d))), dtype=np.int64)
+    else:
+        stack = np.random.default_rng(d).integers(0, p, (count, d * d))
+    stack = stack.reshape(-1, d, d)
+    expect = [Matrix(ring, d, d, tuple(map(tuple, m))).is_invertible()
+              for m in stack.tolist()]
+    assert _invertible_mod_p(stack, p).tolist() == expect
 
 
 def test_rectangle_pair_equals_right_translation_image():
@@ -222,7 +253,8 @@ def test_group_check_misses_no_dropped_element():
     # an evenly spaced sample of 16 elements passed all of these
     cl = _square_closure()
     for i in (0, 1, 2, 3, 5, 100, 1000, 2303):
-        dropped = replace(cl, elements=cl.elements[:i] + cl.elements[i + 1:])
+        dropped = replace(cl, rows=np.delete(cl.rows, i, axis=0))
+        assert dropped.elements == cl.elements[:i] + cl.elements[i + 1:]
         assert not dropped.verify_group_closed(), i
 
 
@@ -236,6 +268,61 @@ def test_group_check_rejects_an_added_non_member():
             cl.candidates, cl.elements + (extra,))
         assert grown.order == 2305
         assert not grown.verify_group_closed()
+
+
+def _object_compare(system, els_a, els_b):
+    """The CompareReport of two element lists, decided on the objects:
+    sets of element_key, differences sorted, the first four of each."""
+    ka = {element_key(el): el for el in els_a}
+    kb = {element_key(el): el for el in els_b}
+    only_a = sorted(ka.keys() - kb.keys())
+    only_b = sorted(kb.keys() - ka.keys())
+    return CompareReport(system, not only_a and not only_b, len(ka), len(kb),
+                         len(only_a), len(only_b),
+                         tuple(ka[k].to_jsonable() for k in only_a[:4]),
+                         tuple(kb[k].to_jsonable() for k in only_b[:4]))
+
+
+def _edited(aset, drop, extra, seed):
+    """aset's elements without the indices in drop, plus extra, shuffled,
+    as a set built from those objects."""
+    els = [el for i, el in enumerate(aset.elements) if i not in drop]
+    els += extra
+    random.Random(seed).shuffle(els)
+    return els, AutomorphismSet.from_elements(
+        aset.system, aset.ring_name, aset.kind, "generated", "family",
+        len(els), els)
+
+
+def test_compare_on_rows_equals_the_object_comparison():
+    cl = _square_closure()
+    i4 = Matrix.identity(F3, 4)
+    shear = Matrix(F3, 4, 4, ((1, 1, 0, 0),) + i4.entries[1:])
+    extra = [PairMap(shear, i4), PairMap(shear, shear.inverse())]
+    els, edited = _edited(cl, {0, 3, 5, 100, 1000, 2303}, extra, 1)
+    assert compare(cl, edited) == _object_compare(cl.system, cl.elements, els)
+    assert compare(edited, cl) == _object_compare(cl.system, els, cl.elements)
+    rep = compare(cl, edited)
+    assert (rep.only_a, rep.only_b, len(rep.sample_only_a)) == (6, 2, 4)
+    assert compare(cl, cl) == _object_compare(cl.system, cl.elements,
+                                              cl.elements)
+
+
+def test_compare_over_a_product_ring_equals_the_object_comparison():
+    # payload indices are numbered as each codec first meets them, so the
+    # shuffled set numbers them differently from the scan
+    ring = ProductRing(F3, F3)
+    system = make_type_iv_triple(standard_form(ring, 2))
+    ex = enumerate_automorphisms(system)
+    assert ex.order == 64 and ex.engine == "pure"
+    assert list(ex.elements) == sorted(ex.elements, key=element_key)
+    shear = Matrix(ring, 2, 2, (((1, 1), (1, 0)), ((0, 0), (1, 1))))
+    assert not is_triple_automorphism(system, shear)
+    els, edited = _edited(ex, {1, 2, 40}, [shear], 2)
+    assert edited.codec.index != ex.codec.index
+    assert compare(ex, edited) == _object_compare(ex.system, ex.elements, els)
+    assert compare(edited, ex) == _object_compare(ex.system, els, ex.elements)
+    assert compare(ex, edited).only_b == 1
 
 
 def test_group_check_rejects_singular_and_identity_free_sets():
