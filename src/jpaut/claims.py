@@ -379,17 +379,14 @@ def _run_vhi_rect(p):
     if m == n:
         raise BadDims("the rectangle claim needs m != n")
     system = make_vhi(m, n, ring)
-    ex = exhaustive_set(system, p["budget"], p["jobs"])
-    fam_els = [hat_generators(a, b) for a in enumerate_GL(m, ring)
-               for b in enumerate_GL(n, ring)]
-    fam = family_image(system, "pair", fam_els)
-    details, ok = _set_comparison(ex, fam)
+    fam, details, ok = _family_comparison(p, system)
     if m == 1:
         # one-row case: right translations alone already fill the group
-        right = family_image(system, "pair",
-                             [hat_r(b, m) for b in enumerate_GL(n, ring)])
+        right = generate_closure(
+            system, [hat_r(b, m) for b in gl_generators(ring, n)],
+            budget=p["budget"])
         details["right_translation_image_order"] = right.order
-        ok = ok and compare(ex, right).equal
+        ok = ok and compare(fam, right).equal
     return _verdict(ok, details)
 
 

@@ -6,34 +6,42 @@ returns the solution set as an int64 stack in index order.
 
 Every kernel searches column by column (_search): the unknowns are the
 columns of phi (plus those of phi_minus for traced pairs, interleaved
-plus_0, minus_0, ...), each with p**d values, and every identity is checked
-as soon as the columns it reads are fixed: the tensor slots, the trace-Gram
-entries, A u = u, and for similitudes the multiplier and the entries of
-a^T G a.  After the last column the determinant and the complete identity
-check run, and the survivors are sorted into index order.  When the search
-would generate more candidates than the flat scan decodes, the kernel
-returns the flat scan's result instead.
+plus_0, minus_0, ...), each with p**d values, and every condition is
+checked once, as soon as the columns it reads are fixed: the tensor slots,
+the trace-Gram entries, A u = u, and for similitudes the multiplier and the
+entries of a^T G a.  These conditions are the complete identity; after the
+last column triples and algebras add det != 0, which plus^T G minus == G
+and lambda != 0 already force for traced pairs and similitudes.  The
+survivors are sorted into index order, and oracle._cross_check remains the
+one independent check of every result.  When the search would generate more
+candidates than the flat scan decodes, the kernel returns the flat scan's
+result instead.
 
 The flat scans (_flat_*) decode candidates as d x d matrices indexed by
 base-p digits in row-major entry order, so index order equals the
 lexicographic order of the pure-Python enumeration streams.  They keep the
-invertible ones, run a few one-slot filters chosen greedily on a fixed
-probe chunk (none when the whole space is one chunk), then the complete
-check, and concatenate each chunk's survivors in index order.  They are
-kept as the search's named oracle and its fallback.
+invertible ones (the traced pair computes phi_minus, the trace-dual
+inverse, from their determinant and adjugate), run a few one-slot filters
+chosen greedily on a fixed probe chunk (none when the whole space is one
+chunk), then the complete check, and concatenate each chunk's survivors in
+index order.  They are kept as the search's named oracle and its fallback.
 
-Both ways run in chunks of at most CHUNK candidates; worker threads only
-parallelize chunks, never reorder them, and every choice (slots, fallback)
-depends only on (p, d, tensor), never on the worker count.
+The flat scans and every search level run through one skeleton (_scan), in
+chunks of at most CHUNK candidates (SEARCH_CHUNK for search levels); worker
+threads only parallelize chunks, never reorder them, and every choice
+(slots, fallback) depends only on (p, d, tensor), never on the worker count.
 
 Tensors arrive in Jordan layout, T[a][b]..[x] with the output coordinate
 last, as the structures' int64 images hold them; each kernel moves the
 output axis first for its own contractions.
 
-Intermediate values are bounded by 64*p**4 and 6*p**5 (see the per-stage
-bounds in the helpers), so arithmetic runs in int32 when those fit and in
-int64 otherwise; both give identical exact results mod p.  Primes where a
-bound reaches 2**63 are refused.
+With inputs reduced mod p, the largest intermediate is the factored slot
+contraction, below 64*p**4 (_slot_rhs); determinants stay below 24*p**4,
+the unreduced adjugate below 6*p**3 and its Gram product below 24*p**4 (see
+the per-stage bounds in the helpers).  _work_dtype sizes arithmetic by
+max(64*p**4, 6*p**5), a margin over these: int32 up to p = 47, int64 up to
+p = 4337, and larger primes are refused.  Both dtypes give identical exact
+results mod p.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -132,16 +140,10 @@ def _row_minors(a: np.ndarray, r0: int, r1: int) -> dict:
             for x in range(n) for y in range(x + 1, n)}
 
 
-def _det4_from_minors(top: dict, bot: dict) -> np.ndarray:
-    """Unreduced 4x4 determinant from row minors; |det| <= 24p**4."""
-    return (top[(0, 1)] * bot[(2, 3)] - top[(0, 2)] * bot[(1, 3)]
-            + top[(0, 3)] * bot[(1, 2)] + top[(1, 2)] * bot[(0, 3)]
-            - top[(1, 3)] * bot[(0, 2)] + top[(2, 3)] * bot[(0, 1)])
-
-
 def _det(a: np.ndarray, p: int) -> np.ndarray:
     """Batched determinant mod p for (B, n, n), 1 <= n <= 4, expanded
-    along the 2x2 minors of the last two rows."""
+    along the 2x2 minors of the last two rows; before the reduction
+    |det| <= 24p**4."""
     n = a.shape[1]
     if n == 1:
         return a[:, 0, 0] % p
@@ -151,7 +153,10 @@ def _det(a: np.ndarray, p: int) -> np.ndarray:
     if n == 3:
         return (a[:, 0, 0] * bot[(1, 2)] - a[:, 0, 1] * bot[(0, 2)]
                 + a[:, 0, 2] * bot[(0, 1)]) % p
-    return _det4_from_minors(_row_minors(a, 0, 1), bot) % p
+    top = _row_minors(a, 0, 1)
+    return (top[(0, 1)] * bot[(2, 3)] - top[(0, 2)] * bot[(1, 3)]
+            + top[(0, 3)] * bot[(1, 2)] + top[(1, 2)] * bot[(0, 3)]
+            - top[(1, 3)] * bot[(0, 2)] + top[(2, 3)] * bot[(0, 1)]) % p
 
 
 def _invertible(a: np.ndarray, p: int) -> tuple[np.ndarray]:
@@ -189,42 +194,15 @@ def _adj_terms(n: int) -> tuple:
     return tuple(plans)
 
 
-def _adj4_from_minors(a: np.ndarray, top: dict, bot: dict) -> np.ndarray:
-    """Unreduced 4x4 adjugate from shared row minors; |entry| < 6p**3.
+def _adj(a: np.ndarray) -> np.ndarray:
+    """Batched adjugate of (B, n, n), 1 <= n <= 4: a @ adj == det(a) * I.
 
-    Assembled in flat C order so every write is contiguous.
-    """
-    b = a.shape[0]
-    pools = (top, bot)
-    flat = np.empty((16, b), dtype=a.dtype)
-    for i, row_plans in enumerate(_adj_terms(4)):
-        for j, (base, terms) in enumerate(row_plans):
-            s0, r0, t0, pool0, o0 = terms[0]
-            acc = a[:, r0, t0] * pools[pool0][o0]
-            if s0 < 0:
-                acc = -acc
-            for (s, r, t, pool, others) in terms[1:]:
-                term = a[:, r, t] * pools[pool][others]
-                if s > 0:
-                    acc += term
-                else:
-                    acc -= term
-            flat[4 * i + j] = acc if base > 0 else -acc
-    return np.ascontiguousarray(flat.T).reshape(b, 4, 4)
-
-
-def _det_adj(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Batched (det mod p, adjugate) with a @ adj == det * I mod p, n <= 4.
-
-    The adjugate is returned UNREDUCED: exact integers with |entry| < 6p**3,
-    congruent mod p to the true adjugate.  Callers reduce after the next
-    contraction; deferring the reduction avoids a full-array division.
+    Returned UNREDUCED: for residues mod p, exact integers with
+    |entry| < 6p**3, congruent mod p to the true adjugate.  Callers reduce
+    after the next contraction; deferring the reduction avoids a full-array
+    division.  Assembled in flat C order so every write is contiguous.
     """
     b, n = a.shape[0], a.shape[1]
-    if n == 4:  # the adjugate reuses the determinant's row minors
-        top = _row_minors(a, 0, 1)
-        bot = _row_minors(a, 2, 3)
-        return _det4_from_minors(top, bot) % p, _adj4_from_minors(a, top, bot)
     flat = np.empty((n * n, b), dtype=a.dtype)
     if n == 1:
         flat[0] = 1
@@ -233,7 +211,7 @@ def _det_adj(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         flat[1] = -a[:, 0, 1]
         flat[2] = -a[:, 1, 0]
         flat[3] = a[:, 0, 0]
-    else:
+    elif n == 3:
         for i in range(3):
             for j in range(3):
                 r = [t for t in range(3) if t != j]
@@ -241,7 +219,22 @@ def _det_adj(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
                 m = a[:, r[0], c[0]] * a[:, r[1], c[1]] \
                     - a[:, r[0], c[1]] * a[:, r[1], c[0]]
                 flat[3 * i + j] = m if (i + j) % 2 == 0 else -m
-    return _det(a, p), np.ascontiguousarray(flat.T).reshape(b, n, n)
+    else:
+        pools = (_row_minors(a, 0, 1), _row_minors(a, 2, 3))
+        for i, row_plans in enumerate(_adj_terms(4)):
+            for j, (base, terms) in enumerate(row_plans):
+                s0, r0, t0, pool0, o0 = terms[0]
+                acc = a[:, r0, t0] * pools[pool0][o0]
+                if s0 < 0:
+                    acc = -acc
+                for (s, r, t, pool, others) in terms[1:]:
+                    term = a[:, r, t] * pools[pool][others]
+                    if s > 0:
+                        acc += term
+                    else:
+                        acc -= term
+                flat[4 * i + j] = acc if base > 0 else -acc
+    return np.ascontiguousarray(flat.T).reshape(b, n, n)
 
 
 def _generalized_perm(m: np.ndarray, p: int):
@@ -268,8 +261,9 @@ def _make_gram_apply(g: np.ndarray, ginv: np.ndarray, p: int,
     When both g and ginv are generalized permutations (every catalog trace
     is), the two matrix products collapse to a single gather with a scalar
     coefficient per cell: btil[:, i, l] = ginv[i, q_i] g[r_l, l] adj[:, r_l, q_i],
-    bounded by p * p * 6p**3 = 6p**5.  The dense fallback reduces between the
-    two products, keeping every intermediate under 24p**4.
+    with the coefficient reduced, so bounded by p * 6p**3 = 6p**4.  The dense
+    fallback reduces between the two products, keeping every intermediate
+    under 24p**4.
     """
     d = g.shape[0]
     perm_g = _generalized_perm(g, p)
@@ -309,16 +303,6 @@ def _pool(jobs: int):
         yield pool
 
 
-def _chunked(total: int, kernel: Callable[[int, int], list],
-             pool: ThreadPoolExecutor | None, chunk: int = CHUNK) -> list:
-    """kernel(start, stop) over [0, total) in chunks, results in index
-    order; the pool only runs chunks at the same time."""
-    ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    if pool is None or len(ranges) <= 1:
-        return [kernel(s, e) for s, e in ranges]
-    return list(pool.map(lambda r: kernel(*r), ranges))
-
-
 def _tensor_by_c(tensor: np.ndarray, dtype: type) -> tuple[np.ndarray, ...]:
     """Per-c slabs (d*d, d_out) of T[x,a,b,c] for the factored slot filter."""
     d_out = tensor.shape[0]
@@ -350,18 +334,17 @@ def _bilinear_rhs(prf: np.ndarray, u: np.ndarray, v: np.ndarray,
 
 
 def _carried(tensor: np.ndarray, out: np.ndarray, maps: Sequence[np.ndarray],
-             p: int, scale: np.ndarray | None = None) -> np.ndarray:
-    """Keep-vector of the complete condition scale * out T == T(maps).
+             p: int) -> np.ndarray:
+    """Keep-vector of the complete condition out T == T(maps), the last
+    stage of the flat scans (a search decides it slot by slot instead).
 
-    On every basis tuple, scale[B] * out[B] T[:, a, b, ..] must equal
+    On every basis tuple, out[B] T[:, a, b, ..] must equal
     Sum T[:, a', b', ..] maps[0][B, a', a] maps[1][B, b', b] ...  The right
     side is contracted one slot at a time and reduced between slots, so
     sums stay below d * p**2 in every dtype.
     """
     ins, outs = "abc"[:len(maps)], "ijk"[:len(maps)]
     lhs = np.einsum(f"Bxy,y{outs}->Bx{outs}", out, tensor, optimize=True)
-    if scale is not None:
-        lhs *= scale.reshape((-1,) + (1,) * (lhs.ndim - 1))
     rhs = tensor
     for s, m in enumerate(maps):
         src = ("x" if s == 0 else "Bx" + outs[:s]) + ins[s:]
@@ -421,9 +404,10 @@ def _greedy_slots(d: int, count: int,
 
 def _probe_slots(total: int, d: int, decode: Callable,
                  slot_pass: Callable) -> list[tuple[int, int, int]]:
-    """Filter slots chosen greedily on the fixed probe chunk; none when the
-    whole space is one chunk, which the complete check decides for less
-    than the probe's slot evaluations cost."""
+    """Filter slots chosen greedily on the fixed probe chunk, for
+    slot_pass(slot, *arrays); none when the whole space is one chunk, which
+    the complete check decides for less than the probe's slot evaluations
+    cost."""
     if total <= CHUNK:
         return []
     ps = _probe_start(total)
@@ -431,26 +415,25 @@ def _probe_slots(total: int, d: int, decode: Callable,
 
     def eval_slot(slot, mask):
         arrays = probe if mask is None else [x[mask] for x in probe]
-        return slot_pass(*arrays, slot)
+        return slot_pass(slot, *arrays)
 
     return _greedy_slots(d, MAX_SLOTS, eval_slot)
 
 
-def _scan(total: int, decode: Callable, slot_pass: Callable, slots: Sequence,
-          checks: Sequence[Callable], jobs: int) -> list[np.ndarray]:
-    """The per-candidate arrays of the candidates in [0, total) that survive
+def _scan(total: int, decode: Callable, stages: Sequence[Callable],
+          pool: ThreadPoolExecutor | None, chunk: int) -> list[np.ndarray]:
+    """The per-candidate arrays of the candidates in [0, total) that pass
     every stage, each concatenated over the chunks in index order.
 
-    decode(start, stop) returns the per-candidate arrays the stages read
-    for a chunk (possibly already filtered); each slot filter
-    slot_pass(*arrays, slot), then each complete check(*arrays), returns a
-    keep-vector over them.  Chunks run in index order (see _chunked).
+    decode(start, stop) returns the per-candidate arrays of a chunk of at
+    most chunk candidates (possibly already filtered), and each
+    stage(*arrays) a keep-vector over them, applied in list order.  The
+    pool (None: inline) only runs chunks at the same time, never reorders
+    them.  An empty range is one empty chunk, so the arrays keep their
+    shapes.
     """
-    stages = [lambda *arrays, s=s: slot_pass(*arrays, s)
-              for s in slots] + list(checks)
-
-    def kernel(start: int, stop: int) -> list[np.ndarray]:
-        arrays = decode(start, stop)
+    def kernel(bounds: tuple[int, int]) -> list[np.ndarray]:
+        arrays = decode(*bounds)
         for stage in stages:
             if len(arrays[0]) == 0:
                 break
@@ -458,8 +441,9 @@ def _scan(total: int, decode: Callable, slot_pass: Callable, slots: Sequence,
             arrays = [x[keep] for x in arrays]
         return arrays
 
-    with _pool(jobs) as pool:
-        chunks = _chunked(total, kernel, pool)
+    ranges = [(s, min(s + chunk, total))
+              for s in range(0, max(total, 1), chunk)]
+    chunks = (map if pool is None else pool.map)(kernel, ranges)
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
 
@@ -473,8 +457,8 @@ def _search(p: int, d: int, unknowns: int, conditions: Sequence,
     by all p**d vectors in index order, then keeps the candidates that pass
     each condition whose last unknown is k, in list order.  A condition is
     a pair (unknowns read, test), where test(cols) returns a keep-vector
-    over a (B, k + 1, d) stack.  Each level runs in chunks of SEARCH_CHUNK
-    candidates on one thread pool (see _chunked), so survivors and fallback
+    over a (B, k + 1, d) stack.  Each level is one _scan, in chunks of
+    SEARCH_CHUNK candidates on one thread pool, so survivors and fallback
     are the same for any jobs.
     """
     vectors = _low_digit_block(p, d).astype(dtype)
@@ -493,21 +477,13 @@ def _search(p: int, d: int, unknowns: int, conditions: Sequence,
                            "%d of the flat %d: flat scan", level, spent,
                            flat_total)
                 return None
-            prefixes = cols
 
-            def kernel(start: int, stop: int) -> np.ndarray:
+            def extend(start: int, stop: int, prefixes=cols) -> tuple:
                 idx = np.arange(start, stop)
-                out = np.concatenate((prefixes[idx // q],
-                                      vectors[idx % q, None]), axis=1)
-                for test in level_tests:
-                    if len(out) == 0:
-                        break
-                    out = out[test(out)]
-                return out
+                return (np.concatenate((prefixes[idx // q],
+                                        vectors[idx % q, None]), axis=1),)
 
-            parts = _chunked(total, kernel, pool, SEARCH_CHUNK)
-            cols = (np.concatenate(parts) if parts
-                    else np.empty((0, level + 1, d), dtype=dtype))
+            (cols,) = _scan(total, extend, level_tests, pool, SEARCH_CHUNK)
             _log.debug("search level %d kept %d of %d", level, len(cols),
                        total)
     return cols
@@ -548,12 +524,15 @@ def _columns(cols: np.ndarray) -> np.ndarray:
 
 
 def _trace_gram(gram: Sequence, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The trace Gram matrix mod p and its inverse."""
+    """The trace Gram matrix mod p and its inverse; NotInvertible when it is
+    not square (the carriers differ) or singular."""
     g = np.asarray(gram, dtype=np.int64) % p
-    det, adj = _det_adj(g[None], p)
-    if det[0] == 0:
+    if g.shape[0] != g.shape[1]:
+        raise NotInvertible("the trace Gram matrix is not square")
+    det = int(_det(g[None], p)[0])
+    if det == 0:
         raise NotInvertible("the trace Gram matrix is singular")
-    return g, adj[0] * pow(int(det[0]), -1, p) % p
+    return g, _adj(g[None])[0] * pow(det, -1, p) % p
 
 
 def _flat_pair_with_trace(p: int, d: int, t_plus: Sequence,
@@ -562,9 +541,9 @@ def _flat_pair_with_trace(p: int, d: int, t_plus: Sequence,
     """scan_pair_with_trace by decoding all p**(d*d) matrices phi_plus: its
     oracle and its fallback.
 
-    The dual inverse is computed division-free via the adjugate:
-    conditions are scaled by det(phi_plus) (a unit), which is an
-    equivalence over a field.
+    Each invertible phi_plus carries its trace-dual inverse
+    phi_minus = (phi_plus^T G)^{-1} G = det^{-1} G^{-1} adj(phi_plus)^T G,
+    so the filters and checks read both sides as they are.
     """
     dtype = _work_dtype(p)
     tp = _xfirst(t_plus, p, dtype)
@@ -572,42 +551,33 @@ def _flat_pair_with_trace(p: int, d: int, t_plus: Sequence,
     g, ginv = _trace_gram(gram, p)
     gram_apply = _make_gram_apply(g, ginv, p, dtype)
     tp_byc = _tensor_by_c(tp, dtype)
+    inverses = np.array([0] + [pow(x, -1, p) for x in range(1, p)],
+                        dtype=dtype)
     total = p ** (d * d)
 
     def decode(start: int, stop: int):
         a = _digit_matrices_range(start, stop, p, d, dtype)
-        if d == 4:  # drop singular candidates before building the adjugate
-            top = _row_minors(a, 0, 1)
-            bot = _row_minors(a, 2, 3)
-            det = _det4_from_minors(top, bot) % p
-            keep = det != 0
-            a, det = a[keep], det[keep]
-            adj = _adj4_from_minors(a, {k: v[keep] for k, v in top.items()},
-                                    {k: v[keep] for k, v in bot.items()})
-        else:
-            det, adj = _det_adj(a, p)
-            keep = det != 0
-            a, det, adj = a[keep], det[keep], adj[keep]
-        # btil = det * phi_minus, with phi_minus = (phi_plus^T G)^{-1} G
-        return a, det, gram_apply(adj)
+        det = _det(a, p)
+        a, det = a[det != 0], det[det != 0]
+        return a, inverses[det][:, None, None] * gram_apply(_adj(a)) % p
 
-    def slot_pass(a, det, btil, slot):
+    def slot_pass(slot, a, minus):
         i, j, k = slot
-        lhs = (det[:, None] * (a @ tp[:, i, j, k])) % p
-        rhs = _slot_rhs(tp_byc, a[:, :, i], btil[:, :, j], a[:, :, k], p)
+        lhs = (a @ tp[:, i, j, k]) % p
+        rhs = _slot_rhs(tp_byc, a[:, :, i], minus[:, :, j], a[:, :, k], p)
         return (lhs == rhs).all(axis=1)
 
-    def check_plus(a, det, btil):
-        return _carried(tp, a, (a, btil, a), p, det)
+    def check_plus(a, minus):
+        return _carried(tp, a, (a, minus, a), p)
 
-    def check_minus(a, det, btil):
-        return _carried(tm, btil, (btil, a, btil), p, det)
+    def check_minus(a, minus):
+        return _carried(tm, minus, (minus, a, minus), p)
 
     slots = _probe_slots(total, d, decode, slot_pass)
-    plus, det, btil = _scan(total, decode, slot_pass, slots,
-                            (check_plus, check_minus), jobs)
-    inverses = np.array([0] + [pow(x, -1, p) for x in range(1, p)])
-    minus = inverses[det][:, None, None] * btil % p
+    stages = [partial(slot_pass, s) for s in slots] + [check_plus,
+                                                       check_minus]
+    with _pool(jobs) as pool:
+        plus, minus = _scan(total, decode, stages, pool, CHUNK)
     return np.stack((plus, minus), axis=1).astype(np.int64)
 
 
@@ -623,7 +593,7 @@ def _flat_triple(p: int, d: int, tensor: Sequence,
     def decode(start: int, stop: int):
         return _invertible(_digit_matrices_range(start, stop, p, d, dtype), p)
 
-    def slot_pass(a, slot):
+    def slot_pass(slot, a):
         i, j, k = slot
         lhs = (a @ t[:, i, j, k]) % p
         rhs = _slot_rhs(t_byc, a[:, :, i], a[:, :, j], a[:, :, k], p)
@@ -633,7 +603,9 @@ def _flat_triple(p: int, d: int, tensor: Sequence,
         return _carried(t, a, (a, a, a), p)
 
     slots = _probe_slots(total, d, decode, slot_pass)
-    (found,) = _scan(total, decode, slot_pass, slots, (check,), jobs)
+    stages = [partial(slot_pass, s) for s in slots] + [check]
+    with _pool(jobs) as pool:
+        (found,) = _scan(total, decode, stages, pool, CHUNK)
     return found.astype(np.int64)
 
 
@@ -667,7 +639,7 @@ def _flat_algebra_unit_fixing(p: int, d: int, prod: Sequence,
         return _invertible(assemble(_digits_range(start, stop, p, cells,
                                                   dtype)), p)
 
-    def slot_pass(a, slot):
+    def slot_pass(slot, a):
         i, j = slot
         lhs = (a @ pr[:, i, j]) % p
         rhs = _bilinear_rhs(prf, a[:, :, i], a[:, :, j], p)
@@ -677,7 +649,9 @@ def _flat_algebra_unit_fixing(p: int, d: int, prod: Sequence,
         return _carried(pr, a, (a, a), p)
 
     slots = [(0, 0), (0, min(1, d - 1)), (min(1, d - 1), 0)]
-    (found,) = _scan(p ** cells, decode, slot_pass, slots, (check,), jobs)
+    stages = [partial(slot_pass, s) for s in slots] + [check]
+    with _pool(jobs) as pool:
+        (found,) = _scan(p ** cells, decode, stages, pool, CHUNK)
     return found.astype(np.int64)
 
 
@@ -685,13 +659,14 @@ def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
                          gram: Sequence, jobs: int = 1) -> np.ndarray:
     """All (phi_plus, phi_minus) pair automorphisms with phi_minus the
     trace-dual inverse (phi_plus^T G)^{-1} G, as an int64 (B, 2, d, d)
-    stack ascending in phi_plus.
+    stack ascending in phi_plus; NotInvertible when G is not square or
+    singular.
 
     t_plus / t_minus are Jordan-layout [a][b][c][x] integer tensors; gram is
     the trace Gram matrix.  The unknowns are the columns of both sides,
     fixed in the order plus_0, minus_0, plus_1, ...; the conditions are the
     entries of phi_plus^T G phi_minus == G, which pin phi_minus to the dual
-    inverse, and the slots of both tensors.
+    inverse (so both sides are invertible), and the slots of both tensors.
     """
     dtype = _work_dtype(p)
     tp = _xfirst(t_plus, p, dtype)
@@ -706,12 +681,6 @@ def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
             return (row * cols[:, minus[c]]).sum(axis=1) % p == g[r, c]
         return test
 
-    def check(cols):
-        a, b = _columns(cols[:, plus]), _columns(cols[:, minus])
-        ok = _det(a, p) != 0
-        ok &= _carried(tp, a, (a, b, a), p)
-        return ok & _carried(tm, b, (b, a, b), p)
-
     conditions = [({plus[r], minus[c]}, gram_entry(r, c))
                   for r in range(d) for c in range(d)]
     for t, side, other in ((tp, plus, minus), (tm, minus, plus)):
@@ -719,7 +688,6 @@ def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
         conditions += _slot_conditions(
             t, lambda u, v, w, t_byc=t_byc: _slot_rhs(t_byc, u, v, w, p),
             side, (side, other, side), p)
-    conditions.append((range(2 * d), check))
     found = _search(p, d, 2 * d, conditions, p ** (d * d), jobs, dtype)
     if found is None:
         return _flat_pair_with_trace(p, d, t_plus, t_minus, gram, jobs=jobs)
@@ -731,20 +699,15 @@ def scan_triple(p: int, d: int, tensor: Sequence, jobs: int = 1) -> np.ndarray:
     """All invertible phi with phi{x,y,z} == {phi x, phi y, phi z}, as an
     int64 (B, d, d) stack in index order; tensor is in Jordan layout
     [a][b][c][x].  The unknowns are the columns of phi in ascending order,
-    the conditions the slots of the tensor."""
+    the conditions the slots of the tensor and, on all columns, det != 0."""
     dtype = _work_dtype(p)
     t = _xfirst(tensor, p, dtype)
     t_byc = _tensor_by_c(t, dtype)
     unknowns = range(d)
-
-    def check(cols):
-        a = _columns(cols)
-        return (_det(a, p) != 0) & _carried(t, a, (a, a, a), p)
-
     conditions = _slot_conditions(
         t, lambda u, v, w: _slot_rhs(t_byc, u, v, w, p), unknowns,
         (unknowns,) * 3, p)
-    conditions.append((unknowns, check))
+    conditions.append((unknowns, lambda cols: _det(_columns(cols), p) != 0))
     found = _search(p, d, d, conditions, p ** (d * d), jobs, dtype)
     if found is None:
         return _flat_triple(p, d, tensor, jobs=jobs)
@@ -762,7 +725,8 @@ def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
     the pivot column (the first with u != 0) are free, the pivot column is
     determined.  prod is the Jordan-layout [a][b][x] product tensor, unit
     the coordinate vector of 1.  The unknowns are the columns of phi in
-    ascending order, the conditions A u = u and the slots of the product.
+    ascending order, the conditions A u = u, the slots of the product and,
+    on all columns, det != 0.
     """
     dtype = _work_dtype(p)
     pr = _xfirst(prod, p, dtype)
@@ -775,15 +739,11 @@ def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
         image = sum(int(u[j]) * cols[:, j] for j in support) % p
         return (image == u).all(axis=1)
 
-    def check(cols):
-        a = _columns(cols)
-        return (_det(a, p) != 0) & _carried(pr, a, (a, a), p)
-
     conditions = [(support, fixes_unit)]
     conditions += _slot_conditions(
         pr, lambda x, y: _bilinear_rhs(prf, x, y, p), unknowns,
         (unknowns, unknowns), p)
-    conditions.append((unknowns, check))
+    conditions.append((unknowns, lambda cols: _det(_columns(cols), p) != 0))
     found = _search(p, d, d, conditions, p ** (d * (d - 1)), jobs, dtype)
     if found is None:
         return _flat_algebra_unit_fixing(p, d, prod, unit, jobs=jobs)
@@ -822,7 +782,8 @@ def _flat_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
             ok &= mult == 1
         return ok
 
-    (found,) = _scan(p ** (n * n), decode, None, (), (check,), jobs)
+    with _pool(jobs) as pool:
+        (found,) = _scan(p ** (n * n), decode, [check], pool, CHUNK)
     return found.astype(np.int64)
 
 
@@ -837,7 +798,7 @@ def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
     The conditions are lambda != 0 (lambda == 1 for isometries), and
     col_i^T G col_j G[r, c] == col_r^T G col_c G[i, j] for every other
     entry (i, j), division-free; where G[i, j] == 0 that reads columns i
-    and j only.
+    and j only.  They force det a != 0, as det(a)**2 det G == lambda**n det G.
     """
     dtype = _work_dtype(p)
     g, (r, c), piv_inv = _form_gram(gram, p, dtype)
@@ -858,13 +819,9 @@ def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
                     == form(cols, r, c) * int(g[i, j]) % p)
         return test
 
-    def check(cols):
-        return _det(_columns(cols), p) != 0
-
     conditions = [({r, c}, multiplier)]
     conditions += [({i, j} | ({r, c} if g[i, j] else set()), entry(i, j))
                    for i in range(n) for j in range(n) if (i, j) != (r, c)]
-    conditions.append((range(n), check))
     found = _search(p, n, n, conditions, p ** (n * n), jobs, dtype)
     if found is None:
         return _flat_similitudes(p, n, gram, isometry_only, jobs=jobs)

@@ -12,7 +12,7 @@ from jpaut import (PrimeField, Matrix, JordanAlgebra, JordanPair,
                    similitude_multiplier)
 from jpaut import fastscan
 from jpaut.errors import BadInput, NotInvertible
-from jpaut.fastscan import (_digits_range, _low_digit_block, _det, _det_adj,
+from jpaut.fastscan import (_digits_range, _low_digit_block, _det, _adj,
                             _tensor_by_c, _slot_rhs, _make_gram_apply,
                             _work_dtype, scan_algebra_unit_fixing,
                             scan_pair_with_trace, scan_triple,
@@ -88,15 +88,16 @@ def test_batched_det_matches_leibniz(p, n):
 
 
 @pytest.mark.parametrize("p", [3, 5])
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_det_adj_identity(p, n):
+    # a @ _adj(a) == _det(a) * I mod p
     rng = np.random.default_rng(7 * p + n)
     a = rng.integers(0, p, size=(32, n, n)).astype(_work_dtype(p))
-    det, adj = _det_adj(a, p)
+    adj = _adj(a)
     prod = np.einsum('bij,bjk->bik', a.astype(np.int64),
                      adj.astype(np.int64)) % p
-    expect = np.einsum('b,ik->bik', np.asarray(det, dtype=np.int64) % p,
-                       np.eye(n, dtype=np.int64)) % p
+    expect = np.einsum('b,ik->bik', np.asarray(_det(a, p), dtype=np.int64),
+                       np.eye(n, dtype=np.int64))
     assert np.array_equal(prod, expect)
     # adjugate entries stay inside the documented integer bound
     assert np.abs(np.asarray(adj, dtype=np.int64)).max() < 6 * p ** 3
@@ -291,16 +292,30 @@ def test_singular_trace_gram_raises_not_invertible(gram, engine):
         enumerate_automorphisms(pair, engine=engine)
 
 
+@pytest.mark.parametrize("dplus,dminus", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("engine", ["fast", "pure"])
+def test_unequal_traced_carriers_raise_not_invertible(dplus, dminus, engine):
+    # a trace Gram of shape (dplus, dminus) has no inverse when they differ
+    t_plus = np.zeros((dplus, dminus, dplus, dplus), dtype=np.int64)
+    t_minus = np.zeros((dminus, dplus, dminus, dminus), dtype=np.int64)
+    pair = JordanPair(F3, dplus, dminus, nested(t_plus.tolist()),
+                      nested(t_minus.tolist()),
+                      Matrix.build(F3, np.eye(dplus, dminus,
+                                              dtype=np.int64).tolist()))
+    with pytest.raises(NotInvertible):
+        enumerate_automorphisms(pair, engine=engine)
+
+
 def test_search_levels_span_chunks_in_index_order(monkeypatch):
     # the fifth level of VhI(2,2,F3) extends 4,896 prefixes by 81 vectors
     # each: 396,576 candidates, in many chunks
-    real = fastscan._chunked
+    real = fastscan._scan
     calls = []
 
-    def spy(total, kernel, pool, chunk=fastscan.CHUNK):
+    def spy(total, decode, stages, pool, chunk):
         calls.append((total, chunk))
-        return real(total, kernel, pool, chunk)
-    monkeypatch.setattr(fastscan, "_chunked", spy)
+        return real(total, decode, stages, pool, chunk)
+    monkeypatch.setattr(fastscan, "_scan", spy)
     vhi = make_vhi(2, 2, F3).structure
     image = vhi._int64
     args = (3, 4, image["t_plus"], image["t_minus"], image["trace"])
@@ -455,10 +470,13 @@ def test_similitude_search_equals_the_flat_oracle(p, n):
 
 
 def test_search_enumerates_without_the_flat_scan(monkeypatch):
+    # nor the flat scans' complete check: a search decides each identity
+    # once, by its conditions
     def refused(*args, **kwargs):
-        raise AssertionError("the flat scan ran")
+        raise AssertionError("a flat scan or its complete check ran")
     for name in ("_flat_triple", "_flat_pair_with_trace",
-                 "_flat_algebra_unit_fixing", "_flat_similitudes"):
+                 "_flat_algebra_unit_fixing", "_flat_similitudes",
+                 "_carried"):
         monkeypatch.setattr(fastscan, name, refused)
     orders = {"ThI(2,F3)": 96, "VhI(2,2,F3)": 2304, "TtI(2,2,F3)": 128,
               "Mplus(2,F3)": 48, "TIV(3,F5)": 16}

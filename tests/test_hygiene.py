@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-every local name a function assigns is read, and every private top-level
-function or class is referenced somewhere in the package."""
+every local name a function assigns is read, every parameter is read, and
+every private top-level function or class is referenced somewhere in the
+package."""
 import ast
 import pathlib
 
@@ -80,6 +81,49 @@ def test_the_check_sees_an_unused_local():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_local_name_is_read(path):
     assert _unread_locals(path.read_text(encoding="utf-8")) == []
+
+
+def _is_stub(fn) -> bool:
+    """Whether fn's body, docstring aside, is a single raise statement."""
+    body = fn.body[1:] if ast.get_docstring(fn) else fn.body
+    return len(body) == 1 and isinstance(body[0], ast.Raise)
+
+
+def _unread_params(source: str) -> list:
+    """(line, name) of each parameter of a function or lambda that its body
+    never reads, nested scopes included; self, cls and names starting with
+    _ are exempt, and so are abstract stubs, whose body only raises."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.Lambda)
+                or isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not _is_stub(fn)):
+            continue
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        found += [(a.lineno, a.arg) for a in params
+                  if a.arg not in read and a.arg not in ("self", "cls")
+                  and not a.arg.startswith("_")]
+    return sorted(found)
+
+
+def test_the_check_sees_an_unread_parameter():
+    source = ("def f(self, a, b, *args, _c=1, **kw):\n"
+              "    g = lambda x, y: x\n"
+              "    def h(z):\n        return b\n"
+              "    return g, h\n"
+              "def stub(x):\n    raise NotImplementedError\n")
+    assert _unread_params(source) == [(1, "a"), (1, "args"), (1, "kw"),
+                                      (2, "y"), (3, "z")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert _unread_params(path.read_text(encoding="utf-8")) == []
 
 
 
