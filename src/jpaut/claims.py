@@ -8,13 +8,15 @@ deterministic: seeded sampling, canonical orderings, no timestamps.
 
 import random
 
+import numpy as np
+
 from .errors import (BadDims, BadInput, NoSquareRootOfMinusOne,
                      NotFactorable, NotSimilitude, UnknownClaim)
 from .ring import PrimeField, Ring, RingElement, parse_ring, mu_n, \
     find_sqrt_minus_one
 from .matrix import Matrix, BilinearForm, standard_form, enumerate_GL, \
     enumerate_GO, enumerate_O
-from .jordan import is_pair_automorphism
+from .jordan import _carries, is_pair_automorphism
 from .catalog import NamedSystem, extended_form, lambda_isomorphism, \
     make_bilinear_form_algebra, make_mn_plus, make_t_iv, make_thi, \
     make_tti, make_type_iv_pair, make_type_iv_triple, make_vhi, make_vti, \
@@ -25,8 +27,9 @@ from .autfam import all_twisted_maps, det_isometry_check, \
     op_left, op_transpose, ortho_to_triple_aut, phi_n, phi_n_kernel_check, \
     thi_map, tilde_l, tilde_r, transpose_twist, tti_map, tti_membership
 from .gradelie import check_graded_lie, make_graded_gl, pair_from_grading
-from .oracle import DEFAULT_BUDGET, AutomorphismSet, compare, element_key, \
-    enumerate_automorphisms, family_image, generate_closure
+from .oracle import DEFAULT_BUDGET, AutomorphismSet, _invertible_mod_p, \
+    compare, element_key, enumerate_automorphisms, family_image, \
+    generate_closure
 
 
 # -- shared enumeration cache -------------------------------------------------
@@ -463,6 +466,40 @@ def _run_block_grading(p):
     return _verdict(ok, details)
 
 
+def _conjugates_are_automorphisms(iso, ext: BilinearForm) -> tuple:
+    """(|GO(ext)|, whether iso.map^-1 f iso.map is an automorphism of
+    iso.source for each similitude pair map f = (a, m_a^-1 a) of ext).
+
+    Over F_p the conjugates are int64 stacks built by batched matmul mod p
+    and decided at once, as oracle._cross_check decides a fast scan: both
+    sides invertible, and one jordan._carries per tensor.
+    """
+    sims, source, inv = list(enumerate_GO(ext)), iso.source, iso.map.inverse()
+    image = source._int64
+    if image is None:
+        return len(sims), all(is_pair_automorphism(
+            source, inv.compose(go_to_pair_aut(a, ext)).compose(iso.map))
+            for a in sims)
+    p = source.ring.p
+
+    def residues(ms) -> np.ndarray:
+        return np.array([m.entries for m in ms], dtype=np.int64)
+    a = residues(sims)
+    g, ip, im, fp, fm = residues((ext.gram, inv.plus, inv.minus,
+                                  iso.map.plus, iso.map.minus))
+    r, c = np.argwhere(g)[0]
+    mult = (a.transpose(0, 2, 1) @ g % p @ a % p)[:, r, c]
+    scale = np.array([int(g[r, c]) * pow(int(m), -1, p) % p for m in mult])
+    plus = ip @ a % p @ fp % p
+    minus = im @ (scale[:, None, None] * a % p) % p @ fm % p
+    ok = _invertible_mod_p(plus, p) & _invertible_mod_p(minus, p)
+    for part, side, other in (("t_plus", plus, minus),
+                              ("t_minus", minus, plus)):
+        ok &= _carries(source.ring, image[part], image[part], side,
+                       (side, other, side))
+    return len(sims), bool(ok.all())
+
+
 def _run_lambda_iso(p):
     ring, n = p["ring"], p["n"]
     if n < 1:
@@ -487,17 +524,11 @@ def _run_lambda_iso(p):
         return ("refused" if ok else "failed"), ok, details
     iso = lambda_isomorphism(form, i)
     verified = iso.verify()
-    # conjugating the similitude family back lands in the source group
-    ext = extended_form(form)
-    inv = iso.map.inverse()
-    fam = [go_to_pair_aut(a, ext) for a in enumerate_GO(ext)]
-    conj_ok = all(is_pair_automorphism(iso.source,
-                                       inv.compose(f).compose(iso.map))
-                  for f in fam)
+    size, conj_ok = _conjugates_are_automorphisms(iso, extended_form(form))
     details = {
         "sqrt_minus_one": ring.payload_str(i.payload),
         "pair_isomorphism_verified": verified,
-        "conjugated_family_size": len(fam),
+        "conjugated_family_size": size,
         "conjugates_are_source_automorphisms": conj_ok,
     }
     ok = verified and conj_ok

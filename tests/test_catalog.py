@@ -169,7 +169,8 @@ _GUARDS_UNDER_O = textwrap.dedent("""
         fastscan.scan_similitudes(3, 2, [[0, 0], [0, 0]], False)
     except DegenerateForm:
         print("zero form raised")
-    for scan in (fastscan.scan_similitudes, fastscan._flat_similitudes):
+    import _flat_oracle
+    for scan in (fastscan.scan_similitudes, _flat_oracle._flat_similitudes):
         try:
             scan(3, 2, [[1, 0], [0, 0]], False)
         except DegenerateForm:
@@ -188,13 +189,14 @@ _GUARDS_UNDER_O = textwrap.dedent("""
 
 def test_catalog_guards_survive_python_O():
     # asserts vanish under -O; the catalog's axiom and isomorphism checks,
-    # the fast-scan cross-checks and the similitude scans' singular-Gram
-    # refusal must raise there all the same, and the CLI must exit 1 on them
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
+    # the fast-scan cross-checks and the singular-Gram refusal of the
+    # similitude scan and its flat oracle must raise there all the same, and
+    # the CLI must exit 1 on them
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+        p for p in (src, tests, env.get("PYTHONPATH")) if p)
     run = subprocess.run([sys.executable, "-O", "-c", _GUARDS_UNDER_O],
                          capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr

@@ -1,5 +1,6 @@
 """Vectorized scan kernels checked against direct references."""
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -12,14 +13,15 @@ from jpaut import (PrimeField, Matrix, JordanAlgebra, JordanPair,
                    similitude_multiplier)
 from jpaut import fastscan
 from jpaut.errors import BadInput, NotInvertible
-from jpaut.fastscan import (_digits_range, _low_digit_block, _det, _adj,
-                            _tensor_by_c, _slot_rhs, _make_gram_apply,
-                            _work_dtype, scan_algebra_unit_fixing,
-                            scan_pair_with_trace, scan_triple,
-                            scan_similitudes)
+from jpaut.fastscan import (_digits_range, _low_digit_block, _det,
+                            _tensor_by_c, _slot_rhs, _work_dtype,
+                            scan_algebra_unit_fixing, scan_pair_with_trace,
+                            scan_triple, scan_similitudes)
 from jpaut import (extended_form, make_t_iv, make_vhi, make_type_iv_pair,
                    make_type_iv_triple, parse_system)
 
+import _flat_oracle
+from _flat_oracle import _adj, _make_gram_apply
 from _helpers import nested, random_structure
 from test_acceptance import DETERMINISM_BATTERY, _axiom_sweep_systems
 
@@ -188,12 +190,12 @@ def test_similitude_decode_at_n_3_matches_the_pure_filter(enumerate_group,
 
 
 def test_scan_triple_concatenates_chunks_in_index_order():
-    # TIV(3,F5): the flat scan decodes 5**9 candidates in 30 chunks, with
-    # 16 survivors
+    # TIV(3,F5): the flat oracle decodes 5**9 candidates in 120 chunks,
+    # with 16 survivors
     system = make_t_iv(standard_form(F5, 2))
     tensor = system.structure._int64["tensor"]
-    one = fastscan._flat_triple(5, 3, tensor, jobs=1)
-    two = fastscan._flat_triple(5, 3, tensor, jobs=2)
+    one = _flat_oracle._flat_triple(5, 3, tensor, jobs=1)
+    two = _flat_oracle._flat_triple(5, 3, tensor, jobs=2)
     assert np.array_equal(one, two)
     assert one.dtype == np.int64 and one.shape == (16, 3, 3)
     rows = one.reshape(16, 9).tolist()
@@ -263,10 +265,13 @@ def test_kernels_read_the_jordan_layout(kind):
 
 
 def test_work_dtype_refuses_primes_past_the_int64_bound():
-    # 6 p**5 first reaches 2**63 at the prime 4339; 4337 is the prime below
-    assert _work_dtype(4337) is np.int64
+    # 64 p**4 first passes 2**31 - 1 at the prime 79, and first reaches
+    # 2**63 at the prime 19489; 73 and 19483 are the primes below
+    assert _work_dtype(73) is np.int32
+    assert _work_dtype(79) is np.int64
+    assert _work_dtype(19483) is np.int64
     with pytest.raises(BadInput):
-        _work_dtype(4339)
+        _work_dtype(19489)
 
 
 @pytest.mark.parametrize("make", [make_type_iv_triple, make_type_iv_pair])
@@ -274,9 +279,9 @@ def test_fast_engine_refuses_primes_past_the_bound_before_scanning(
         make, monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("a scan started")
-    for stage in ("_probe_slots", "_scan", "_search"):
+    for stage in ("_scan", "_search"):
         monkeypatch.setattr(fastscan, stage, started)
-    ring = PrimeField(4339)
+    ring = PrimeField(19489)
     with pytest.raises(BadInput):
         enumerate_automorphisms(make(standard_form(ring, 2)),
                                 budget=gl_order(ring, 2), engine="fast")
@@ -307,26 +312,45 @@ def test_unequal_traced_carriers_raise_not_invertible(dplus, dminus, engine):
 
 
 def test_search_levels_span_chunks_in_index_order(monkeypatch):
-    # the fifth level of VhI(2,2,F3) extends 4,896 prefixes by 81 vectors
-    # each: 396,576 candidates, in many chunks
+    # at 4,096 a chunk, level 4 of VhI(2,2,F3) (plus_2) solves for 4,896
+    # prefixes in two chunks and filters 31,104 candidates in eight
+    monkeypatch.setattr(fastscan, "CHUNK", 1 << 12)
     real = fastscan._scan
     calls = []
 
-    def spy(total, decode, stages, pool, chunk):
-        calls.append((total, chunk))
-        return real(total, decode, stages, pool, chunk)
+    def spy(total, decode, stages, pool):
+        calls.append(total)
+        return real(total, decode, stages, pool)
     monkeypatch.setattr(fastscan, "_scan", spy)
     vhi = make_vhi(2, 2, F3).structure
     image = vhi._int64
     args = (3, 4, image["t_plus"], image["t_minus"], image["trace"])
     one = scan_pair_with_trace(*args, jobs=1)
-    size = dict(calls)[4896 * 81]
-    assert 4896 * 81 > 6 * size and size <= fastscan.CHUNK
+    assert 4896 in calls and 31104 in calls
     two = scan_pair_with_trace(*args, jobs=2)
     assert np.array_equal(one, two)
     assert one.dtype == np.int64 and one.shape == (2304, 2, 4, 4)
     rows = one.reshape(2304, 32).tolist()
     assert all(x < y for x, y in zip(rows, rows[1:]))
+
+
+def test_search_logs_the_same_levels_for_any_jobs(caplog):
+    # one DEBUG record per level: (level, kept, generated)
+    image = make_vhi(2, 2, F3).structure._int64
+    args = (3, 4, image["t_plus"], image["t_minus"], image["trace"])
+    levels = {}
+    for jobs in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="jpaut.fastscan"):
+            scan_pair_with_trace(*args, jobs=jobs)
+        levels[jobs] = [r.args for r in caplog.records
+                        if r.name == "jpaut.fastscan"]
+    assert levels[1] == levels[2]
+    assert [level for level, _, _ in levels[1]] == list(range(8))
+    assert [kept for _, kept, _ in levels[1]] == [
+        81, 288, 1440, 4896, 3456, 2304, 2304, 2304]
+    # the last level solves minus_3 outright: one candidate per prefix
+    assert levels[1][-1][2] == 2304
 
 
 def _kernel_call(structure):
@@ -340,20 +364,6 @@ def _kernel_call(structure):
         return "triple", (p, structure.dim, image["tensor"])
     return "algebra_unit_fixing", (p, structure.dim, image["product"],
                                    image["unit"])
-
-
-_FLAT_ORACLES = {name: getattr(fastscan, f"_flat_{name}")
-                 for name in ("triple", "pair_with_trace",
-                              "algebra_unit_fixing")}
-_FLAT_RESULTS = {}
-
-
-def _flat(name, args):
-    """The flat oracle's result, computed once per test run."""
-    key = (name,) + tuple(np.asarray(a).tobytes() for a in args)
-    if key not in _FLAT_RESULTS:
-        _FLAT_RESULTS[key] = _FLAT_ORACLES[name](*args, jobs=2)
-    return _FLAT_RESULTS[key]
 
 
 def _flat_count(structure):
@@ -389,41 +399,32 @@ def _grid_structures():
     return out
 
 
-def test_search_equals_the_flat_oracle_on_every_grid_point(monkeypatch):
-    # a search that falls back reads the cached flat result, so each
-    # flat scan runs once
-    for name in _FLAT_ORACLES:
-        monkeypatch.setattr(fastscan, f"_flat_{name}",
-                            lambda *args, jobs, name=name: _flat(name, args))
+def test_search_equals_the_flat_oracle_on_every_grid_point():
     structures = _grid_structures()
+    assert len(structures) == 102
     assert {"ThI(2,F3)", "TtI(2,2,F3)", "VhI(2,2,F3)", "Mplus(2,F3)",
             "TIV(3,F5)", "VIV(3,F5)", "ThatIV(4,F3)"} <= set(structures)
     assert not any(name.startswith(("ThI(2,F5)", "TtI(2,2,F5)"))
                    for name in structures)
     for name, structure in structures.items():
         kernel, args = _kernel_call(structure)
-        found = getattr(fastscan, f"scan_{kernel}")(*args)
-        expect = _flat(kernel, args)
-        assert found.dtype == expect.dtype == np.int64, name
-        assert found.shape == expect.shape, name
-        assert np.array_equal(found, expect), name
+        expect = getattr(_flat_oracle, f"_flat_{kernel}")(*args, jobs=2)
+        assert expect.dtype == np.int64, name
+        for jobs in (1, 2):
+            found = getattr(fastscan, f"scan_{kernel}")(*args, jobs=jobs)
+            assert found.dtype == np.int64, (name, jobs)
+            assert found.shape == expect.shape, (name, jobs)
+            assert np.array_equal(found, expect), (name, jobs)
 
 
-def test_zero_traced_pair_falls_back_to_the_flat_scan(monkeypatch):
-    # zero tensors: every slot holds, so only the trace entries prune, and
-    # the search would pass the 3**9 flat candidates by its fourth level
+def test_zero_traced_pair_is_searched():
+    # zero tensors: every slot holds, so only the trace entries decide, and
+    # the group is all of GL_3
     pair = random_structure("pair", 3, 3, "zero", 0)
     _, args = _kernel_call(pair)
-    real = fastscan._flat_pair_with_trace
-    calls = []
-
-    def spy(*a, **kw):
-        calls.append(kw["jobs"])
-        return real(*a, **kw)
-    monkeypatch.setattr(fastscan, "_flat_pair_with_trace", spy)
     one = scan_pair_with_trace(*args, jobs=1)
     two = scan_pair_with_trace(*args, jobs=2)
-    assert calls == [1, 2] and np.array_equal(one, two)
+    assert np.array_equal(one, two)
     assert one.shape == (gl_order(F3, 3), 2, 3, 3)
     plus, minus = one[:, 0], one[:, 1]
     assert (_det(plus, 3) != 0).all()
@@ -463,29 +464,52 @@ def test_similitude_search_equals_the_flat_oracle(p, n):
     for name, gram in _similitude_grams(p, n).items():
         for isometry in (False, True):
             found = scan_similitudes(p, n, gram, isometry)
-            expect = fastscan._flat_similitudes(p, n, gram, isometry)
+            expect = _flat_oracle._flat_similitudes(p, n, gram, isometry)
             assert found.dtype == expect.dtype == np.int64, name
             assert found.shape == expect.shape, name
             assert np.array_equal(found, expect), (name, isometry)
 
 
-def test_search_enumerates_without_the_flat_scan(monkeypatch):
-    # nor the flat scans' complete check: a search decides each identity
-    # once, by its conditions
+@pytest.fixture
+def no_flat_oracle(monkeypatch):
+    """The flat oracle and its complete check raise when called."""
     def refused(*args, **kwargs):
         raise AssertionError("a flat scan or its complete check ran")
     for name in ("_flat_triple", "_flat_pair_with_trace",
                  "_flat_algebra_unit_fixing", "_flat_similitudes",
                  "_carried"):
-        monkeypatch.setattr(fastscan, name, refused)
+        monkeypatch.setattr(_flat_oracle, name, refused)
+    assert not [name for name in vars(fastscan)
+                if name.startswith("_flat_") or name == "_carried"]
+
+
+def test_search_enumerates_without_the_flat_scan(no_flat_oracle):
+    # a search decides each identity once, by its conditions; the systems
+    # below d = 3 and the d = 3 pairs whose group is all of GL_3 fell back
+    # to a flat scan before the trace entries were solved
     orders = {"ThI(2,F3)": 96, "VhI(2,2,F3)": 2304, "TtI(2,2,F3)": 128,
-              "Mplus(2,F3)": 48, "TIV(3,F5)": 16}
+              "Mplus(2,F3)": 48, "TIV(3,F5)": 16, "VhI(1,3,F3)": 11232,
+              "VtI(1,3,F3)": 11232, "VIV(2,F3)": 16, "VhI(1,2,F5)": 480,
+              "TIV(2,F3)": 8, "Jbilin(2,F3)": 2}
     for text, order in orders.items():
         found = enumerate_automorphisms(parse_system(text), engine="fast")
         assert (found.engine, found.order) == ("fast", order), text
+    zero = enumerate_automorphisms(random_structure("pair", 3, 3, "zero", 0),
+                                   engine="fast")
+    assert (zero.engine, zero.order) == ("fast", gl_order(F3, 3))
     # GO_3(F5) and O_3(F5) of the identity form (the lambda-iso claim's
     # extended form at n = 3) and of a hyperbolic form, whose pivot is off
     # the diagonal
     for gram in (np.eye(3, dtype=np.int64), _HYPERBOLIC[3]):
         assert len(scan_similitudes(5, 3, gram, False)) == 480
         assert len(scan_similitudes(5, 3, gram, True)) == 240
+
+
+def test_unit_fixing_search_at_d_1_returns_the_identity(no_flat_oracle):
+    # A u = u leaves no free column at d = 1, so the index-order sort has
+    # no key; the one map is the identity
+    found = scan_algebra_unit_fixing(5, 1, [[[1]]], [1])
+    assert found.dtype == np.int64 and found.tolist() == [[[1]]]
+    system = parse_system("Jbilin(1,F5)")
+    result = enumerate_automorphisms(system, engine="fast")
+    assert (result.engine, result.order) == ("fast", 1)
