@@ -21,8 +21,8 @@ from .errors import (BadInput, NonFieldRing, NotFactorable, NotIdempotent,
                      NotInvertible, NotIsometry, NotSimilitude, ShapeMismatch)
 from .jordan import JordanAlgebra, PairMap, is_algebra_automorphism, unwrap
 from .matrix import (BilinearForm, Matrix, enumerate_GL, enumerate_matrices,
-                     similitude_multiplier, solve_scalar_multiple,
-                     standard_form)
+                     perms_with_signs, similitude_multiplier,
+                     solve_scalar_multiple, standard_form)
 from .ring import (PrimeField, Ring, RingElement, component_inverse,
                    idempotents, mu_n)
 
@@ -295,13 +295,27 @@ def _det_equal_for_all(f: Matrix, n: int, multiplier) -> bool:
     return True
 
 
+def _det_mod_p(m: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of a batch of n x n residue matrices held entry
+    first, (n, n, B): the Leibniz sum, below n! p**n before its one
+    reduction."""
+    out = 0
+    for perm, sign in perms_with_signs(len(m)):
+        term = sign
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        out = out + term
+    return out % p
+
+
 def _np_det_check(f: Matrix, n: int, multiplier) -> bool:
-    from .fastscan import _det, _digit_matrices_range
+    """_det_equal_for_all over F_p on all p**(n*n) matrices at once, each
+    column of x one matrix's row-major entries."""
     p = f.ring.p
-    x = _digit_matrices_range(0, p ** (n * n), p, n)
-    fm = np.array(f.entries, dtype=np.int64)
-    y = (x.reshape(-1, n * n) @ fm.T % p).reshape(x.shape)
-    return bool((_det(y, p) == multiplier * _det(x, p) % p).all())
+    x = np.indices((p,) * (n * n)).reshape(n * n, -1)
+    y = np.einsum("rc,cb->rb", np.array(f.entries, dtype=np.int64), x) % p
+    det_x, det_y = (_det_mod_p(m.reshape(n, n, -1), p) for m in (x, y))
+    return bool((det_y == multiplier * det_x % p).all())
 
 
 def det_isometry_check(f: Matrix, n: int) -> bool:
@@ -356,11 +370,10 @@ def phi_tau_action(tau: RingElement, a: Matrix, b: Matrix) -> tuple:
 def phi_n_kernel_check(ring: Ring, n: int) -> bool:
     """ker Phi_n == {(r 1, r^{-1} 1, 1)}: checked by full enumeration.
 
-    Necessary condition phi(1) = a b^T = 1 prunes the quadratic pair scan;
-    survivors get the complete identity test.
+    The necessary condition phi(1) = a b^T = 1 pins b = (a^{-1})^T, so each
+    a in GL_n meets one b; those pairs get the complete identity test.
     """
     one_op = Matrix.identity(ring, n * n)
-    gl = list(enumerate_GL(n, ring))
     taus = mu_n(ring, 2)
     units = [u for u in ring.elements() if u.is_unit]
     expected = set()
@@ -369,18 +382,8 @@ def phi_n_kernel_check(ring: Ring, n: int) -> bool:
         bi = (Matrix.identity(ring, n) * r.inverse()).entries
         expected.add((ai, bi, ring.payload_str(ring.one_p)))
     kernel = set()
-    eye = Matrix.identity(ring, n)
-    if isinstance(ring, PrimeField):
-        p = ring.p
-        arr = np.array([g.entries for g in gl], dtype=np.int64)
-        prod = np.einsum('aij,bkj->abik', arr, arr, optimize=True) % p
-        eye_np = np.eye(n, dtype=np.int64)
-        hits = np.argwhere((prod == eye_np).all(axis=(2, 3)))
-        pairs = [(gl[i], gl[j]) for i, j in hits]
-    else:
-        pairs = [(a, b) for a in gl for b in gl
-                 if a @ b.transpose() == eye]
-    for a, b in pairs:
+    for a in enumerate_GL(n, ring):
+        b = a.inverse().transpose()
         for tau in taus:
             if phi_n(a, b, tau) == one_op:
                 kernel.add((a.entries, b.entries,

@@ -16,7 +16,7 @@ from .ring import PrimeField, Ring, RingElement, parse_ring, mu_n, \
     find_sqrt_minus_one
 from .matrix import Matrix, BilinearForm, standard_form, enumerate_GL, \
     enumerate_GO, enumerate_O
-from .jordan import _carries, is_pair_automorphism
+from .jordan import is_pair_automorphism
 from .catalog import NamedSystem, extended_form, lambda_isomorphism, \
     make_bilinear_form_algebra, make_mn_plus, make_t_iv, make_thi, \
     make_tti, make_type_iv_pair, make_type_iv_triple, make_vhi, make_vti, \
@@ -27,7 +27,7 @@ from .autfam import all_twisted_maps, det_isometry_check, \
     op_left, op_transpose, ortho_to_triple_aut, phi_n, phi_n_kernel_check, \
     thi_map, tilde_l, tilde_r, transpose_twist, tti_map, tti_membership
 from .gradelie import check_graded_lie, make_graded_gl, pair_from_grading
-from .oracle import DEFAULT_BUDGET, AutomorphismSet, _invertible_mod_p, \
+from .oracle import DEFAULT_BUDGET, AutomorphismSet, are_automorphisms, \
     compare, element_key, enumerate_automorphisms, family_image, \
     generate_closure
 
@@ -471,12 +471,11 @@ def _conjugates_are_automorphisms(iso, ext: BilinearForm) -> tuple:
     iso.source for each similitude pair map f = (a, m_a^-1 a) of ext).
 
     Over F_p the conjugates are int64 stacks built by batched matmul mod p
-    and decided at once, as oracle._cross_check decides a fast scan: both
-    sides invertible, and one jordan._carries per tensor.
+    and decided at once by oracle.are_automorphisms, the decision of the
+    fast-scan cross-check.
     """
     sims, source, inv = list(enumerate_GO(ext)), iso.source, iso.map.inverse()
-    image = source._int64
-    if image is None:
+    if source._int64 is None:
         return len(sims), all(is_pair_automorphism(
             source, inv.compose(go_to_pair_aut(a, ext)).compose(iso.map))
             for a in sims)
@@ -492,12 +491,7 @@ def _conjugates_are_automorphisms(iso, ext: BilinearForm) -> tuple:
     scale = np.array([int(g[r, c]) * pow(int(m), -1, p) % p for m in mult])
     plus = ip @ a % p @ fp % p
     minus = im @ (scale[:, None, None] * a % p) % p @ fm % p
-    ok = _invertible_mod_p(plus, p) & _invertible_mod_p(minus, p)
-    for part, side, other in (("t_plus", plus, minus),
-                              ("t_minus", minus, plus)):
-        ok &= _carries(source.ring, image[part], image[part], side,
-                       (side, other, side))
-    return len(sims), bool(ok.all())
+    return len(sims), bool(are_automorphisms(source, (plus, minus)).all())
 
 
 def _run_lambda_iso(p):

@@ -16,8 +16,9 @@ reads the column once.  Each level solves them for all surviving prefixes
 by one batched elimination mod p (_cosets) and generates only the
 p**(d - rank) vectors of each solution coset.  The rest are filters: the
 tensor slots (slot (c, b, a) only where it differs from (a, b, c)),
-det != 0 for triples and algebras, lambda != 0, and the similitude entries
-that read the column twice.  Together they are the complete identity, and
+rank d on all columns of triples and algebras (_rank, the same elimination
+with a zero right-hand side), lambda != 0, and the similitude entries that
+read the column twice.  Together they are the complete identity, and
 oracle._cross_check remains the one independent check of every result.
 
 Each level runs the chunk loop (_scan) twice, over the prefixes to solve
@@ -30,11 +31,11 @@ last, as the structures' int64 images hold them; each kernel moves the
 output axis first for its own contractions.
 
 With inputs reduced mod p, the largest intermediate is the factored slot
-contraction, below d**3 p**4 <= 64 p**4 at d <= 4 (_slot_rhs); determinants
-stay below 24 p**4, and the equations, the elimination and the coset
-vectors below d p**2.  _work_dtype sizes arithmetic by 64 p**4: int32 up to
-p = 73, int64 up to p = 19483, and larger primes are refused.  Both dtypes
-give identical exact results mod p.
+contraction, below d**3 p**4 <= 64 p**4 at d <= 4 (_slot_rhs); the
+equations, the elimination and the coset vectors stay below d p**2.
+_work_dtype sizes arithmetic by 64 p**4: int32 up to p = 73, int64 up to
+p = 19483, and supports(p) refuses larger primes.  Both dtypes give
+identical exact results mod p.
 """
 
 from __future__ import annotations
@@ -57,13 +58,16 @@ CHUNK = 1 << 14
 _log = logging.getLogger(__name__)
 
 
+def supports(p: int) -> bool:
+    """Whether 64 p**4, the bound of every intermediate, fits int64."""
+    return 64 * p ** 4 < 2 ** 63
+
+
 def _work_dtype(p: int) -> type:
-    """int32 when 64 p**4, the bound of every intermediate, fits, else
-    int64; BadInput when even int64 does not hold it."""
-    bound = 64 * p ** 4
-    if bound >= 2 ** 63:
+    """int32 when 64 p**4 fits, else int64; BadInput past supports(p)."""
+    if not supports(p):
         raise BadInput(f"F_{p} is past the int64 bound of the fast scans")
-    return np.int32 if bound < 2 ** 31 - 1 else np.int64
+    return np.int32 if 64 * p ** 4 < 2 ** 31 - 1 else np.int64
 
 
 def _xfirst(t, p: int, dtype: type) -> np.ndarray:
@@ -82,72 +86,6 @@ def _low_digit_block(p: int, k: int) -> np.ndarray:
         pattern = np.repeat(np.arange(p, dtype=np.int16), period)
         out[:, c] = np.tile(pattern, size // (period * p))
     return out
-
-
-def _digits_range(start: int, stop: int, p: int, cells: int,
-                  dtype: type = np.int64) -> np.ndarray:
-    """Digits of the consecutive index range [start, stop), division-free.
-
-    Low digits repeat with period p**k, so they are two row slices of a
-    cached table; the high digits are constant on each side of the single
-    wrap boundary and decoded from Python ints.
-    """
-    b = stop - start
-    k = cells
-    while k > 1 and p ** (k - 1) >= b:
-        k -= 1
-    block = _low_digit_block(p, k)
-    size = p ** k
-    out = np.empty((b, cells), dtype=dtype)
-    offset = start % size
-    split = min(size - offset, b)
-    out[:split, cells - k:] = block[offset:offset + split]
-    if split < b:
-        out[split:, cells - k:] = block[:b - split]
-    hi_digits = cells - k
-    if hi_digits:
-        for side in range(2):
-            if side == 1 and split >= b:
-                break
-            lo, upper = (0, split) if side == 0 else (split, b)
-            rest = start // size + side
-            for c in range(hi_digits - 1, -1, -1):
-                rest, digit = divmod(rest, p)
-                out[lo:upper, c] = digit
-    return out
-
-
-def _digit_matrices_range(start: int, stop: int, p: int, d: int,
-                          dtype: type = np.int64) -> np.ndarray:
-    return _digits_range(start, stop, p, d * d, dtype).reshape(
-        stop - start, d, d)
-
-
-def _row_minors(a: np.ndarray, r0: int, r1: int) -> dict:
-    """The 2x2 minors of rows (r0, r1) of a (B, n, n) batch, keyed by column
-    pair in lexicographic order; |m| < 2p**2."""
-    n = a.shape[2]
-    return {(x, y): a[:, r0, x] * a[:, r1, y] - a[:, r0, y] * a[:, r1, x]
-            for x in range(n) for y in range(x + 1, n)}
-
-
-def _det(a: np.ndarray, p: int) -> np.ndarray:
-    """Batched determinant mod p for (B, n, n), 1 <= n <= 4, expanded
-    along the 2x2 minors of the last two rows; before the reduction
-    |det| <= 24p**4."""
-    n = a.shape[1]
-    if n == 1:
-        return a[:, 0, 0] % p
-    bot = _row_minors(a, n - 2, n - 1)
-    if n == 2:
-        return bot[(0, 1)] % p
-    if n == 3:
-        return (a[:, 0, 0] * bot[(1, 2)] - a[:, 0, 1] * bot[(0, 2)]
-                + a[:, 0, 2] * bot[(0, 1)]) % p
-    top = _row_minors(a, 0, 1)
-    return (top[(0, 1)] * bot[(2, 3)] - top[(0, 2)] * bot[(1, 3)]
-            + top[(0, 3)] * bot[(1, 2)] + top[(1, 2)] * bot[(0, 3)]
-            - top[(1, 3)] * bot[(0, 2)] + top[(2, 3)] * bot[(0, 1)]) % p
 
 
 @contextmanager
@@ -277,6 +215,13 @@ def _cosets(aug: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
     return ok, solved[:, :, d], basis, d - rank
 
 
+def _rank(mats: np.ndarray, p: int) -> np.ndarray:
+    """The rank mod p of each matrix of a (B, r, n) stack: n less the free
+    columns of M x == 0 (_cosets)."""
+    zero = np.zeros(mats.shape[:2] + (1,), dtype=mats.dtype)
+    return mats.shape[2] - _cosets(np.concatenate((mats, zero), axis=2), p)[3]
+
+
 def _solve(prefixes: np.ndarray, rows: Sequence[Callable], p: int,
            start: int, stop: int) -> tuple[np.ndarray, ...]:
     """The prefixes [start, stop) whose equations in the next column are
@@ -386,7 +331,7 @@ def _gram(gram: Sequence, p: int, error: type) -> np.ndarray:
     g = np.asarray(gram, dtype=np.int64) % p
     if g.shape[0] != g.shape[1]:
         raise error("the Gram matrix is not square")
-    if _det(g[None], p)[0] == 0:
+    if _rank(g[None], p)[0] < len(g):
         raise error("the Gram matrix is singular")
     return g
 
@@ -433,7 +378,7 @@ def scan_triple(p: int, d: int, tensor: Sequence, jobs: int = 1) -> np.ndarray:
     """All invertible phi with phi{x,y,z} == {phi x, phi y, phi z}, as an
     int64 (B, d, d) stack in index order; tensor is in Jordan layout
     [a][b][c][x].  The unknowns are the columns of phi in ascending order,
-    the filters the slots of the tensor and, on all columns, det != 0."""
+    the filters the slots of the tensor and, on all columns, rank d."""
     dtype = _work_dtype(p)
     t = _xfirst(tensor, p, dtype)
     t_byc = _tensor_by_c(t, dtype)
@@ -441,7 +386,7 @@ def scan_triple(p: int, d: int, tensor: Sequence, jobs: int = 1) -> np.ndarray:
     filters = _slot_filters(
         t, lambda u, v, w: _slot_rhs(t_byc, u, v, w, p), unknowns,
         (unknowns,) * 3, p)
-    filters.append((unknowns, lambda cols: _det(_columns(cols), p) != 0))
+    filters.append((unknowns, lambda cols: _rank(cols, p) == d))
     found = _search(p, d, d, [], filters, jobs, dtype)
     a = _columns(found)
     return _in_index_order(a, a).astype(np.int64)
@@ -459,7 +404,7 @@ def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
     the coordinate vector of 1.  The unknowns are the columns of phi in
     ascending order.  The equations are the rows of A u == u, solved for
     the last column in the support of u; the filters the slots of the
-    product and, on all columns, det != 0.
+    product and, on all columns, rank d.
     """
     dtype = _work_dtype(p)
     pr = _xfirst(prod, p, dtype)
@@ -480,7 +425,7 @@ def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
     filters = _slot_filters(
         pr, lambda x, y: _bilinear_rhs(prf, x, y, p), unknowns,
         (unknowns, unknowns), p)
-    filters.append((unknowns, lambda cols: _det(_columns(cols), p) != 0))
+    filters.append((unknowns, lambda cols: _rank(cols, p) == d))
     found = _search(p, d, d, equations, filters, jobs, dtype)
     a = _columns(found)
     return _in_index_order(a, np.delete(a, support[0], axis=2)).astype(
@@ -502,7 +447,8 @@ def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
     and j only.  Each condition, a sum of terms s col_i^T G col_j equal to
     a constant, is an equation in its last column k unless one of its terms
     is col_k^T G col_k; lambda != 0 is a filter.  The conditions force
-    det a != 0, as det(a)**2 det G == lambda**n det G.
+    det a != 0, as det(a)**2 det G == lambda**n det G, so no rank filter
+    runs.
     """
     dtype = _work_dtype(p)
     g = _gram(gram, p, DegenerateForm).astype(dtype)

@@ -29,7 +29,8 @@ Vec = tuple  # payload vectors
 
 
 @lru_cache(maxsize=None)
-def _perms_with_signs(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+def perms_with_signs(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The permutations of range(n) with their signs, the Leibniz terms."""
     out = []
     for perm in itertools.permutations(range(n)):
         inversions = sum(
@@ -261,7 +262,7 @@ def _leibniz_det(ring: Ring, entries, n: int) -> Payload:
         return ring.sub(ring.mul(entries[0][0], entries[1][1]),
                         ring.mul(entries[0][1], entries[1][0]))
     acc = ring.zero_p
-    for perm, sign in _perms_with_signs(n):
+    for perm, sign in perms_with_signs(n):
         term = entries[0][perm[0]]
         for i in range(1, n):
             term = ring.mul(term, entries[i][perm[i]])

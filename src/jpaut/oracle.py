@@ -318,9 +318,13 @@ def _budgeted(candidates: int, budget: int) -> int:
 
 
 def _use_fast(structure, dim_ok: bool, engine: str, name) -> bool:
-    """The fast kernels read the int64 image, which exists over F_p only."""
+    """The fast kernels read the int64 image, which exists over F_p only,
+    and serve the primes their integer bound admits (fastscan.supports)."""
     use_fast = (structure._int64 is not None and dim_ok
                 and engine in ("auto", "fast"))
+    if use_fast:
+        from . import fastscan
+        use_fast = fastscan.supports(structure.ring.p)
     if engine == "fast" and not use_fast:
         raise BadInput(f"fast engine unavailable for {name}")
     return use_fast
@@ -348,34 +352,45 @@ def _invertible_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     return ok
 
 
-def _cross_check(found: np.ndarray, structure, name) -> np.ndarray:
-    """The fast-scan maps as _Rows rows, after checking every one.
+def are_automorphisms(structure, sides: Sequence[np.ndarray]) -> np.ndarray:
+    """Which maps of int64 residue stacks are automorphisms of a structure
+    over F_p with an int64 image: sides holds one (B, d, d) stack per side
+    of the maps (plus, then minus for pairs), and the result is (B,) bool.
 
-    found is a kernel's int64 stack, (B, d, d) or (B, 2, d, d) for traced
-    pairs, so each map reshapes to its row.  One batched transport check
-    per structure tensor (jordan._carries, an implementation independent of
-    the scan kernels) decides all elements at once.  Invertibility: for
-    traced pairs plus^T G minus == G, which also pins minus to the
-    trace-dual inverse; else a batched elimination mod p.
+    One batched transport check per structure tensor (jordan._carries, an
+    implementation independent of the scan kernels) decides all maps at
+    once.  Invertibility: for traced pairs plus^T G minus == G, which also
+    pins minus to the trace-dual inverse; else a batched elimination mod p
+    on every side.
     """
     ring, image = structure.ring, structure._int64
+    if isinstance(structure, JordanPair):
+        plus, minus = sides
+        if structure.trace is not None:
+            g = image["trace"]
+            ok = ((plus.transpose(0, 2, 1) @ g % ring.p) @ minus % ring.p
+                  == g).all(axis=(1, 2))
+        else:
+            ok = (_invertible_mod_p(plus, ring.p)
+                  & _invertible_mod_p(minus, ring.p))
+        for part, a, b in (("t_plus", plus, minus), ("t_minus", minus, plus)):
+            ok &= _carries(ring, image[part], image[part], a, (a, b, a))
+        return ok
+    tensor = image["tensor" if isinstance(structure, JordanTriple)
+                   else "product"]
+    (phi,) = sides
+    return (_invertible_mod_p(phi, ring.p)
+            & _carries(ring, tensor, tensor, phi, (phi,) * (tensor.ndim - 1)))
+
+
+def _cross_check(found: np.ndarray, structure, name) -> np.ndarray:
+    """The fast-scan maps as _Rows rows, after are_automorphisms has
+    accepted every one; found is a kernel's int64 stack, (B, d, d) or
+    (B, 2, d, d) for traced pairs, so each map reshapes to its row."""
     codec = _codec(structure)
     rows = np.ascontiguousarray(found, dtype=np.int64).reshape(
         len(found), codec.width)
-    sides = codec.split(rows)
-    if isinstance(structure, JordanPair):
-        plus, minus = sides
-        g = image["trace"]
-        ok = ((plus.transpose(0, 2, 1) @ g % ring.p) @ minus % ring.p
-              == g).all(axis=(1, 2))
-        for part, a, b in (("t_plus", plus, minus), ("t_minus", minus, plus)):
-            ok &= _carries(ring, image[part], image[part], a, (a, b, a))
-    else:
-        tensor = image["tensor" if isinstance(structure, JordanTriple)
-                       else "product"]
-        phi = sides[0]
-        ok = _invertible_mod_p(phi, ring.p)
-        ok &= _carries(ring, tensor, tensor, phi, (phi,) * (tensor.ndim - 1))
+    ok = are_automorphisms(structure, codec.split(rows))
     bad = np.flatnonzero(~ok)
     if bad.size:
         el = codec.decode(rows[bad[0]:bad[0] + 1])[0]

@@ -7,14 +7,15 @@ order of the pure-Python enumeration streams.  It keeps the invertible ones
 determinant and adjugate), runs a few one-slot filters chosen greedily on a
 fixed probe chunk (none when the whole space is one chunk), then the
 complete check (_carried), and concatenates each chunk's survivors in index
-order through fastscan's chunk loop.  It shares the slot contraction, the
-digit decode, the determinant and the chunk loop with the search, but
-decides each map by the complete identity rather than column by column, so
-the two agree only when the search's conditions are right.
+order through fastscan's chunk loop.  It shares the slot contraction and
+the chunk loop with the search, but decodes its candidates from digits,
+decides invertibility by determinant (_det, not the search's elimination)
+and each map by the complete identity rather than column by column, so the
+two agree only when the search's conditions are right.
 
-Integer bounds, inputs reduced mod p: the unreduced adjugate stays below
-6p**3, the Gram gather below 6p**4 and the dense Gram product below 24p**4,
-all inside fastscan._work_dtype's 64p**4.
+Integer bounds, inputs reduced mod p: determinants stay below 24p**4, the
+unreduced adjugate below 6p**3, the Gram gather below 6p**4 and the dense
+Gram product below 24p**4, all inside fastscan._work_dtype's 64p**4.
 """
 from functools import lru_cache, partial
 from typing import Callable, Sequence
@@ -22,12 +23,77 @@ from typing import Callable, Sequence
 import numpy as np
 
 from jpaut.errors import DegenerateForm, NotInvertible
-from jpaut.fastscan import (CHUNK, _bilinear_rhs, _det,
-                            _digit_matrices_range, _digits_range, _gram,
-                            _pool, _row_minors, _scan, _slot_rhs,
-                            _tensor_by_c, _work_dtype, _xfirst)
+from jpaut.fastscan import (CHUNK, _bilinear_rhs, _gram, _low_digit_block,
+                            _pool, _scan, _slot_rhs, _tensor_by_c,
+                            _work_dtype, _xfirst)
 
 MAX_SLOTS = 4
+
+
+def _digits_range(start: int, stop: int, p: int, cells: int,
+                  dtype: type = np.int64) -> np.ndarray:
+    """Digits of the consecutive index range [start, stop), division-free.
+
+    Low digits repeat with period p**k, so they are two row slices of a
+    cached table; the high digits are constant on each side of the single
+    wrap boundary and decoded from Python ints.
+    """
+    b = stop - start
+    k = cells
+    while k > 1 and p ** (k - 1) >= b:
+        k -= 1
+    block = _low_digit_block(p, k)
+    size = p ** k
+    out = np.empty((b, cells), dtype=dtype)
+    offset = start % size
+    split = min(size - offset, b)
+    out[:split, cells - k:] = block[offset:offset + split]
+    if split < b:
+        out[split:, cells - k:] = block[:b - split]
+    hi_digits = cells - k
+    if hi_digits:
+        for side in range(2):
+            if side == 1 and split >= b:
+                break
+            lo, upper = (0, split) if side == 0 else (split, b)
+            rest = start // size + side
+            for c in range(hi_digits - 1, -1, -1):
+                rest, digit = divmod(rest, p)
+                out[lo:upper, c] = digit
+    return out
+
+
+def _digit_matrices_range(start: int, stop: int, p: int, d: int,
+                          dtype: type = np.int64) -> np.ndarray:
+    return _digits_range(start, stop, p, d * d, dtype).reshape(
+        stop - start, d, d)
+
+
+def _row_minors(a: np.ndarray, r0: int, r1: int) -> dict:
+    """The 2x2 minors of rows (r0, r1) of a (B, n, n) batch, keyed by column
+    pair in lexicographic order; |m| < 2p**2."""
+    n = a.shape[2]
+    return {(x, y): a[:, r0, x] * a[:, r1, y] - a[:, r0, y] * a[:, r1, x]
+            for x in range(n) for y in range(x + 1, n)}
+
+
+def _det(a: np.ndarray, p: int) -> np.ndarray:
+    """Batched determinant mod p for (B, n, n), 1 <= n <= 4, expanded
+    along the 2x2 minors of the last two rows; before the reduction
+    |det| <= 24p**4."""
+    n = a.shape[1]
+    if n == 1:
+        return a[:, 0, 0] % p
+    bot = _row_minors(a, n - 2, n - 1)
+    if n == 2:
+        return bot[(0, 1)] % p
+    if n == 3:
+        return (a[:, 0, 0] * bot[(1, 2)] - a[:, 0, 1] * bot[(0, 2)]
+                + a[:, 0, 2] * bot[(0, 1)]) % p
+    top = _row_minors(a, 0, 1)
+    return (top[(0, 1)] * bot[(2, 3)] - top[(0, 2)] * bot[(1, 3)]
+            + top[(0, 3)] * bot[(1, 2)] + top[(1, 2)] * bot[(0, 3)]
+            - top[(1, 3)] * bot[(0, 2)] + top[(2, 3)] * bot[(0, 1)]) % p
 
 
 def _invertible(a: np.ndarray, p: int) -> tuple[np.ndarray]:

@@ -1,4 +1,5 @@
 """Automorphism families: translations, twists, similitude lifts, products."""
+import numpy as np
 import pytest
 
 from jpaut import (PrimeField, Rationals, ProductRing, DualNumbers,
@@ -14,7 +15,7 @@ from jpaut import (PrimeField, Rationals, ProductRing, DualNumbers,
                    det_similitude_factor, is_det_similitude, phi_n,
                    phi_tau_action, phi_n_kernel_check, CentralProductElement,
                    factor_triple_aut, tti_map, thi_map, tti_membership)
-from jpaut.autfam import det_isometry_check
+from jpaut.autfam import _det_mod_p, _np_det_check, det_isometry_check
 from jpaut.matrix import similitude_multiplier
 from jpaut.errors import (NotSimilitude, NotIsometry, NotFactorable,
                           NonFieldRing)
@@ -153,6 +154,36 @@ def test_det_similitude_factorization_over_q():
     assert det_isometry_check(isoq, 2)
     assert arecq.det() == aq.det() * bq.det()
     assert not det_isometry_check(fq, 2)  # det multiplier is 3, not 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_det_matches_matrix_det(p, n):
+    ring = PrimeField(p)
+    rng = np.random.default_rng(10 * p + n)
+    a = rng.integers(0, p, size=(30, n, n))
+    a[:10, -1] = 0  # singular ones too
+    got = _det_mod_p(a.transpose(1, 2, 0), p)
+    assert got.tolist() == [Matrix.build(ring, m.tolist()).det().payload
+                            for m in a]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_batched_det_check_equals_the_matrix_loop(n):
+    # det(aX) == det(a) det(X): true for det(a), false for another unit
+    a = some_gl(F5, n, 1)[0]
+    ops = {"left": op_left(a, n), "right": op_right(a, n),
+           "random": Matrix.build(F5, np.random.default_rng(n).integers(
+               0, 5, size=(n * n, n * n)).tolist())}
+    for name, f in ops.items():
+        for mult in range(5):
+            expect = all(
+                map_on_matrix(f, x, (n, n)).det().payload
+                == mult * x.det().payload % 5
+                for x in enumerate_matrices(F5, n, n))
+            assert _np_det_check(f, n, mult) is expect, (name, mult)
+            if name != "random" and mult == a.det().payload:
+                assert expect
 
 
 def test_phi_n_kernel():

@@ -99,6 +99,23 @@ def test_check_bad_dimensions(capsys):
     assert code == 2 and rep["error"] == "BadDims"
 
 
+@pytest.mark.parametrize("p", [19483, 19489])
+def test_auto_engine_serves_primes_past_the_fast_bound(p, capsys):
+    # 19489 is the first prime past fastscan's int64 bound: auto falls back
+    # to the pure engine there instead of exiting 2
+    code, out = run_cli(["check", "aut-TJI", "--ring", f"F{p}", "--n", "1"],
+                        capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["pass"] is True
+    assert rep["details"]["exhaustive_order"] == 2
+    code, out = run_cli(["enumerate", f"Jbilin(1,F{p})", "--jobs", "1"],
+                        capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["order"] == 1
+    engine = "fast" if p == 19483 else "pure"
+    assert rep["generator_provenance"].endswith(f"(engine {engine})")
+
+
 def test_enumerate_exhaustive_schema(capsys):
     code, out = run_cli(["enumerate", "ThatIV(2,F3)"], capsys)
     rep = json.loads(out)

@@ -13,15 +13,15 @@ from jpaut import (PrimeField, Matrix, JordanAlgebra, JordanPair,
                    similitude_multiplier)
 from jpaut import fastscan
 from jpaut.errors import BadInput, NotInvertible
-from jpaut.fastscan import (_digits_range, _low_digit_block, _det,
-                            _tensor_by_c, _slot_rhs, _work_dtype,
-                            scan_algebra_unit_fixing, scan_pair_with_trace,
-                            scan_triple, scan_similitudes)
+from jpaut.fastscan import (_low_digit_block, _rank, _tensor_by_c,
+                            _slot_rhs, _work_dtype, scan_algebra_unit_fixing,
+                            scan_pair_with_trace, scan_triple,
+                            scan_similitudes)
 from jpaut import (extended_form, make_t_iv, make_vhi, make_type_iv_pair,
                    make_type_iv_triple, parse_system)
 
 import _flat_oracle
-from _flat_oracle import _adj, _make_gram_apply
+from _flat_oracle import _adj, _det, _digits_range, _make_gram_apply
 from _helpers import nested, random_structure
 from test_acceptance import DETERMINISM_BATTERY, _axiom_sweep_systems
 
@@ -87,6 +87,27 @@ def test_batched_det_matches_leibniz(p, n):
     rng = np.random.default_rng(12 * p + n)
     a = rng.integers(0, p, size=(40, n, n)).astype(_work_dtype(p))
     assert np.array_equal(np.asarray(_det(a, p)) % p, _det_reference(a, p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 73, 79])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rank_decides_invertibility_as_the_determinant(p, n):
+    # 73 is the largest int32 prime of _work_dtype, 79 the first int64 one
+    rng = np.random.default_rng(31 * p + n)
+    dt = _work_dtype(p)
+    a = rng.integers(0, p, size=(60, n, n))
+    # singular on purpose: the last row of the first 20, and the last
+    # column of the next 20, a random combination of the others (zero at
+    # n = 1)
+    c = rng.integers(0, p, size=(40, n - 1))
+    a[:20, -1] = np.einsum('bi,bij->bj', c[:20], a[:20, :-1]) % p
+    a[20:40, :, -1] = np.einsum('bij,bj->bi', a[20:40, :, :-1], c[20:]) % p
+    a = a.astype(dt)
+    expect = _det_reference(a, p) != 0
+    assert not expect[:40].any() and expect[40:].any()
+    got = _rank(a, p)
+    assert np.array_equal(got == n, expect)
+    assert (got >= 0).all() and (got <= n).all()
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
-every local name a function assigns is read, every parameter is read, and
+every local name a function assigns is read, every parameter is read,
 every private top-level function or class is referenced somewhere in the
-package."""
+package, and no module takes another's private names outside a short
+allowlist."""
 import ast
 import pathlib
 
@@ -164,3 +165,47 @@ def test_every_private_helper_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in sorted(SRC.glob("*.py"))}
     assert _dead_private_defs(sources) == []
+
+
+# The private names one module may still take from another: the oracle's
+# batched transport check and its int64 bound, and the catalog's nesting.
+PRIVATE_IMPORTS = {("oracle", "jordan", "_carries"),
+                   ("oracle", "jordan", "_fits_int64"),
+                   ("catalog", "jordan", "_nest")}
+
+
+def _private_imports(module: str, source: str) -> list:
+    """(module, source module, name) of each private name the module takes
+    from a sibling: `from .x import _y`, or `x._y` after `from . import x`.
+    Dunder names are exempt."""
+    tree = ast.parse(source)
+    siblings, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    siblings[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.append((module, node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings
+                and node.attr.startswith("_")):
+            found.append((module, siblings[node.value.id], node.attr))
+    return sorted(set(f for f in found if not f[2].startswith("__")))
+
+
+def test_the_check_sees_a_private_import():
+    source = ("from .a import _x, y\nfrom . import b as c\n"
+              "def f():\n    from .d import _z\n    return c._w, c.v, c.__doc__\n")
+    assert _private_imports("m", source) == [
+        ("m", "a", "_x"), ("m", "b", "_w"), ("m", "d", "_z")]
+
+
+def test_no_module_takes_another_modules_private_names():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _private_imports(path.stem,
+                                  path.read_text(encoding="utf-8"))
+    assert sorted(set(found) - PRIVATE_IMPORTS) == []
