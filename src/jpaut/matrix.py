@@ -22,8 +22,7 @@ from .errors import (
     NotInvertible,
     ShapeMismatch,
 )
-from .ring import (Payload, PrimeField, Ring, RingElement, component_inverse,
-                   embedding)
+from .ring import Payload, PrimeField, Ring, RingElement, component_inverse
 
 Vec = tuple  # payload vectors
 
@@ -407,23 +406,18 @@ def enumerate_GL(n: int, ring: Ring) -> Iterator[Matrix]:
             yield m
 
 
-def enumerate_GO(form: BilinearForm, ring: Ring | None = None) -> Iterator[Matrix]:
+def enumerate_GO(form: BilinearForm) -> Iterator[Matrix]:
     """Similitudes of the form, in enumeration order."""
-    yield from _enumerate_similitudes(form, ring, isometry_only=False)
+    yield from _enumerate_similitudes(form, isometry_only=False)
 
 
-def enumerate_O(form: BilinearForm, ring: Ring | None = None) -> Iterator[Matrix]:
+def enumerate_O(form: BilinearForm) -> Iterator[Matrix]:
     """Isometries of the form (multiplier 1), in enumeration order."""
-    yield from _enumerate_similitudes(form, ring, isometry_only=True)
+    yield from _enumerate_similitudes(form, isometry_only=True)
 
 
-def _enumerate_similitudes(form: BilinearForm, ring: Ring | None,
+def _enumerate_similitudes(form: BilinearForm,
                            isometry_only: bool) -> Iterator[Matrix]:
-    if ring is not None and ring != form.ring:
-        emb = embedding(form.ring, ring)
-        gram = Matrix(ring, form.dim, form.dim,
-                      tuple(tuple(emb(x) for x in row) for row in form.gram.entries))
-        form = BilinearForm(gram)
     r = form.ring
     n = form.dim
     if n == 0:

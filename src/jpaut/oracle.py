@@ -10,7 +10,7 @@ are counted in invertible candidates considered, never raw tuples.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -311,16 +311,16 @@ def compare(a: AutomorphismSet, b: AutomorphismSet) -> CompareReport:
 
 # -- exhaustive enumeration ---------------------------------------------------
 
-def _budgeted(candidates: int, budget: int) -> int:
+def _budgeted(candidates: int, budget: int) -> None:
     if candidates > budget:
         raise BudgetExceeded(f"{candidates} candidates exceed budget {budget}")
-    return candidates
 
 
-def _use_fast(structure, dim_ok: bool, engine: str, name) -> bool:
-    """The fast kernels read the int64 image, which exists over F_p only,
-    and serve the primes their integer bound admits (fastscan.supports)."""
-    use_fast = (structure._int64 is not None and dim_ok
+def _use_fast(structure, kernel, engine: str, name) -> bool:
+    """A kernel serves the structure's dimension (kernel is not None); it
+    reads the int64 image, which exists over F_p only, and serves the
+    primes its integer bound admits (fastscan.supports)."""
+    use_fast = (kernel is not None and structure._int64 is not None
                 and engine in ("auto", "fast"))
     if use_fast:
         from . import fastscan
@@ -383,11 +383,11 @@ def are_automorphisms(structure, sides: Sequence[np.ndarray]) -> np.ndarray:
             & _carries(ring, tensor, tensor, phi, (phi,) * (tensor.ndim - 1)))
 
 
-def _cross_check(found: np.ndarray, structure, name) -> np.ndarray:
-    """The fast-scan maps as _Rows rows, after are_automorphisms has
+def _cross_check(found: np.ndarray, structure, codec: _Rows,
+                 name) -> np.ndarray:
+    """The fast-scan maps as rows of codec, after are_automorphisms has
     accepted every one; found is a kernel's int64 stack, (B, d, d) or
     (B, 2, d, d) for traced pairs, so each map reshapes to its row."""
-    codec = _codec(structure)
     rows = np.ascontiguousarray(found, dtype=np.int64).reshape(
         len(found), codec.width)
     ok = are_automorphisms(structure, codec.split(rows))
@@ -400,78 +400,54 @@ def _cross_check(found: np.ndarray, structure, name) -> np.ndarray:
     return rows
 
 
-def _enumerate_pair(pair: JordanPair, name, budget, jobs, engine):
-    ring = pair.ring
-    if pair.trace is not None:
-        candidates = _budgeted(gl_order(ring, pair.dplus), budget)
-        if _use_fast(pair, 2 <= pair.dplus <= 4, engine, name):
-            from . import fastscan
-            image, d = pair._int64, pair.dplus
-            found = fastscan.scan_pair_with_trace(
-                ring.p, d, image["t_plus"], image["t_minus"], image["trace"],
-                jobs=jobs)
-            return _cross_check(found, pair, name), candidates, "fast"
-        els = []
-        for phi in enumerate_GL(pair.dplus, ring):
-            f = PairMap(phi, dual_inverse(pair, phi))
-            if pair_map_respects(pair, f):
-                els.append(f)
-        return els, candidates, "pure"
-    # untraced: both sides range independently
-    candidates = _budgeted(
-        gl_order(ring, pair.dplus) * gl_order(ring, pair.dminus), budget)
-    els = []
-    for fp in enumerate_GL(pair.dplus, ring):
-        for fm in enumerate_GL(pair.dminus, ring):
-            f = PairMap(fp, fm)
-            if pair_map_respects(pair, f):
-                els.append(f)
-    return els, candidates, "pure"
-
-
-def _enumerate_triple(trip: JordanTriple, name, budget, jobs, engine):
-    ring = trip.ring
-    candidates = _budgeted(gl_order(ring, trip.dim), budget)
-    if _use_fast(trip, 2 <= trip.dim <= 4, engine, name):
-        from . import fastscan
-        found = fastscan.scan_triple(ring.p, trip.dim,
-                                     trip._int64["tensor"], jobs=jobs)
-        return _cross_check(found, trip, name), candidates, "fast"
-    els = [phi for phi in enumerate_GL(trip.dim, ring)
-           if triple_map_respects(trip, phi)]
-    return els, candidates, "pure"
-
-
-def _enumerate_algebra(alg: JordanAlgebra, name, budget, jobs, engine):
+def _unit_fixing(alg: JordanAlgebra, pivot: int):
+    """The maps with phi(u) = u: the free columns range, and phi(u) = u
+    solves the pivot column."""
     ring = alg.ring
-    d = alg.dim
-    units = [i for i, x in enumerate(alg.unit or ()) if ring.is_unit(x)]
-    pivot = units[0] if units else None
-    if pivot is None:
-        candidates = _budgeted(gl_order(ring, d), budget)
-        els = [phi for phi in enumerate_GL(d, ring)
-               if algebra_map_respects(alg, phi)]
-        return els, candidates, "pure"
-    candidates = _budgeted(ring.size ** (d * (d - 1)), budget)
-    if _use_fast(alg, d <= 4, engine, name):
-        from . import fastscan
-        image = alg._int64
-        found = fastscan.scan_algebra_unit_fixing(
-            ring.p, d, image["product"], image["unit"], jobs=jobs)
-        return _cross_check(found, alg, name), candidates, "fast"
-    # pure unit-fixing scan: the free columns range, phi(u) = u solves the
-    # pivot column
     free = tuple(u for j, u in enumerate(alg.unit) if j != pivot)
     scale = ring.inv(alg.unit[pivot])
-    els = []
-    for f in enumerate_matrices(ring, d, d - 1):
+    for f in enumerate_matrices(ring, alg.dim, alg.dim - 1):
         col = [ring.mul(scale, ring.sub(u, fu))
                for u, fu in zip(alg.unit, f.apply(free))]
-        phi = Matrix(ring, d, d, tuple(row[:pivot] + (c,) + row[pivot:]
-                                       for row, c in zip(f.entries, col)))
-        if phi.is_invertible() and algebra_map_respects(alg, phi):
-            els.append(phi)
-    return els, candidates, "pure"
+        yield Matrix(ring, alg.dim, alg.dim,
+                     tuple(row[:pivot] + (c,) + row[pivot:]
+                           for row, c in zip(f.entries, col)))
+
+
+def _space(s, jobs: int) -> tuple:
+    """(candidates, pure candidates, keep test, kernel) of a structure's
+    exhaustive scan.  The kernel maps the fastscan module to its int64
+    stack; it is None where no kernel serves the dimension."""
+    ring = s.ring
+    d = s.dplus if isinstance(s, JordanPair) else s.dim
+    if isinstance(s, JordanPair) and s.trace is None:
+        # untraced: both sides range independently
+        return (gl_order(ring, d) * gl_order(ring, s.dminus),
+                (PairMap(fp, fm) for fp in enumerate_GL(d, ring)
+                 for fm in enumerate_GL(s.dminus, ring)),
+                partial(pair_map_respects, s), None)
+    if isinstance(s, JordanPair):
+        return (gl_order(ring, d),
+                (PairMap(phi, dual_inverse(s, phi))
+                 for phi in enumerate_GL(d, ring)),
+                partial(pair_map_respects, s),
+                (lambda fs: fs.scan_pair_with_trace(
+                    ring.p, d, s._int64["t_plus"], s._int64["t_minus"],
+                    s._int64["trace"], jobs=jobs)) if 2 <= d <= 4 else None)
+    if isinstance(s, JordanTriple):
+        return (gl_order(ring, d), enumerate_GL(d, ring),
+                partial(triple_map_respects, s),
+                (lambda fs: fs.scan_triple(ring.p, d, s._int64["tensor"],
+                                           jobs=jobs)) if 2 <= d <= 4 else None)
+    units = [i for i, x in enumerate(s.unit or ()) if ring.is_unit(x)]
+    if not units:
+        return (gl_order(ring, d), enumerate_GL(d, ring),
+                partial(algebra_map_respects, s), None)
+    return (ring.size ** (d * (d - 1)), _unit_fixing(s, units[0]),
+            lambda phi: phi.is_invertible() and algebra_map_respects(s, phi),
+            (lambda fs: fs.scan_algebra_unit_fixing(
+                ring.p, d, s._int64["product"], s._int64["unit"],
+                jobs=jobs)) if d <= 4 else None)
 
 
 def _kind(structure) -> str:
@@ -487,8 +463,11 @@ def enumerate_automorphisms(system, budget: Optional[int] = None,
                             engine: str = "auto") -> AutomorphismSet:
     """Exhaustively enumerate the automorphisms of a desk-scale system.
 
-    engine: auto (fast kernels when applicable), fast (demand them), or
-    pure (reference scan).  Results are independent of engine and jobs.
+    engine: auto (a fast kernel when one serves), fast (demand one:
+    BadInput where none serves), or pure (reference scan).  Every structure
+    takes one path: budget its candidate space (_space), ask _use_fast
+    once, then cross-check the kernel's stack or filter the pure
+    candidates.  Results are independent of engine and jobs.
     """
     if engine not in ("auto", "fast", "pure"):
         raise BadInput(f"unknown engine {engine!r}")
@@ -496,18 +475,22 @@ def enumerate_automorphisms(system, budget: Optional[int] = None,
     structure = unwrap(system)
     budget = DEFAULT_BUDGET if budget is None else budget
     kind = _kind(structure)
-    scan = {"pair": _enumerate_pair, "triple": _enumerate_triple,
-            "algebra": _enumerate_algebra}[kind]
     if not structure.ring.is_finite:
         raise NonEnumerableRing(f"cannot enumerate over {structure.ring.name}")
     if 0 in structure._parts()[0][2]:  # the first tensor spans every carrier
         raise BadDims(f"{name} has a carrier of dimension 0")
-    found, cand, engine_used = scan(structure, name, budget, jobs, engine)
+    candidates, pure, keep, kernel = _space(structure, jobs)
+    _budgeted(candidates, budget)
     codec = _codec(structure)
-    rows = found if engine_used == "fast" else codec.encode(found)
+    if _use_fast(structure, kernel, engine, name):
+        from . import fastscan
+        rows = _cross_check(kernel(fastscan), structure, codec, name)
+        engine = "fast"
+    else:
+        rows, engine = codec.encode([el for el in pure if keep(el)]), "pure"
     return AutomorphismSet.from_rows(
-        name, structure.ring.name, kind, "exhaustive", engine_used,
-        cand, codec, rows)
+        name, structure.ring.name, kind, "exhaustive", engine, candidates,
+        codec, rows)
 
 
 # -- closure generation -------------------------------------------------------
@@ -536,12 +519,11 @@ def generate_closure(system, generators: Sequence,
         codec, rows)
 
 
-def family_image(system, kind: str, elements: Iterable,
-                 engine: str = "family") -> AutomorphismSet:
+def family_image(system, kind: str, elements: Iterable) -> AutomorphismSet:
     """Package a named-family image as a generated-mode set."""
     name = getattr(system, "name", None) or "anonymous"
     structure = unwrap(system)
     codec = _codec(structure)
     rows = codec.sorted_unique(codec.encode(list(elements)))
     return AutomorphismSet(name, structure.ring.name, kind, "generated",
-                           engine, len(rows), codec, rows)
+                           "family", len(rows), codec, rows)

@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from jpaut import (Matrix, PrimeField, make_t_iv, run_claim, claim_ids,
-                   list_claims, standard_form)
-from jpaut.claims import exhaustive_set
+from jpaut import (Matrix, PrimeField, make_t_iv, parse_system, run_claim,
+                   claim_ids, list_claims, standard_form)
+from jpaut.claims import exhaustive_set, standard_generated
 from jpaut.errors import BadInput, BudgetExceeded, UnknownClaim
+from jpaut.oracle import compare
 from jpaut.matrix import BilinearForm
 
 ALL_IDS = ["autV-IV", "autT-IV", "aut-TJI", "mnplus-structure", "detSim",
@@ -114,3 +115,26 @@ def test_exhaustive_cache_tells_forms_with_one_name_apart():
     assert exhaustive_set(field).order == 4
     # an equal system built anew still hits the cache
     assert exhaustive_set(make_t_iv(standard_form(f5, 1))) is first
+
+
+@pytest.mark.parametrize("spec,order", [("TIV(3,F5)", 16),
+                                        ("Jbilin(3,F5)", 8),
+                                        ("TtI(2,2,F3)", 128)])
+def test_standard_family_equals_the_exhaustive_set(spec, order):
+    system = parse_system(spec)
+    ex = exhaustive_set(system, jobs=2)
+    fam = standard_generated(system)[0]
+    assert (ex.order, fam.order) == (order, order)
+    assert compare(ex, fam).equal
+
+
+def test_lambda_claim_over_the_dual_numbers():
+    rep = run_claim("lambda-iso", ring="F5[t]", n=1)
+    assert rep["pass"] and rep["outcome"] == "verified"
+    assert rep["details"]["conjugated_family_size"] == 20
+    assert rep["details"]["conjugates_are_source_automorphisms"] is True
+
+
+def test_det_similitude_claim_over_the_split_ring():
+    rep = run_claim("detSim", ring="F3xF3", n=1)
+    assert rep["pass"] and rep["outcome"] == "verified"

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from jpaut import claims as claimcat
 from jpaut import cli, enumerate_automorphisms, jordan, oracle, parse_system
 from jpaut.claims import standard_generated
 from jpaut.cli import main
@@ -95,6 +96,26 @@ def test_check_unknown_claim(capsys):
 
 def test_check_bad_dimensions(capsys):
     code, out = run_cli(["check", "vhi-rect", "--m", "2", "--n", "2"], capsys)
+    rep = json.loads(out)
+    assert code == 2 and rep["error"] == "BadDims"
+
+
+# n = 1 lies outside three statements: phi-n-kernel (f_tau is the
+# identity), thi-product (X^T = X, so the product map is 2-to-1) and
+# thi-neq-tti (ThI(1) and TtI(1,1) are the same triple)
+@pytest.mark.parametrize("claim_id,flags", [
+    ("detSim", "--n -1"), ("detSim", "--n 0"), ("phi-n-kernel", "--n -1"),
+    ("phi-n-kernel", "--n 0"), ("phi-n-kernel", "--n 1"),
+    ("thi-product", "--n 1"), ("thi-neq-tti", "--n 1"),
+    ("schemesJandJTS", "--n 0"), ("aut-TJI", "--n 0"),
+    ("lambda-iso", "--n 0"), ("tti-multiplier", "--m 1 --n 1"),
+    ("vhi-rect", "--m 2 --n 2"), ("vti-vhi-iso", "--m 0 --n 2")])
+def test_check_refuses_dimensions_outside_the_statement(claim_id, flags,
+                                                        capsys, monkeypatch):
+    def started(p):
+        raise AssertionError("the runner started")
+    monkeypatch.setattr(claimcat.CATALOG[claim_id], "runner", started)
+    code, out = run_cli(["check", claim_id, *flags.split()], capsys)
     rep = json.loads(out)
     assert code == 2 and rep["error"] == "BadDims"
 

@@ -1,6 +1,9 @@
 """Enumeration oracle: exhaustive scans, family images, closures, budgets."""
 import functools
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +20,8 @@ from jpaut import (PrimeField, ProductRing, Rationals, Matrix, PairMap,
                    factor_triple_aut, enumerate_automorphisms,
                    generate_closure, family_image, compare, gl_order,
                    DEFAULT_BUDGET)
-from jpaut import fastscan, is_triple_automorphism
+from jpaut import fastscan, is_triple_automorphism, parse_system
+from jpaut.jordan import JordanAlgebra
 from jpaut.claims import gl_generators
 from jpaut.oracle import (AutomorphismSet, CompareReport, _invertible_mod_p,
                           element_key)
@@ -198,6 +202,50 @@ def test_untraced_pair_scans_both_sides():
     s = enumerate_automorphisms(pt)
     # candidate space is GL_1 x GL_1; graph constraint cuts it to 4
     assert (s.order, s.candidates) == (4, 16)
+
+
+def _diagonal_algebra_without_unit():
+    # F5 x F5 as the algebra e0 e0 = e0, e1 e1 = e1, all other products 0,
+    # given without its unit: no unit entry to pin a column
+    product = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    product[0][0][0] = product[1][1][1] = 1
+    return JordanAlgebra(F5, 2, product, None)
+
+
+@pytest.mark.parametrize("make,order,candidates", [
+    (lambda: pair_from_triple(make_t_iv(standard_form(F5, 1)).structure),
+     32, gl_order(F5, 2) ** 2),
+    (_diagonal_algebra_without_unit, 2, gl_order(F5, 2))],
+    ids=["untraced-pair", "unitless-algebra"])
+def test_fast_engine_is_refused_where_no_kernel_serves(make, order,
+                                                       candidates):
+    structure = make()
+    with pytest.raises(BadInput):
+        enumerate_automorphisms(structure, engine="fast")
+    auto = enumerate_automorphisms(structure)
+    assert (auto.engine, auto.order, auto.candidates) == ("pure", order,
+                                                          candidates)
+    assert auto.verify_group_closed()
+
+
+def test_import_leaves_the_fast_kernels_unloaded():
+    # enumerate_automorphisms imports fastscan only where a kernel runs
+    import jpaut
+    path = os.path.dirname(os.path.dirname(jpaut.__file__))
+    code = "import sys, jpaut; print('jpaut.fastscan' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.split() == ["False"]
+
+
+@pytest.mark.parametrize("spec,order", [("VIV(2,F3[t])", 144),
+                                        ("TIV(2,F3[t])", 8)])
+def test_dual_number_scans(spec, order):
+    # |GL_2(F3[t])| = |GL_2(F3)| * 3**4 = 3888 candidates
+    found = enumerate_automorphisms(parse_system(spec))
+    assert (found.engine, found.candidates, found.order) == ("pure", 3888,
+                                                             order)
 
 
 def test_tti_rectangle_equals_multiplier_image():
