@@ -11,7 +11,7 @@ import random
 import numpy as np
 
 from .errors import (BadDims, BadInput, NoSquareRootOfMinusOne,
-                     NotFactorable, NotSimilitude, UnknownClaim)
+                     NotFactorable, NotSimilitude, UnknownClaim, check_jobs)
 from .ring import PrimeField, Ring, RingElement, parse_ring, mu_n, \
     find_sqrt_minus_one
 from .matrix import Matrix, BilinearForm, standard_form, enumerate_GL, \
@@ -643,13 +643,14 @@ def run_claim(claim_id: str, ring=None, n=None, m=None,
 
     Unset parameters fall back to the claim's desk-scale defaults.  A
     dimension below its least value, or m == n where the claim needs
-    m != n, raises BadDims before the runner starts.  The report never
-    depends on jobs; see exhaustive_set.
+    m != n, raises BadDims before the runner starts, and jobs < 1
+    BadInput.  The report never depends on jobs; see exhaustive_set.
     """
     claim = CATALOG.get(claim_id)
     if claim is None:
         raise UnknownClaim(
             f"{claim_id!r}; known ids: {', '.join(CATALOG)}")
+    check_jobs(jobs)
     given = {"n": n, "m": m}
     for name, value in given.items():
         if value is not None and name not in claim.dims:

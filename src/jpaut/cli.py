@@ -22,7 +22,7 @@ from . import claims as claimcat
 from .catalog import parse_system
 from .errors import (BadDims, BadInput, BudgetExceeded, NonEnumerableRing,
                      NonFieldRing, ParseError, ShapeMismatch, ToolkitError,
-                     UnknownClaim)
+                     UnknownClaim, check_jobs)
 from .jordan import check_axioms
 from .oracle import enumerate_automorphisms
 
@@ -218,6 +218,16 @@ def _add_output_flags(sub) -> None:
                      help="human-readable table instead of JSON on stdout")
 
 
+def _jobs(text: str) -> int:
+    """A --jobs value; below 1 it is a usage error (exit 2)."""
+    jobs = int(text)
+    try:
+        check_jobs(jobs)
+    except BadInput as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return jobs
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The jpaut parser, built once per process: parse_args leaves it
@@ -243,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--m", type=int)
     p_check.add_argument("--budget", type=int,
                          help="candidate/closure budget override")
-    p_check.add_argument("--jobs", type=int,
+    p_check.add_argument("--jobs", type=_jobs,
                          default=os.cpu_count() or 1,
                          help="worker count (results never depend on it)")
     _add_output_flags(p_check)
@@ -255,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--mode", choices=("exhaustive", "generated"),
                         default="exhaustive")
     p_enum.add_argument("--budget", type=int)
-    p_enum.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_enum.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     p_enum.add_argument("--dump-elements", action="store_true",
                         help="include the element list in the JSON")
     _add_output_flags(p_enum)

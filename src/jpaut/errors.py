@@ -97,3 +97,9 @@ class UnknownClaim(ToolkitError):
 
 class EngineMismatch(ToolkitError):
     """A fast scan returned an element the pure predicate rejects."""
+
+
+def check_jobs(jobs: int) -> None:
+    """BadInput unless jobs, a worker thread count, is at least 1."""
+    if jobs < 1:
+        raise BadInput(f"jobs must be at least 1, got {jobs}")

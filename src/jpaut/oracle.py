@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (BadDims, BadInput, BudgetExceeded, EngineMismatch,
-                     MixedSystems, NonEnumerableRing)
+                     MixedSystems, NonEnumerableRing, check_jobs)
 from .jordan import (JordanAlgebra, JordanPair, JordanTriple, PairMap,
                      _carries, _fits_int64, algebra_map_respects, dual_inverse,
                      is_algebra_automorphism, is_pair_automorphism,
@@ -383,14 +383,23 @@ def are_automorphisms(structure, sides: Sequence[np.ndarray]) -> np.ndarray:
             & _carries(ring, tensor, tensor, phi, (phi,) * (tensor.ndim - 1)))
 
 
-def _cross_check(found: np.ndarray, structure, codec: _Rows,
-                 name) -> np.ndarray:
-    """The fast-scan maps as rows of codec, after are_automorphisms has
-    accepted every one; found is a kernel's int64 stack, (B, d, d) or
-    (B, 2, d, d) for traced pairs, so each map reshapes to its row."""
+def _cross_check(kernel, structure, codec: _Rows, name,
+                 jobs: int) -> np.ndarray:
+    """The kernel's maps as rows of codec, after are_automorphisms has
+    accepted every one; the kernel returns an int64 stack, (B, d, d) or
+    (B, 2, d, d) for traced pairs, so each map reshapes to its row.
+
+    The rows are decided in the blocks of the scans' chunk loop
+    (fastscan.workers), at most CHUNK rows each, on jobs threads; the
+    keep-vectors join in index order, so the first rejected row is named
+    for any jobs."""
+    from . import fastscan
+    found = kernel(fastscan)
     rows = np.ascontiguousarray(found, dtype=np.int64).reshape(
         len(found), codec.width)
-    ok = are_automorphisms(structure, codec.split(rows))
+    with fastscan.workers(jobs) as spread:
+        ok = np.concatenate(spread(lambda start, stop: are_automorphisms(
+            structure, codec.split(rows[start:stop])), len(rows)))
     bad = np.flatnonzero(~ok)
     if bad.size:
         el = codec.decode(rows[bad[0]:bad[0] + 1])[0]
@@ -467,10 +476,12 @@ def enumerate_automorphisms(system, budget: Optional[int] = None,
     BadInput where none serves), or pure (reference scan).  Every structure
     takes one path: budget its candidate space (_space), ask _use_fast
     once, then cross-check the kernel's stack or filter the pure
-    candidates.  Results are independent of engine and jobs.
+    candidates.  Results are independent of engine and of jobs, the
+    worker threads of the scan and its cross-check; BadInput for jobs < 1.
     """
     if engine not in ("auto", "fast", "pure"):
         raise BadInput(f"unknown engine {engine!r}")
+    check_jobs(jobs)
     name = getattr(system, "name", None) or "anonymous"
     structure = unwrap(system)
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -483,8 +494,7 @@ def enumerate_automorphisms(system, budget: Optional[int] = None,
     _budgeted(candidates, budget)
     codec = _codec(structure)
     if _use_fast(structure, kernel, engine, name):
-        from . import fastscan
-        rows = _cross_check(kernel(fastscan), structure, codec, name)
+        rows = _cross_check(kernel, structure, codec, name, jobs)
         engine = "fast"
     else:
         rows, engine = codec.encode([el for el in pure if keep(el)]), "pure"

@@ -24,8 +24,8 @@ import numpy as np
 
 from jpaut.errors import DegenerateForm, NotInvertible
 from jpaut.fastscan import (CHUNK, _bilinear_rhs, _gram, _low_digit_block,
-                            _pool, _scan, _slot_rhs, _tensor_by_c,
-                            _work_dtype, _xfirst)
+                            _scan, _slot_rhs, _tensor_by_c,
+                            _work_dtype, _xfirst, workers)
 
 MAX_SLOTS = 4
 
@@ -358,8 +358,8 @@ def _flat_pair_with_trace(p: int, d: int, t_plus: Sequence,
     slots = _probe_slots(total, d, decode, slot_pass)
     stages = [partial(slot_pass, s) for s in slots] + [check_plus,
                                                        check_minus]
-    with _pool(jobs) as pool:
-        plus, minus = _scan(total, decode, stages, pool)
+    with workers(jobs) as spread:
+        plus, minus = _scan(total, decode, stages, spread)
     return np.stack((plus, minus), axis=1).astype(np.int64)
 
 
@@ -385,8 +385,8 @@ def _flat_triple(p: int, d: int, tensor: Sequence,
 
     slots = _probe_slots(total, d, decode, slot_pass)
     stages = [partial(slot_pass, s) for s in slots] + [check]
-    with _pool(jobs) as pool:
-        (found,) = _scan(total, decode, stages, pool)
+    with workers(jobs) as spread:
+        (found,) = _scan(total, decode, stages, spread)
     return found.astype(np.int64)
 
 
@@ -430,8 +430,8 @@ def _flat_algebra_unit_fixing(p: int, d: int, prod: Sequence,
 
     slots = [(0, 0), (0, min(1, d - 1)), (min(1, d - 1), 0)]
     stages = [partial(slot_pass, s) for s in slots] + [check]
-    with _pool(jobs) as pool:
-        (found,) = _scan(p ** cells, decode, stages, pool)
+    with workers(jobs) as spread:
+        (found,) = _scan(p ** cells, decode, stages, spread)
     return found.astype(np.int64)
 
 
@@ -456,6 +456,6 @@ def _flat_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
             ok &= mult == 1
         return ok
 
-    with _pool(jobs) as pool:
-        (found,) = _scan(p ** (n * n), decode, [check], pool)
+    with workers(jobs) as spread:
+        (found,) = _scan(p ** (n * n), decode, [check], spread)
     return found.astype(np.int64)

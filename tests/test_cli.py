@@ -10,6 +10,7 @@ from jpaut import claims as claimcat
 from jpaut import cli, enumerate_automorphisms, jordan, oracle, parse_system
 from jpaut.claims import standard_generated
 from jpaut.cli import main
+from jpaut.errors import BadInput
 
 from test_acceptance import DETERMINISM_BATTERY
 
@@ -118,6 +119,30 @@ def test_check_refuses_dimensions_outside_the_statement(claim_id, flags,
     code, out = run_cli(["check", claim_id, *flags.split()], capsys)
     rep = json.loads(out)
     assert code == 2 and rep["error"] == "BadDims"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "VIV(2,F3)", "--jobs", "-1"],
+    ["enumerate", "VIV(2,F3)", "--mode", "generated", "--jobs", "0"],
+    ["check", "autV-IV", "--ring", "F3", "--n", "2", "--jobs", "0"]])
+def test_jobs_below_one_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_library_refuses_jobs_below_one(jobs, monkeypatch):
+    def started(p):
+        raise AssertionError("the runner started")
+    monkeypatch.setattr(claimcat.CATALOG["autV-IV"], "runner", started)
+    with pytest.raises(BadInput):
+        claimcat.run_claim("autV-IV", ring="F3", n=2, jobs=jobs)
+    for engine in ("auto", "pure"):
+        with pytest.raises(BadInput):
+            enumerate_automorphisms(parse_system("VIV(2,F3)"), jobs=jobs,
+                                    engine=engine)
 
 
 @pytest.mark.parametrize("p", [19483, 19489])

@@ -339,9 +339,9 @@ def test_search_levels_span_chunks_in_index_order(monkeypatch):
     real = fastscan._scan
     calls = []
 
-    def spy(total, decode, stages, pool):
+    def spy(total, decode, stages, spread):
         calls.append(total)
-        return real(total, decode, stages, pool)
+        return real(total, decode, stages, spread)
     monkeypatch.setattr(fastscan, "_scan", spy)
     vhi = make_vhi(2, 2, F3).structure
     image = vhi._int64
@@ -360,18 +360,70 @@ def test_search_logs_the_same_levels_for_any_jobs(caplog):
     image = make_vhi(2, 2, F3).structure._int64
     args = (3, 4, image["t_plus"], image["t_minus"], image["trace"])
     levels = {}
-    for jobs in (1, 2):
+    for jobs in (1, 2, 3):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="jpaut.fastscan"):
             scan_pair_with_trace(*args, jobs=jobs)
         levels[jobs] = [r.args for r in caplog.records
                         if r.name == "jpaut.fastscan"]
-    assert levels[1] == levels[2]
+    assert levels[1] == levels[2] == levels[3]
     assert [level for level, _, _ in levels[1]] == list(range(8))
     assert [kept for _, kept, _ in levels[1]] == [
         81, 288, 1440, 4896, 3456, 2304, 2304, 2304]
     # the last level solves minus_3 outright: one candidate per prefix
     assert levels[1][-1][2] == 2304
+
+
+def test_blocks_split_each_range_over_the_jobs():
+    # min(CHUNK, max(MIN_BLOCK, ceil(total / jobs))) items a block
+    assert fastscan._blocks(0, 2) == [(0, 0)]
+    assert fastscan._blocks(6912, 1) == [(0, 6912)]
+    assert fastscan._blocks(6912, 2) == [(0, 3456), (3456, 6912)]
+    assert fastscan._blocks(1500, 2) == [(0, 1024), (1024, 1500)]
+    assert fastscan._blocks(900, 3) == [(0, 900)]
+    assert fastscan._blocks(40000, 1) == [(0, 16384), (16384, 32768),
+                                          (32768, 40000)]
+    assert fastscan._blocks(40000, 2) == fastscan._blocks(40000, 1)
+    assert fastscan._blocks(40000, 3) == [(0, 13334), (13334, 26668),
+                                          (26668, 40000)]
+    for total in (1, 1023, 1025, 16384, 16385, 100000):
+        for jobs in (1, 2, 3, 4):
+            parts = fastscan._blocks(total, jobs)
+            assert parts[0][0] == 0 and parts[-1][1] == total
+            assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
+            assert max(stop - start for start, stop in parts) <= \
+                fastscan.CHUNK
+
+
+def test_search_splits_a_level_below_chunk_over_the_jobs(monkeypatch):
+    # level 5 of VhI(2,2,F3) (minus_2) filters 6,912 candidates: one block
+    # at one worker, two blocks of 3,456 at two
+    real = fastscan._blocks
+    calls = {}
+
+    def spy(total, jobs):
+        out = real(total, jobs)
+        calls.setdefault(jobs, {})[total] = out
+        return out
+    monkeypatch.setattr(fastscan, "_blocks", spy)
+    image = make_vhi(2, 2, F3).structure._int64
+    args = (3, 4, image["t_plus"], image["t_minus"], image["trace"])
+    one = scan_pair_with_trace(*args, jobs=1)
+    two = scan_pair_with_trace(*args, jobs=2)
+    assert np.array_equal(one, two)
+    assert calls[1][6912] == [(0, 6912)]
+    assert calls[2][6912] == [(0, 3456), (3456, 6912)]
+    assert set(calls[1]) == set(calls[2])
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_kernels_refuse_jobs_below_one(jobs):
+    for text in ("ThI(2,F3)", "VhI(1,2,F3)", "Mplus(2,F3)"):
+        kernel, args = _kernel_call(parse_system(text).structure)
+        with pytest.raises(BadInput):
+            getattr(fastscan, f"scan_{kernel}")(*args, jobs=jobs)
+    with pytest.raises(BadInput):
+        scan_similitudes(3, 2, [[1, 0], [0, 1]], False, jobs=jobs)
 
 
 def _kernel_call(structure):

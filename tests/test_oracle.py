@@ -20,7 +20,7 @@ from jpaut import (PrimeField, ProductRing, Rationals, Matrix, PairMap,
                    factor_triple_aut, enumerate_automorphisms,
                    generate_closure, family_image, compare, gl_order,
                    DEFAULT_BUDGET)
-from jpaut import fastscan, is_triple_automorphism, parse_system
+from jpaut import fastscan, is_triple_automorphism, oracle, parse_system
 from jpaut.jordan import JordanAlgebra
 from jpaut.claims import gl_generators
 from jpaut.oracle import (AutomorphismSet, CompareReport, _invertible_mod_p,
@@ -128,6 +128,59 @@ def test_cross_check_rejects_a_singular_map(monkeypatch):
     with pytest.raises(EngineMismatch):
         enumerate_automorphisms(random_structure("triple", 3, 2, "zero", 0),
                                 engine="fast")
+
+
+def _cross_check_blocks(monkeypatch, bad_rows, jobs):
+    """Enumerate VhI(1,3,F3), 11,232 maps, at 4,096 a block with the minus
+    side of each bad row doubled (plus^T G minus == 2G, so the trace check
+    rejects it); returns the rows each are_automorphisms call got, the
+    first planted map's JSON and the EngineMismatch raised, if any."""
+    monkeypatch.setattr(fastscan, "CHUNK", 1 << 12)
+    system = make_vhi(1, 3, F3)
+    real_scan, real_check = fastscan.scan_pair_with_trace, \
+        oracle.are_automorphisms
+    planted, sizes = [], []
+
+    def corrupted(*args, **kwargs):
+        found = real_scan(*args, **kwargs)
+        assert len(found) == 11232
+        for i in bad_rows:
+            found[i, 1] = found[i, 1] * 2 % 3
+        codec = oracle._codec(system.structure)
+        planted.extend(codec.decode(found[i].reshape(1, -1))[0].to_jsonable()
+                       for i in bad_rows)
+        return found
+
+    def counted(structure, sides):
+        sizes.append(len(sides[0]))
+        return real_check(structure, sides)
+    monkeypatch.setattr(fastscan, "scan_pair_with_trace", corrupted)
+    monkeypatch.setattr(oracle, "are_automorphisms", counted)
+    try:
+        enumerate_automorphisms(system, engine="fast", jobs=jobs)
+    except EngineMismatch as exc:
+        return sizes, planted, exc
+    return sizes, planted, None
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cross_check_runs_in_blocks_of_at_most_chunk_rows(monkeypatch,
+                                                           jobs):
+    sizes, _, error = _cross_check_blocks(monkeypatch, [], jobs)
+    assert error is None
+    # at jobs 2 the blocks may start out of order
+    assert sorted(sizes) == [3040, 4096, 4096]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("bad_rows", [[10000], [5000, 10000]])
+def test_cross_check_names_the_first_rejected_row(monkeypatch, jobs,
+                                                  bad_rows):
+    # row 10000 lies in the last of three blocks, row 5000 in the second
+    _, planted, error = _cross_check_blocks(monkeypatch, bad_rows, jobs)
+    assert error is not None
+    assert f"returned {planted[0]}," in str(error)
+    assert all(str(other) not in str(error) for other in planted[1:])
 
 
 @pytest.mark.parametrize("p,d,count", [(3, 2, None), (5, 2, None),
