@@ -311,11 +311,16 @@ def q_operator(pair: JordanPair, sigma: int, x: Vector, y: Vector) -> Vector:
     return scale_vec(pair.ring, half, out)
 
 
-def _check_pair_tensors(ring: Ring, tensors: dict, dims: dict) -> list:
-    """Shared identity sweep; tensors/dims keyed by sigma in {1,-1}."""
+def _check_pair_tensors(ring: Ring, tensors: dict, dims: dict,
+                        sigmas: tuple) -> list:
+    """Shared identity sweep over `sigmas`; tensors/dims keyed by sigma in
+    {1,-1}.  Stops at the ninth failure.  Over data equal at both signs the
+    sigma = -1 sweep repeats the sigma = +1 one step for step, so there
+    _axiom_report sweeps (1,) alone and relabels the list.
+    """
     failures = []
     # outer symmetry on basis triples
-    for sigma in (1, -1):
+    for sigma in sigmas:
         t = tensors[sigma]
         ds, do = dims[sigma], dims[-sigma]
         for a in range(ds):
@@ -330,7 +335,7 @@ def _check_pair_tensors(ring: Ring, tensors: dict, dims: dict) -> list:
         return failures
     # D-commutator identity on basis 4-tuples:
     # [D(x,y), D(u,v)] = D(D(x,y)u, v) - D(u, D(y,x)v)
-    for sigma in (1, -1):
+    for sigma in sigmas:
         ds, do = dims[sigma], dims[-sigma]
         ts, to = tensors[sigma], tensors[-sigma]
         d_cache_s = {}
@@ -391,13 +396,21 @@ def check_axioms(structure) -> AxiomReport:
     rather than sampling.  Over F_p and Q the identities are whole-basis
     int64 contractions; other rings, and data past the int64 bounds, take
     the pure sweeps, which give the same report.  Each structure computes
-    its report once.
+    its report once.  A triple T is the pair (T, T); data equal at both
+    signs is swept at sigma = +1 alone (see _axiom_report).
     """
     return _jordan_structure(structure)._axioms
 
 
 def _axiom_report(structure, vectorize: bool) -> AxiomReport:
-    """check_axioms; with vectorize=False, the pure sweeps alone."""
+    """check_axioms; with vectorize=False, the pure sweeps alone.
+
+    With dims and tensors equal at both signs, the sigma = -1 sweep would
+    find the sigma = +1 failures again in the same order, so only sigma = +1
+    is swept: the two-sign list is that list F, then F relabelled sigma =
+    -1, cut at nine, also where the sweep stops early.  `checked` counts
+    both signs.
+    """
     if isinstance(structure, JordanAlgebra):
         return _check_algebra(structure, vectorize)
     if isinstance(structure, JordanPair):
@@ -411,9 +424,14 @@ def _axiom_report(structure, vectorize: bool) -> AxiomReport:
     if max(dims.values()) > MAX_AXIOM_DIM:
         raise BudgetExceeded(
             f"carrier dim above {MAX_AXIOM_DIM}; refusing sampled checks")
-    failures = _np_pair_failures(structure) if vectorize else None
+    equal = dims[1] == dims[-1] and tensors[1] == tensors[-1]
+    sigmas = (1,) if equal else (1, -1)
+    failures = _np_pair_failures(structure, sigmas) if vectorize else None
     if failures is None:
-        failures = _check_pair_tensors(structure.ring, tensors, dims)
+        failures = _check_pair_tensors(structure.ring, tensors, dims, sigmas)
+    if equal:
+        failures = (failures + [dict(f, sigma=-1)
+                                for f in failures])[:_MAX_FAILURES]
     checked = 2 * (dims[1] * dims[-1]) ** 2
     return AxiomReport(not failures, kind, checked, tuple(failures))
 
@@ -556,8 +574,14 @@ def _hits(bad) -> list:
             for at in np.argwhere(bad)[:_MAX_FAILURES]]
 
 
-def _np_pair_failures(structure):
-    """_check_pair_tensors as contractions, or None."""
+def _np_pair_failures(structure, sigmas: tuple = (1, -1)):
+    """_check_pair_tensors over the given signs as contractions, or None.
+
+    D(a,b)D(u,v) is one int64 product over the whole basis, at most d**6
+    entries (373 KB at MAX_AXIOM_DIM); the commutator reads it twice, as
+    it is and with (a,b) and (u,v) swapped.  The two D(D(..)..) terms are
+    contracted one a at a time, in buffers of d**5.
+    """
     names = (("t_plus", "t_minus") if isinstance(structure, JordanPair)
              else ("tensor", "tensor"))
     image = _int_tensors(structure, names)
@@ -569,25 +593,34 @@ def _np_pair_failures(structure):
         return None
     t = {1: t_plus, -1: t_minus}
     failures = []
-    for sigma in (1, -1):
+    for sigma in sigmas:
         ts = t[sigma]
         bad = (ts != ts.transpose(2, 1, 0, 3)).any(axis=3)
         failures += [{"identity": "outer-symmetry", "sigma": sigma, "at": at}
                      for at in _hits(bad)]
     if failures:
         return failures[:_MAX_FAILURES]
-    for sigma in (1, -1):
+    for sigma in sigmas:
         ts, to = t[sigma], t[-sigma]
         ds, do = dims[sigma], dims[-sigma]
+        # D(a,b)D(u,v), entry [r, c], at [a, b, r, u, v, c]
+        rows = ds * do * ds
+        dd = (ts.transpose(0, 1, 3, 2).reshape(rows, ds)
+              @ ts.reshape(rows, ds).T)
+        if p is not None:
+            dd %= p
+        dd = dd.reshape(ds, do, ds, ds, do, ds)
         bad = np.empty((ds, do, ds, do), dtype=bool)
         for a in range(ds):  # one a at a time keeps the buffers at d**5
             # [D(a,b), D(u,v)] - D(D(a,b)u, v) + D(u, D(b,a)v), entry [r, c]
             # at [b, u, v, r, c]
             diff = _residual((do, ds, do, ds, ds), p,
-                             (1, "bkr,uvck->buvrc", ts[a], ts),
-                             (-1, "uvkr,bck->buvrc", ts, ts[a]),
                              (-1, "buk,kvcr->buvrc", ts[a], ts),
                              (1, "bvk,ukcr->buvrc", to[:, a], ts))
+            diff += dd[a].transpose(0, 2, 3, 1, 4)
+            diff -= dd[:, :, :, a].transpose(3, 0, 1, 2, 4)
+            if p is not None:
+                diff %= p
             bad[a] = diff.reshape(do, ds, do, -1).any(axis=3)
         failures += [{"identity": "D-commutator", "sigma": sigma, "at": at}
                      for at in _hits(bad)]

@@ -18,7 +18,8 @@ from jpaut import (PrimeField, ProductRing, Rationals, Matrix, PairMap,
 from jpaut import jordan
 from jpaut.errors import (BadInput, BudgetExceeded, DegenerateTrace,
                           ShapeMismatch)
-from jpaut.jordan import (_axiom_report, _carries, _np_jordan_failures,
+from jpaut.jordan import (AxiomReport, _axiom_report, _carries,
+                          _check_pair_tensors, _np_jordan_failures,
                           _np_pair_failures, algebra_map_respects)
 from test_acceptance import _axiom_sweep_systems
 
@@ -436,6 +437,111 @@ def test_vectorized_reports_stop_at_nine_failures_like_the_pure_sweeps(
         assert report == _pure(broken)
         assert len(report.failures) == 9
         assert {f["identity"] for f in report.failures} == {identity}
+
+
+# -- one sweep where both signs carry the same data -------------------------
+
+
+def _signed(structure):
+    """(kind, tensors, dims) keyed by sigma, as _axiom_report reads them."""
+    if isinstance(structure, JordanPair):
+        return ("pair", {1: structure.t_plus, -1: structure.t_minus},
+                {1: structure.dplus, -1: structure.dminus})
+    d = structure.dim
+    return "triple", {1: structure.tensor, -1: structure.tensor}, {1: d, -1: d}
+
+
+def _two_sign_report(structure):
+    """The report of the literal sweep over both signs."""
+    kind, tensors, dims = _signed(structure)
+    failures = _check_pair_tensors(structure.ring, tensors, dims, (1, -1))
+    return AxiomReport(not failures, kind, 2 * (dims[1] * dims[-1]) ** 2,
+                       tuple(failures))
+
+
+def _edited_alike(base, ring, edits, mirror):
+    """base with the same edits to both signed tensors: a triple's tensor,
+    or a pair's t_plus, copied to t_minus."""
+    structure = _base_structure(base, ring)
+    if isinstance(structure, JordanPair):
+        triple = JordanTriple(ring, structure.dplus, structure.t_plus)
+        return pair_from_triple(_perturb(triple, edits, mirror, "none"))
+    return _perturb(structure, edits, mirror, "none")
+
+
+_SIX_EDITS = [(0, 794772, 2, 1), (0, 42450, 2, 1), (0, 536110, 2, 1),
+              (0, 424604, 2, 1), (0, 499748, 2, 1), (0, 611720, 1, 1)]
+
+
+# (base, edits, mirror, identity, failures at sigma = +1): under five the
+# relabelled copy is whole, from five to eight the cap cuts it, and at nine
+# the two-sign sweep returns before sigma = -1
+@pytest.mark.parametrize("base,edits,mirror,identity,plus", [
+    ("TIV(2)", _SIX_EDITS, False, "outer-symmetry", 4),
+    ("ThatIV(3)", _SIX_EDITS, False, "outer-symmetry", 6),
+    ("ThatIV(3)", [(0, 643002, 2, 1), (0, 280110, 1, 1), (0, 195187, 1, 1),
+                   (0, 354760, 2, 1), (0, 941933, 1, 1), (0, 350249, 1, 1)],
+     False, "outer-symmetry", 9),
+    ((2, 2), [(0, 2, 1, 1)], True, "D-commutator", 1),
+    ("TIV(2)", [(0, 318031, 1, 1), (0, 756250, 2, 1)], False,
+     "D-commutator", 8),
+    ("TIV(2)", _SIX_EDITS, True, "D-commutator", 9),
+], ids=["outer-4", "outer-6", "outer-9", "commutator-1", "commutator-8",
+        "commutator-9"])
+def test_one_sign_rule_equals_the_two_sign_sweep_on_edits(
+        base, edits, mirror, identity, plus):
+    for ring in (F5, Q):
+        edited = _edited_alike(base, ring, edits, mirror)
+        report = check_axioms(edited)
+        assert report == _two_sign_report(edited)
+        assert {f["identity"] for f in report.failures} == {identity}
+        assert sum(f["sigma"] == 1 for f in report.failures) == plus
+
+
+def test_one_sign_rule_equals_the_two_sign_sweep_on_the_axiom_grid():
+    systems = [parse_system(t).structure for t in _axiom_sweep_systems()]
+    equal = [s for s in systems if not isinstance(s, JordanAlgebra)
+             for _, tensors, dims in [_signed(s)]
+             if dims[1] == dims[-1] <= 4 and tensors[1] == tensors[-1]]
+    assert len(equal) == 72
+    mismatches = [s.name for s in equal
+                  if check_axioms(s) != _two_sign_report(s)]
+    assert mismatches == []
+
+
+def test_one_sign_rule_fires_only_on_equal_data(monkeypatch):
+    seen = []
+    for name in ("_np_pair_failures", "_check_pair_tensors"):
+        def spy(*args, real=getattr(jordan, name), name=name):
+            seen.append((name, args[-1]))
+            return real(*args)
+        monkeypatch.setattr(jordan, name, spy)
+    vhi = make_vhi(1, 2, F3).structure
+    edited = _perturb(vhi, [(1, 9, 2, 1)], False, "none")
+    assert edited.t_plus != edited.t_minus
+    for structure, sigmas in ((parse_system("ThI(2,F3)").structure, (1,)),
+                              (vhi, (1,)),
+                              (make_bad_pair(F3).structure, (1, -1)),
+                              (edited, (1, -1))):
+        seen.clear()
+        for vectorize in (True, False):
+            _axiom_report(structure, vectorize)
+        assert seen == [("_np_pair_failures", sigmas),
+                        ("_check_pair_tensors", sigmas)], structure.name
+
+
+def test_unequal_carriers_report_like_the_pure_sweep():
+    # t_plus is zero, so every D^+ vanishes and sigma = +1 holds; t_minus
+    # {f_0, e_0, f_0} = f_0 makes D^-(D^-(f_0, e_0) f_0, e_0) nonzero
+    for ring in (F3, F5, Q):
+        pair = _perturb(_base_structure((2, 3), ring),
+                        [(1, 0, 1, 1), (1, 47, 2, 1)], True, "none")
+        assert (pair.dplus, pair.dminus) == (2, 3)
+        assert _np_pair_failures(pair) is not None
+        report = check_axioms(pair)
+        assert report == _pure(pair) and not report.ok
+        assert {(f["identity"], f["sigma"]) for f in report.failures} == {
+            ("D-commutator", -1)}
 
 
 # -- int64 bounds -------------------------------------------------------------
