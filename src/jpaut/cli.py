@@ -79,12 +79,9 @@ class _Dump:
         inner = pad + "  "
         codec, rows = self.aset.codec, self.aset.rows
         values, index = np.unique(rows, return_inverse=True)
-        payloads = values.tolist()
-        if not codec.residues:
-            pool = list(codec.index)
-            payloads = [pool[i] for i in payloads]
         quoted = np.array([_quote(codec.ring.payload_str(x))
-                           for x in payloads], dtype=object)
+                           for x in codec.payloads(values).tolist()],
+                          dtype=object)
         first = codec.decode(rows[:1])[0]
         template = _indented(_numbered(first.to_jsonable(),
                                        itertools.count()), inner)

@@ -2,9 +2,11 @@
 
 Each kernel decides every candidate map, in exact mod-p integer arithmetic
 with division-free conditions derived from the defining identities, and
-returns the solution set as an int64 stack in index order: the row-major
-entries of phi (of its free columns, for unit-fixing algebras) read as
-base-p digits, which is the order of the pure-Python enumeration streams.
+returns the solution set as an int64 stack in search order: the order in
+which _search's levels generate the maps, the same for any worker count.
+No kernel sorts; oracle._Rows.sorted_unique puts every automorphism set
+into its canonical order, and matrix._enumerate_similitudes sorts its own
+stream.
 
 Every kernel searches column by column (_search), in the style of backtrack
 search with refinement.  The unknowns are the columns of phi (plus those of
@@ -25,7 +27,7 @@ Each level runs the chunk loop (_scan) twice, over the prefixes to solve
 and over the candidates to filter.  Both passes, and oracle._cross_check,
 split their range by one rule (_blocks): consecutive blocks of
 min(CHUNK, max(MIN_BLOCK, ceil(total / jobs))) items, run on the jobs
-worker threads and joined in index order.  At one worker a range is
+worker threads and joined in block order.  At one worker a range is
 CHUNK-sized blocks (one block below CHUNK); at two, a range below CHUNK
 still runs on both threads once it holds more than MIN_BLOCK items.  The
 result and the per-level counts logged at DEBUG are the same for any
@@ -154,7 +156,7 @@ def _bilinear_rhs(prf: np.ndarray, u: np.ndarray, v: np.ndarray,
 def _scan(total: int, decode: Callable, stages: Sequence[Callable],
           spread: Callable) -> list[np.ndarray]:
     """The per-candidate arrays of the candidates in [0, total) that pass
-    every stage, each concatenated over the blocks in index order.
+    every stage, each concatenated over the blocks in block order.
 
     decode(start, stop) returns the per-candidate arrays of a block of at
     most CHUNK candidates (possibly already filtered), and each
@@ -333,17 +335,10 @@ def _slot_filters(t: np.ndarray, image: Callable, out: Sequence[int],
     return filters
 
 
-def _in_index_order(stack: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """stack reordered so that the row-major rows of keys ascend; with no
-    key column (the unit-fixing algebra at d = 1) there is at most one
-    map."""
-    rows = keys.reshape(len(keys), -1)
-    return stack[np.lexsort(rows.T[::-1])] if rows.shape[1] else stack
-
-
 def _columns(cols: np.ndarray) -> np.ndarray:
-    """The (B, d, d) matrices whose columns are the given unknowns."""
-    return cols.transpose(0, 2, 1)
+    """The int64 matrices whose columns are the unknowns on the
+    next-to-last axis of cols, copied once into C order."""
+    return np.ascontiguousarray(np.swapaxes(cols, -1, -2), dtype=np.int64)
 
 
 def _gram(gram: Sequence, p: int, error: type) -> np.ndarray:
@@ -360,8 +355,7 @@ def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
                          gram: Sequence, jobs: int = 1) -> np.ndarray:
     """All (phi_plus, phi_minus) pair automorphisms with phi_minus the
     trace-dual inverse (phi_plus^T G)^{-1} G, as an int64 (B, 2, d, d)
-    stack ascending in phi_plus; NotInvertible when G is not square or
-    singular.
+    stack in search order; NotInvertible when G is not square or singular.
 
     t_plus / t_minus are Jordan-layout [a][b][c][x] integer tensors; gram is
     the trace Gram matrix.  The unknowns are the columns of both sides,
@@ -390,13 +384,13 @@ def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
             t, lambda u, v, w, t_byc=t_byc: _slot_rhs(t_byc, u, v, w, p),
             side, (side, other, side), p)
     found = _search(p, d, 2 * d, equations, filters, jobs, dtype)
-    a, b = _columns(found[:, plus]), _columns(found[:, minus])
-    return _in_index_order(np.stack((a, b), axis=1), a).astype(np.int64)
+    # unknown 2k + s is column k of side s: (B, k, s, i) -> (B, s, i, k)
+    return _columns(found.reshape(len(found), d, 2, d).transpose(0, 2, 1, 3))
 
 
 def scan_triple(p: int, d: int, tensor: Sequence, jobs: int = 1) -> np.ndarray:
     """All invertible phi with phi{x,y,z} == {phi x, phi y, phi z}, as an
-    int64 (B, d, d) stack in index order; tensor is in Jordan layout
+    int64 (B, d, d) stack in search order; tensor is in Jordan layout
     [a][b][c][x].  The unknowns are the columns of phi in ascending order,
     the filters the slots of the tensor and, on all columns, rank d."""
     dtype = _work_dtype(p)
@@ -407,15 +401,13 @@ def scan_triple(p: int, d: int, tensor: Sequence, jobs: int = 1) -> np.ndarray:
         t, lambda u, v, w: _slot_rhs(t_byc, u, v, w, p), unknowns,
         (unknowns,) * 3, p)
     filters.append((unknowns, lambda cols: _rank(cols, p) == d))
-    found = _search(p, d, d, [], filters, jobs, dtype)
-    a = _columns(found)
-    return _in_index_order(a, a).astype(np.int64)
+    return _columns(_search(p, d, d, [], filters, jobs, dtype))
 
 
 def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
                              jobs: int = 1) -> np.ndarray:
     """All invertible unit-fixing phi with phi(x*y) == phi(x)*phi(y), as an
-    int64 (B, d, d) stack in index order of the free columns.
+    int64 (B, d, d) stack in search order.
 
     Unit preservation is forced by multiplicativity plus surjectivity, so the
     candidate space is the affine subspace {A : A u = u}: columns other than
@@ -446,17 +438,14 @@ def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
         pr, lambda x, y: _bilinear_rhs(prf, x, y, p), unknowns,
         (unknowns, unknowns), p)
     filters.append((unknowns, lambda cols: _rank(cols, p) == d))
-    found = _search(p, d, d, equations, filters, jobs, dtype)
-    a = _columns(found)
-    return _in_index_order(a, np.delete(a, support[0], axis=2)).astype(
-        np.int64)
+    return _columns(_search(p, d, d, equations, filters, jobs, dtype))
 
 
 def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
                      jobs: int = 1) -> np.ndarray:
     """All similitudes (or isometries) a of the nondegenerate form G,
     a^T G a == lambda G with lambda a unit (or 1), as an int64 (B, n, n)
-    stack in index order; DegenerateForm for a singular G.
+    stack in search order; DegenerateForm for a singular G.
 
     The unknowns are the columns of a in ascending order.  The multiplier
     lambda is read at the pivot (0, c) of G, the first nonzero entry, which
@@ -509,6 +498,4 @@ def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
         condition([(1, 0, c)], pivot)
     else:
         filters.append(({0, c}, lambda cols: form(cols, 0, c) != 0))
-    found = _search(p, n, n, equations, filters, jobs, dtype)
-    a = _columns(found)
-    return _in_index_order(a, a).astype(np.int64)
+    return _columns(_search(p, n, n, equations, filters, jobs, dtype))

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import (
     BadInput,
     DegenerateForm,
@@ -94,15 +96,6 @@ class Matrix:
                                            for j in range(n)) for i in range(n)))
 
     # -- access ---------------------------------------------------------------
-    def entry(self, i: int, j: int) -> RingElement:
-        return RingElement(self.ring, self.entries[i][j])
-
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
-    def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.entries)
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -322,15 +315,6 @@ class BilinearForm:
     def dim(self) -> int:
         return self.gram.rows
 
-    def _eval_p(self, x: Vec, y: Vec) -> Payload:
-        return self.ring.dot(x, self.gram.apply(y))
-
-    def quadratic(self, x: Sequence) -> RingElement:
-        """q(x) = b(x, x) / 2."""
-        xp = as_payload_vec(self.ring, x)
-        return RingElement(self.ring,
-                           self.ring.mul(self.ring.half_p, self._eval_p(xp, xp)))
-
 
 def standard_form(ring: Ring, n: int) -> BilinearForm:
     """Sum-of-squares form: Gram matrix is the n x n identity."""
@@ -425,8 +409,11 @@ def _enumerate_similitudes(form: BilinearForm,
         return
     if isinstance(r, PrimeField) and 2 <= n <= 4:
         from . import fastscan
-        for m in fastscan.scan_similitudes(r.p, n, form.gram.entries,
-                                           isometry_only).tolist():
+        found = fastscan.scan_similitudes(r.p, n, form.gram.entries,
+                                          isometry_only)
+        # the kernel returns search order; the stream is in index order
+        order = np.lexsort(found.reshape(len(found), -1).T[::-1])
+        for m in found[order].tolist():
             yield Matrix(r, n, n, tuple(map(tuple, m)))
         return
     one = r.one_p

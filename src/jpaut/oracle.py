@@ -92,13 +92,20 @@ class _Rows:
         return [side.reshape(-1, d, d) for side, d
                 in zip(np.split(rows, cuts, axis=1), self.dims)]
 
+    def payloads(self, indices: np.ndarray) -> np.ndarray:
+        """The payload of each index, in an array of the same shape: over
+        F_p the indices themselves, else an object array of the payloads
+        in the order the codec numbered them."""
+        if self.residues:
+            return indices
+        pool = np.empty(len(self.index), dtype=object)
+        for i, x in enumerate(self.index):  # tuple payloads stay elements
+            pool[i] = x
+        return pool[indices]
+
     def element_keys(self, rows: np.ndarray) -> list:
         """The element_key of each row's map, without building the map."""
-        sides = [s.tolist() for s in self.split(rows)]
-        if not self.residues:
-            pool = list(self.index)
-            sides = [[[[pool[i] for i in r] for r in m] for m in side]
-                     for side in sides]
+        sides = [s.tolist() for s in self.split(self.payloads(rows))]
         return list(zip(*[[tuple(map(tuple, m)) for m in side]
                           for side in sides]))
 
@@ -391,8 +398,8 @@ def _cross_check(kernel, structure, codec: _Rows, name,
 
     The rows are decided in the blocks of the scans' chunk loop
     (fastscan.workers), at most CHUNK rows each, on jobs threads; the
-    keep-vectors join in index order, so the first rejected row is named
-    for any jobs."""
+    keep-vectors join in block order, so the first rejected row in the
+    kernel's order, which is the same for any jobs, is named."""
     from . import fastscan
     found = kernel(fastscan)
     rows = np.ascontiguousarray(found, dtype=np.int64).reshape(
@@ -529,11 +536,11 @@ def generate_closure(system, generators: Sequence,
         codec, rows)
 
 
-def family_image(system, kind: str, elements: Iterable) -> AutomorphismSet:
+def family_image(system, elements: Iterable) -> AutomorphismSet:
     """Package a named-family image as a generated-mode set."""
     name = getattr(system, "name", None) or "anonymous"
     structure = unwrap(system)
     codec = _codec(structure)
     rows = codec.sorted_unique(codec.encode(list(elements)))
-    return AutomorphismSet(name, structure.ring.name, kind, "generated",
-                           "family", len(rows), codec, rows)
+    return AutomorphismSet(name, structure.ring.name, _kind(structure),
+                           "generated", "family", len(rows), codec, rows)

@@ -122,18 +122,11 @@ class Ring:
 
     # -- element-level API ---------------------------------------------------
     @property
-    def zero(self) -> "RingElement":
-        return RingElement(self, self.zero_p)
-
-    @property
     def one(self) -> "RingElement":
         return RingElement(self, self.one_p)
 
     def from_int(self, k: int) -> "RingElement":
         return RingElement(self, self.int_payload(k))
-
-    def element(self, payload: Payload) -> "RingElement":
-        return RingElement(self, payload)
 
     def elements(self) -> Iterator["RingElement"]:
         for p in self.payloads():

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from jpaut import (PrimeField, Matrix, JordanAlgebra, JordanPair,
-                   JordanTriple, dual_inverse, enumerate_automorphisms,
-                   gl_order, standard_form, enumerate_GO, enumerate_O,
-                   enumerate_matrices, is_triple_automorphism,
-                   similitude_multiplier)
+from jpaut import (BilinearForm, PrimeField, Matrix, JordanAlgebra,
+                   JordanPair, JordanTriple, PairMap, dual_inverse,
+                   enumerate_automorphisms, gl_order, standard_form,
+                   enumerate_GO, enumerate_O, enumerate_matrices,
+                   is_triple_automorphism, similitude_multiplier)
 from jpaut import fastscan
 from jpaut.errors import BadInput, NotInvertible
 from jpaut.fastscan import (_low_digit_block, _rank, _tensor_by_c,
@@ -163,13 +163,32 @@ def test_gram_apply_matches_direct_product(gram):
     assert np.array_equal(got, ref)
 
 
+def _sorted(stack):
+    """A kernel's stack in index order: its row-major rows ascending."""
+    return stack[np.lexsort(stack.reshape(len(stack), -1).T[::-1])]
+
+
+def _ascending(stack):
+    """Whether the row-major rows of a stack strictly ascend."""
+    rows = stack.reshape(len(stack), -1).tolist()
+    return all(x < y for x, y in zip(rows, rows[1:]))
+
+
+def _pure_rows(structure):
+    """The pure engine's maps of a structure, as nested entry lists in
+    element_key order."""
+    pure = enumerate_automorphisms(structure, engine="pure").elements
+    return [[f.plus.entries, f.minus.entries] if isinstance(f, PairMap)
+            else f.entries for f in pure]
+
+
 def test_scan_pair_with_trace_recovers_known_group():
     vhi = make_vhi(1, 2, F3).structure
     found = scan_pair_with_trace(3, 2, vhi.t_plus, vhi.t_minus,
                                  vhi.trace.entries)
     assert found.dtype == np.int64 and found.shape == (48, 2, 2, 2)
-    pairs = found.tolist()
-    assert sorted(pairs) == pairs  # canonical ascending order
+    pairs = _sorted(found).tolist()
+    assert pairs == np.array(_pure_rows(vhi)).tolist()
     for plus, minus in pairs:  # the minus side is the trace-dual inverse
         phi = Matrix.build(F3, plus)
         assert Matrix.build(F3, minus) == dual_inverse(vhi, phi)
@@ -181,6 +200,18 @@ def test_scan_triple_recovers_known_group():
     assert mats.dtype == np.int64 and mats.shape == (8, 2, 2)
 
 
+def _pure_similitudes(form, isometry):
+    """The similitudes (isometries) of a form by the pure filter over every
+    matrix, in index order."""
+    one = form.ring.one_p
+    out = []
+    for a in enumerate_matrices(form.ring, form.dim, form.dim):
+        m = similitude_multiplier(a, form)
+        if m is not None and (not isometry or m.payload == one):
+            out.append(a)
+    return out
+
+
 def test_scan_similitudes_matches_group_enumeration():
     form = standard_form(F3, 2)
     gram = form.gram.entries
@@ -188,11 +219,12 @@ def test_scan_similitudes_matches_group_enumeration():
     iso = scan_similitudes(3, 2, gram, isometry_only=True)
     assert sim.dtype == iso.dtype == np.int64
     assert sim.shape == (16, 2, 2) and iso.shape == (8, 2, 2)
-    sim, iso = sim.tolist(), iso.tolist()
+    sim, iso = _sorted(sim).tolist(), _sorted(iso).tolist()
     assert all(a in sim for a in iso)
-    # compare with the direct enumeration, element for element
-    assert sim == [[list(r) for r in a.entries] for a in enumerate_GO(form)]
-    assert iso == [[list(r) for r in a.entries] for a in enumerate_O(form)]
+    # compare with the pure filter, element for element
+    for found, isometry in ((sim, False), (iso, True)):
+        assert found == [[list(r) for r in a.entries]
+                         for a in _pure_similitudes(form, isometry)]
 
 
 @pytest.mark.parametrize("enumerate_group,isometry", [
@@ -267,18 +299,16 @@ def test_kernels_read_the_jordan_layout(kind):
     structure = _layout_structure(kind, ts)
     if kind == "triple":
         def scan(tensors):
-            return scan_triple(3, 2, tensors[0]).tolist()
+            return sorted(scan_triple(3, 2, tensors[0]).tolist())
     elif kind == "pair":
         def scan(tensors):
-            return scan_pair_with_trace(3, 2, *tensors,
-                                        [[1, 0], [0, 1]]).tolist()
+            return sorted(scan_pair_with_trace(3, 2, *tensors,
+                                               [[1, 0], [0, 1]]).tolist())
     else:
         def scan(tensors):
             return sorted(scan_algebra_unit_fixing(3, 2, tensors[0],
                                                    (1, 0)).tolist())
-    pure = enumerate_automorphisms(structure, engine="pure").elements
-    expect = np.array([(f.plus.entries, f.minus.entries) if kind == "pair"
-                       else f.entries for f in pure]).tolist()
+    expect = np.array(_pure_rows(structure)).tolist()
     assert len(expect) > 2
     assert scan(ts) == expect
     # read as if the output axis came first, the same data has another group
@@ -332,9 +362,15 @@ def test_unequal_traced_carriers_raise_not_invertible(dplus, dminus, engine):
         enumerate_automorphisms(pair, engine=engine)
 
 
-def test_search_levels_span_chunks_in_index_order(monkeypatch):
+def test_search_levels_span_chunks_in_search_order(monkeypatch):
     # at 4,096 a chunk, level 4 of VhI(2,2,F3) (plus_2) solves for 4,896
-    # prefixes in two chunks and filters 31,104 candidates in eight
+    # prefixes in two chunks and filters 31,104 candidates in eight; the
+    # blocks join in order, so neither the chunk size nor the jobs change
+    # the stack
+    vhi = make_vhi(2, 2, F3).structure
+    image = vhi._int64
+    args = (3, 4, image["t_plus"], image["t_minus"], image["trace"])
+    whole = scan_pair_with_trace(*args, jobs=1)
     monkeypatch.setattr(fastscan, "CHUNK", 1 << 12)
     real = fastscan._scan
     calls = []
@@ -343,16 +379,12 @@ def test_search_levels_span_chunks_in_index_order(monkeypatch):
         calls.append(total)
         return real(total, decode, stages, spread)
     monkeypatch.setattr(fastscan, "_scan", spy)
-    vhi = make_vhi(2, 2, F3).structure
-    image = vhi._int64
-    args = (3, 4, image["t_plus"], image["t_minus"], image["trace"])
     one = scan_pair_with_trace(*args, jobs=1)
     assert 4896 in calls and 31104 in calls
     two = scan_pair_with_trace(*args, jobs=2)
-    assert np.array_equal(one, two)
+    assert np.array_equal(one, two) and np.array_equal(one, whole)
     assert one.dtype == np.int64 and one.shape == (2304, 2, 4, 4)
-    rows = one.reshape(2304, 32).tolist()
-    assert all(x < y for x, y in zip(rows, rows[1:]))
+    assert _ascending(_sorted(one))  # no map twice
 
 
 def test_search_logs_the_same_levels_for_any_jobs(caplog):
@@ -483,11 +515,15 @@ def test_search_equals_the_flat_oracle_on_every_grid_point():
         kernel, args = _kernel_call(structure)
         expect = getattr(_flat_oracle, f"_flat_{kernel}")(*args, jobs=2)
         assert expect.dtype == np.int64, name
+        found = {}
         for jobs in (1, 2):
-            found = getattr(fastscan, f"scan_{kernel}")(*args, jobs=jobs)
-            assert found.dtype == np.int64, (name, jobs)
-            assert found.shape == expect.shape, (name, jobs)
-            assert np.array_equal(found, expect), (name, jobs)
+            found[jobs] = getattr(fastscan, f"scan_{kernel}")(*args,
+                                                             jobs=jobs)
+            assert found[jobs].dtype == np.int64, (name, jobs)
+            assert found[jobs].shape == expect.shape, (name, jobs)
+            assert np.array_equal(_sorted(found[jobs]), _sorted(expect)), \
+                (name, jobs)
+        assert np.array_equal(found[1], found[2]), name
 
 
 def test_zero_traced_pair_is_searched():
@@ -501,8 +537,8 @@ def test_zero_traced_pair_is_searched():
     assert one.shape == (gl_order(F3, 3), 2, 3, 3)
     plus, minus = one[:, 0], one[:, 1]
     assert (_det(plus, 3) != 0).all()
-    rows = plus.reshape(len(plus), 9).tolist()
-    assert all(x < y for x, y in zip(rows, rows[1:]))
+    assert np.array_equal(_sorted(one),
+                          _flat_oracle._flat_pair_with_trace(*args, jobs=1))
     # with G = I the minus side is the inverse transpose
     eye = np.broadcast_to(np.eye(3, dtype=np.int64), plus.shape)
     assert np.array_equal(plus.transpose(0, 2, 1) @ minus % 3, eye)
@@ -540,7 +576,34 @@ def test_similitude_search_equals_the_flat_oracle(p, n):
             expect = _flat_oracle._flat_similitudes(p, n, gram, isometry)
             assert found.dtype == expect.dtype == np.int64, name
             assert found.shape == expect.shape, name
-            assert np.array_equal(found, expect), (name, isometry)
+            assert np.array_equal(_sorted(found), expect), (name, isometry)
+
+
+@pytest.mark.parametrize("text", ["VhI(2,2,F3)", "ThI(2,F3)", "Mplus(2,F3)"])
+def test_the_set_decides_the_order_of_a_kernel_stack(text):
+    # the kernels return search order, which here is not ascending; the
+    # automorphism set sorts it once, into element_key order
+    structure = parse_system(text).structure
+    kernel, args = _kernel_call(structure)
+    found = getattr(fastscan, f"scan_{kernel}")(*args)
+    assert not _ascending(found)
+    rows = enumerate_automorphisms(structure, engine="fast").rows
+    assert _ascending(rows)
+    assert np.array_equal(rows, _sorted(found).reshape(len(found), -1))
+
+
+def test_similitude_streams_sort_the_kernel_stack():
+    # on the hyperbolic plane over F3 the similitude search does not
+    # return ascending rows; enumerate_GO and enumerate_O sort them into
+    # the order of the pure filter
+    gram = _HYPERBOLIC[2]
+    assert not _ascending(scan_similitudes(3, 2, gram, False))
+    form = BilinearForm(Matrix.build(F3, gram.tolist()))
+    for enumerate_group, isometry in ((enumerate_GO, False),
+                                      (enumerate_O, True)):
+        expect = _pure_similitudes(form, isometry)
+        assert len(expect) == (4 if isometry else 8)
+        assert list(enumerate_group(form)) == expect
 
 
 @pytest.fixture
@@ -579,8 +642,7 @@ def test_search_enumerates_without_the_flat_scan(no_flat_oracle):
 
 
 def test_unit_fixing_search_at_d_1_returns_the_identity(no_flat_oracle):
-    # A u = u leaves no free column at d = 1, so the index-order sort has
-    # no key; the one map is the identity
+    # A u = u leaves no free column at d = 1; the one map is the identity
     found = scan_algebra_unit_fixing(5, 1, [[[1]]], [1])
     assert found.dtype == np.int64 and found.tolist() == [[[1]]]
     system = parse_system("Jbilin(1,F5)")

@@ -1,14 +1,16 @@
 """Source hygiene: every name a module imports is used in that module,
 every local name a function assigns is read, every parameter is read,
 every private top-level function or class is referenced somewhere in the
-package, and no module takes another's private names outside a short
+package, every method a package class defines is read somewhere in the
+repository, and no module takes another's private names outside a short
 allowlist."""
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "jpaut"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "jpaut"
 
 # __init__.py imports are the package's re-exports, not uses
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -165,6 +167,45 @@ def test_every_private_helper_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in sorted(SRC.glob("*.py"))}
     assert _dead_private_defs(sources) == []
+
+
+def _unread_methods(defining: dict, reading: list) -> list:
+    """(module, class, name) of each method or property that a class in the
+    defining sources defines and no source, defining or reading, reads as
+    an attribute (x.name); dunder methods are exempt."""
+    defined, read = [], set()
+    for source in list(defining.values()) + reading:
+        read.update(node.attr for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+    for module, source in defining.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef):
+                defined += [(module, cls.name, node.name) for node in cls.body
+                            if isinstance(node, (ast.FunctionDef,
+                                                 ast.AsyncFunctionDef))
+                            and not (node.name.startswith("__")
+                                     and node.name.endswith("__"))]
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_the_check_sees_an_unread_method():
+    defining = {"a": "class A:\n    def __len__(self):\n        return 0\n"
+                     "    def used(self):\n        return self.inner()\n"
+                     "    def inner(self):\n        pass\n"
+                     "    @property\n    def size(self):\n        pass\n"
+                     "    def dead(self):\n        self.gone = 1\n"}
+    reading = ["from a import A\nA().used()\nx.size\n"]
+    assert _unread_methods(defining, reading) == [("a", "A", "dead")]
+
+
+def test_every_method_is_read():
+    defining = {p.name: p.read_text(encoding="utf-8")
+                for p in sorted(SRC.glob("*.py"))}
+    reading = [p.read_text(encoding="utf-8")
+               for folder in ("tests", "perfbench")
+               for p in sorted((ROOT / folder).rglob("*.py"))]
+    assert _unread_methods(defining, reading) == []
 
 
 # The private names one module may still take from another: the oracle's

@@ -202,9 +202,8 @@ def test_rectangle_pair_equals_right_translation_image():
     for ring, order in ((F3, 48), (F5, 480)):
         vhi = make_vhi(1, 2, ring)
         ex = enumerate_automorphisms(vhi)
-        img = family_image(vhi, "pair",
-                           [hat_r(b, 1) for b in enumerate_GL(2, ring)])
-        assert ex.order == order
+        img = family_image(vhi, [hat_r(b, 1) for b in enumerate_GL(2, ring)])
+        assert ex.order == order and img.kind == "pair"
         assert compare(ex, img).equal, ring.name
 
 
@@ -213,8 +212,8 @@ def test_form_pair_equals_similitude_image():
         form = standard_form(ring, 2)
         viv = make_type_iv_pair(form)
         ex = enumerate_automorphisms(viv)
-        im = family_image(viv, "pair",
-                          [go_to_pair_aut(a, form) for a in enumerate_GO(form)])
+        im = family_image(
+            viv, [go_to_pair_aut(a, form) for a in enumerate_GO(form)])
         assert compare(ex, im).equal, ring.name
 
 
@@ -223,10 +222,9 @@ def test_form_triple_equals_isometry_image():
         form = standard_form(ring, 2)
         that = make_type_iv_triple(form)
         ex = enumerate_automorphisms(that)
-        im = family_image(that, "triple",
-                          [ortho_to_triple_aut(a, form)
-                           for a in enumerate_O(form)])
-        assert compare(ex, im).equal, ring.name
+        im = family_image(
+            that, [ortho_to_triple_aut(a, form) for a in enumerate_O(form)])
+        assert im.kind == "triple" and compare(ex, im).equal, ring.name
 
 
 def test_unital_triple_orders_and_factorability():
@@ -308,7 +306,7 @@ def test_tti_rectangle_equals_multiplier_image():
            for a in enumerate_GO(standard_form(F3, 1))
            for b in enumerate_GO(standard_form(F3, 2))
            if tti_membership(a, b)]
-    im = family_image(tti, "triple", els)
+    im = family_image(tti, els)
     assert ex.order == 8 and compare(ex, im).equal
 
 
@@ -316,9 +314,8 @@ def test_matrix_algebra_equals_twisted_image():
     mn = make_mn_plus(2, F3)
     ex = enumerate_automorphisms(mn)
     assert ex.candidates == 3 ** 12 and ex.order == 48
-    im = family_image(mn, "algebra",
-                      [t.as_matrix() for t in all_twisted_maps(F3, 2, 1)])
-    assert compare(ex, im).equal
+    im = family_image(mn, [t.as_matrix() for t in all_twisted_maps(F3, 2, 1)])
+    assert im.kind == "algebra" and compare(ex, im).equal
 
 
 def test_closure_of_nothing_is_the_identity():
