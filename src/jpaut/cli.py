@@ -61,9 +61,11 @@ class _Dump:
     """The elements of an automorphism set, for --dump-elements.
 
     Written by _indented as the list of their to_jsonable() forms, without
-    building those: _indented renders one placeholder element whose leaves
-    are its positions in the set's int64 rows (oracle._Rows), and every
-    row fills that template from one table of quoted payload strings.
+    building those: one placeholder element is rendered whose leaves are
+    its positions in the set's int64 rows (oracle._Rows), and each row
+    fills that template.  The rows go out in blocks of about CHUNK
+    template cells (fastscan.CHUNK), each with its own table of quoted
+    payload strings, so the text of the whole set is never held at once.
     """
 
     def __init__(self, aset):
@@ -75,25 +77,33 @@ class _Dump:
     def to_jsonable(self) -> list:
         return [el.to_jsonable() for el in self.aset.elements]
 
-    def render(self, pad: str) -> str:
+    def pieces(self, pad: str):
+        """The JSON list text at indent pad: the opening bracket, then one
+        piece per block of rows, the last one closing the list."""
+        from .fastscan import CHUNK
         inner = pad + "  "
         codec, rows = self.aset.codec, self.aset.rows
-        values, index = np.unique(rows, return_inverse=True)
-        quoted = np.array([_quote(codec.ring.payload_str(x))
-                           for x in codec.payloads(values).tolist()],
-                          dtype=object)
         first = codec.decode(rows[:1])[0]
-        template = _indented(_numbered(first.to_jsonable(),
-                                       itertools.count()), inner)
+        template = "".join(_indented(_numbered(first.to_jsonable(),
+                                               itertools.count()), inner))
         parts = re.split(r'"(\d+)"', template)
         order = [int(k) for k in parts[1::2]]
-        sep = "," + inner
-        cells = np.empty((len(rows), 2 * len(order) + 1), dtype=object)
-        cells[:, 0::2] = np.array(parts[0::2], dtype=object)
-        cells[:, -1] = parts[-1] + sep
-        cells[:, 1::2] = quoted[index.reshape(rows.shape)[:, order]]
-        text = "".join(cells.ravel().tolist())
-        return "[" + inner + text[:-len(sep)] + pad + "]"
+        text = np.array(parts[0::2], dtype=object)
+        step = max(1, CHUNK // len(parts))
+        yield "[" + inner
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            values, index = np.unique(block, return_inverse=True)
+            quoted = np.array([_quote(codec.ring.payload_str(x))
+                               for x in codec.payloads(values).tolist()],
+                              dtype=object)
+            cells = np.empty((len(block), len(parts)), dtype=object)
+            cells[:, 0::2] = text
+            cells[:, -1] = parts[-1] + "," + inner
+            if start + step >= len(rows):
+                cells[-1, -1] = parts[-1] + pad + "]"
+            cells[:, 1::2] = quoted[index.reshape(block.shape)[:, order]]
+            yield "".join(cells.ravel().tolist())
 
 
 def _numbered(obj, count):
@@ -109,34 +119,43 @@ def _numbered(obj, count):
 _CONTAINERS = (dict, list, tuple, _Dump)
 
 
-def _indented(obj, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True, default=str), byte for byte,
-    with a _Dump written as its to_jsonable() list.
+def _indented(obj, pad: str = "\n"):
+    """The text of json.dumps(obj, indent=2, sort_keys=True, default=str),
+    byte for byte, in pieces, with a _Dump written as its to_jsonable()
+    list; the pieces of a _Dump are its blocks (_Dump.pieces).
 
     indent sends json.dumps through its pure-Python encoder, one generator
-    per value; this joins each container's lines directly and encodes each
-    leaf with the C encoder.  Raw newlines occur in JSON text only between
-    tokens, so text rendered at the top level moves to depth by replacing
-    "\n" with pad: dicts with a key that is not a string go that way
-    through json.dumps itself.
+    per value; this yields each container's punctuation directly and
+    encodes each leaf with the C encoder.  Raw newlines occur in JSON text
+    only between tokens, so text rendered at the top level moves to depth
+    by replacing "\n" with pad: dicts with a key that is not a string go
+    that way through json.dumps itself.
     """
     if isinstance(obj, _Dump) and obj:
-        return obj.render(pad)
+        yield from obj.pieces(pad)
+        return
     if not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
+        yield "{}" if isinstance(obj, dict) else "[]"
+        return
     inner = pad + "  "
     if isinstance(obj, dict):
         if not all(isinstance(k, str) for k in obj):
-            return json.dumps(obj, indent=2, sort_keys=True,
-                              default=str).replace("\n", pad)
-        items = [_quote(k) + ": " + (_indented(v, inner)
-                                     if isinstance(v, _CONTAINERS)
-                                     else _leaf(v))
-                 for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    items = [_indented(v, inner) if isinstance(v, _CONTAINERS) else _leaf(v)
-             for v in obj]
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
+            yield json.dumps(obj, indent=2, sort_keys=True,
+                             default=str).replace("\n", pad)
+            return
+        items, brackets = [(_quote(k) + ": ", v)
+                           for k, v in sorted(obj.items())], "{}"
+    else:
+        items, brackets = [("", v) for v in obj], "[]"
+    lead = brackets[0] + inner
+    for head, value in items:
+        if isinstance(value, _CONTAINERS):
+            yield lead + head
+            yield from _indented(value, inner)
+        else:
+            yield lead + head + _leaf(value)
+        lead = "," + inner
+    yield pad + brackets[1]
 
 
 def _leaf(value) -> str:
@@ -145,17 +164,31 @@ def _leaf(value) -> str:
     return json.dumps(value, default=str)
 
 
+def _replace(path: str, pieces) -> None:
+    """Write the pieces to a new file beside path, then move it over path,
+    so a failure part-way leaves what was at path and no other file."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def _emit(report: dict, args) -> None:
-    text = _indented(report) + "\n"
+    """Write the report's JSON as _indented renders it, to --out (replaced
+    whole, see _replace) or to stdout; --pretty prints the table."""
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return
-    if getattr(args, "pretty", False):
+        _replace(out, itertools.chain(_indented(report), ["\n"]))
+    elif getattr(args, "pretty", False):
         print("\n".join(_pretty_lines(report)))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_indented(report))
+        sys.stdout.write("\n")
 
 
 def _cmd_verify(args) -> int:

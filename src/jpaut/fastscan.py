@@ -26,10 +26,14 @@ oracle._cross_check remains the one independent check of every result.
 Each level runs the chunk loop (_scan) twice, over the prefixes to solve
 and over the candidates to filter.  Both passes, and oracle._cross_check,
 split their range by one rule (_blocks): consecutive blocks of
-min(CHUNK, max(MIN_BLOCK, ceil(total / jobs))) items, run on the jobs
-worker threads and joined in block order.  At one worker a range is
-CHUNK-sized blocks (one block below CHUNK); at two, a range below CHUNK
-still runs on both threads once it holds more than MIN_BLOCK items.  The
+min(cap, max(MIN_BLOCK, ceil(total / jobs))) items, run on the jobs
+worker threads and joined in block order.  The search's cap is CHUNK: at
+one worker a range is CHUNK-sized blocks (one block below CHUNK); at two,
+a range below CHUNK still runs on both threads once it holds more than
+MIN_BLOCK items.  The cross-check's cap is CHUNK * 4 rows over the size
+of the structure's largest tensor, since each map it decides builds
+intermediates of that size, up to four at once: 809 rows at d = 3 and 256
+at d = 4, about 2 MB a block, like one search chunk's outer products.  The
 result and the per-level counts logged at DEBUG are the same for any
 worker count.  On 2 vCPUs, enumerating VhI(1,3,F5) at two workers takes
 13-16 s at 740-830 MB peak RSS, against 26-27 s at 4.2-4.3 GB when only
@@ -100,27 +104,29 @@ def _low_digit_block(p: int, k: int) -> np.ndarray:
     return out
 
 
-def _blocks(total: int, jobs: int) -> list[tuple[int, int]]:
+def _blocks(total: int, jobs: int,
+            cap: int | None = None) -> list[tuple[int, int]]:
     """The partition of [0, total) that every chunk loop runs: consecutive
-    blocks of min(CHUNK, max(MIN_BLOCK, ceil(total / jobs))) items.  An
-    empty range is one empty block."""
-    size = min(CHUNK, max(MIN_BLOCK, -(-total // jobs)))
+    blocks of min(cap, max(MIN_BLOCK, ceil(total / jobs))) items, where
+    cap is CHUNK unless given.  An empty range is one empty block."""
+    size = min(CHUNK if cap is None else cap,
+               max(MIN_BLOCK, -(-total // jobs)))
     return [(s, min(s + size, total)) for s in range(0, max(total, 1), size)]
 
 
 @contextmanager
 def workers(jobs: int):
-    """A context that yields spread(kernel, total), which runs
-    kernel(start, stop) on each block of [0, total) (_blocks) and returns
-    the results as a list in block order.  The blocks run on one pool of
-    jobs threads, open while the context lasts, or inline at jobs 1;
-    BadInput for jobs < 1."""
+    """A context that yields spread(kernel, total, cap=None), which runs
+    kernel(start, stop) on each block of [0, total) (_blocks, at most cap
+    items) and returns the results as a list in block order.  The blocks
+    run on one pool of jobs threads, open while the context lasts, or
+    inline at jobs 1; BadInput for jobs < 1."""
     check_jobs(jobs)
     with (ThreadPoolExecutor(max_workers=jobs) if jobs > 1
           else nullcontext()) as pool:
         run = map if pool is None else pool.map
-        yield lambda kernel, total: list(
-            run(lambda b: kernel(*b), _blocks(total, jobs)))
+        yield lambda kernel, total, cap=None: list(
+            run(lambda b: kernel(*b), _blocks(total, jobs, cap)))
 
 
 def _tensor_by_c(tensor: np.ndarray, dtype: type) -> tuple[np.ndarray, ...]:

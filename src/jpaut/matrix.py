@@ -407,8 +407,8 @@ def _enumerate_similitudes(form: BilinearForm,
     if n == 0:
         yield Matrix(r, 0, 0, ())
         return
-    if isinstance(r, PrimeField) and 2 <= n <= 4:
-        from . import fastscan
+    from . import fastscan
+    if isinstance(r, PrimeField) and 2 <= n <= 4 and fastscan.supports(r.p):
         found = fastscan.scan_similitudes(r.p, n, form.gram.entries,
                                           isometry_only)
         # the kernel returns search order; the stream is in index order

@@ -397,16 +397,21 @@ def _cross_check(kernel, structure, codec: _Rows, name,
     (B, 2, d, d) for traced pairs, so each map reshapes to its row.
 
     The rows are decided in the blocks of the scans' chunk loop
-    (fastscan.workers), at most CHUNK rows each, on jobs threads; the
-    keep-vectors join in block order, so the first rejected row in the
-    kernel's order, which is the same for any jobs, is named."""
+    (fastscan.workers) on jobs threads.  Each map of a block builds
+    jordan._carries intermediates the size of a structure tensor, up to
+    four at once, so a block holds at most CHUNK * 4 // (largest tensor
+    size) rows, about 2 MB a block.  The keep-vectors join in block order,
+    so the first rejected row in the kernel's order, which is the same for
+    any jobs, is named."""
     from . import fastscan
     found = kernel(fastscan)
     rows = np.ascontiguousarray(found, dtype=np.int64).reshape(
         len(found), codec.width)
+    cap = max(1, fastscan.CHUNK * 4
+              // max(t.size for t in structure._int64.values()))
     with fastscan.workers(jobs) as spread:
         ok = np.concatenate(spread(lambda start, stop: are_automorphisms(
-            structure, codec.split(rows[start:stop])), len(rows)))
+            structure, codec.split(rows[start:stop])), len(rows), cap))
     bad = np.flatnonzero(~ok)
     if bad.size:
         el = codec.decode(rows[bad[0]:bad[0] + 1])[0]

@@ -1,13 +1,16 @@
 """Command line surface: exit codes, JSON schemas, determinism."""
+import argparse
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from jpaut import claims as claimcat
-from jpaut import cli, enumerate_automorphisms, jordan, oracle, parse_system
+from jpaut import (PairMap, cli, enumerate_automorphisms, fastscan, jordan,
+                   oracle, parse_system)
 from jpaut.claims import standard_generated
 from jpaut.cli import main
 from jpaut.errors import BadInput
@@ -290,11 +293,95 @@ def _nested_dump_report(text, mode, capsys):
     ("VhI(2,2,F3)", "generated"),
 ])
 def test_dump_from_rows_equals_json_dumps_of_the_nested_report(text, mode,
-                                                               capsys):
+                                                               capsys,
+                                                               tmp_path):
     argv, report = _nested_dump_report(text, mode, capsys)
+    _assert_writes(argv, json.dumps(report, indent=2, sort_keys=True,
+                                    default=str) + "\n", capsys, tmp_path)
+
+
+def _assert_writes(argv, expect, capsys, tmp_path):
+    """main(argv) writes expect to stdout and, with --out, to a file."""
     assert main(argv) == 0
-    expect = json.dumps(report, indent=2, sort_keys=True, default=str)
-    assert capsys.readouterr().out == expect + "\n"
+    assert capsys.readouterr().out == expect
+    target = tmp_path / "report.json"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == expect
+
+
+# a VhI(1,3,F3) row fills 37 template cells, its 18 leaves and the 19
+# pieces of text around them, so a dump block holds CHUNK // 37 rows: at
+# the default CHUNK the 11,232 rows end in a block of 182 (above)
+@pytest.mark.parametrize("chunk,blocks", [(37 * 432, 26), (37 * 11232, 1)],
+                         ids=["26 blocks of 432", "one block"])
+def test_dump_blocks_that_end_with_the_set_equal_json_dumps(chunk, blocks,
+                                                            capsys, tmp_path,
+                                                            monkeypatch):
+    argv, report = _nested_dump_report("VhI(1,3,F3)", "exhaustive", capsys)
+    monkeypatch.setattr(fastscan, "CHUNK", chunk)
+    real, counts = cli._Dump.pieces, []
+
+    def counted(dump, pad):
+        pieces = list(real(dump, pad))
+        counts.append(len(pieces))
+        return iter(pieces)
+    monkeypatch.setattr(cli._Dump, "pieces", counted)
+    _assert_writes(argv, json.dumps(report, indent=2, sort_keys=True,
+                                    default=str) + "\n", capsys, tmp_path)
+    assert counts == [1 + blocks] * 2  # the opening bracket, then blocks
+
+
+def test_dump_of_a_one_element_set_equals_json_dumps(capsys, tmp_path):
+    system = parse_system("VhI(1,2,F3)")
+    one = oracle.family_image(system, [PairMap.identity(system.ring, 2, 2)])
+    expect = json.dumps({"elements": [one.elements[0].to_jsonable()],
+                         "order": 1}, indent=2, sort_keys=True) + "\n"
+    target = tmp_path / "report.json"
+    for out in (None, str(target)):
+        cli._emit({"order": 1, "elements": cli._Dump(one)},
+                  argparse.Namespace(out=out, pretty=False))
+    assert capsys.readouterr().out == expect
+    assert target.read_text(encoding="utf-8") == expect
+
+
+def test_dump_writer_holds_less_than_a_quarter_of_the_report(tmp_path,
+                                                             monkeypatch):
+    # the report is written block by block, never joined whole
+    real, peaks = cli._emit, []
+
+    def traced(report, args):
+        tracemalloc.start()
+        try:
+            real(report, args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    monkeypatch.setattr(cli, "_emit", traced)
+    target = tmp_path / "report.json"
+    assert main(["enumerate", "VhI(1,3,F3)", "--jobs", "1",
+                 "--dump-elements", "--out", str(target)]) == 0
+    size = target.stat().st_size
+    assert size == 5_065_819
+    assert peaks[0] < size / 4
+
+
+def test_out_keeps_its_old_bytes_when_the_writer_fails(tmp_path,
+                                                       monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_bytes(b"old report")
+    real = cli._Dump.pieces
+
+    def failing(dump, pad):
+        pieces = real(dump, pad)
+        yield next(pieces)
+        yield next(pieces)
+        raise RuntimeError("render failed after one block")
+    monkeypatch.setattr(cli._Dump, "pieces", failing)
+    with pytest.raises(RuntimeError, match="render failed"):
+        main(["enumerate", "VhI(1,3,F3)", "--jobs", "1", "--dump-elements",
+              "--out", str(target)])
+    assert target.read_bytes() == b"old report"
+    assert os.listdir(tmp_path) == ["report.json"]
 
 
 @pytest.mark.parametrize("text", ["ThatIV(2,F3)", "VhI(1,2,F3)"])

@@ -433,8 +433,8 @@ def test_search_splits_a_level_below_chunk_over_the_jobs(monkeypatch):
     real = fastscan._blocks
     calls = {}
 
-    def spy(total, jobs):
-        out = real(total, jobs)
+    def spy(total, jobs, cap=None):
+        out = real(total, jobs, cap)
         calls.setdefault(jobs, {})[total] = out
         return out
     monkeypatch.setattr(fastscan, "_blocks", spy)

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from jpaut import (PrimeField, Rationals, Matrix, BilinearForm, standard_form,
                    enumerate_matrices, enumerate_GL, enumerate_GO, enumerate_O,
-                   gl_order, ProductRing)
+                   gl_order, ProductRing, fastscan)
 from jpaut.matrix import similitude_multiplier, solve_scalar_multiple
 from jpaut.errors import (BadInput, ShapeMismatch, NotInvertible,
                           DegenerateForm)
@@ -121,6 +121,20 @@ def test_orthogonal_group_orders():
     assert len(list(enumerate_GO(standard_form(F5, 2)))) == 32
     assert len(list(enumerate_O(standard_form(F3, 1)))) == 2
     assert len(list(enumerate_GO(standard_form(F3, 1)))) == 2
+
+
+def test_similitudes_past_the_fast_bound_take_the_pure_filter(monkeypatch):
+    # a prime the fast scans refuse gets the pure filter, which gives the
+    # fast path's stream in the same order
+    form = BilinearForm(Matrix.build(F5, [[0, 1], [1, 0]]))
+    fast = [list(enumerate_GO(form)), list(enumerate_O(form))]
+    assert [len(s) for s in fast] == [32, 8]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("scan_similitudes ran past supports(p)")
+    monkeypatch.setattr(fastscan, "supports", lambda p: p != 5)
+    monkeypatch.setattr(fastscan, "scan_similitudes", refused)
+    assert [list(enumerate_GO(form)), list(enumerate_O(form))] == fast
 
 
 def test_isometries_are_the_multiplier_one_similitudes():

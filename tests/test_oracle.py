@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -131,15 +132,13 @@ def test_cross_check_rejects_a_singular_map(monkeypatch):
 
 
 def _cross_check_blocks(monkeypatch, bad_rows, jobs):
-    """Enumerate VhI(1,3,F3), 11,232 maps, at 4,096 a block with the minus
-    side of each bad row doubled (plus^T G minus == 2G, so the trace check
-    rejects it); returns the rows each are_automorphisms call got, the
-    first planted map's JSON and the EngineMismatch raised, if any."""
-    monkeypatch.setattr(fastscan, "CHUNK", 1 << 12)
+    """Enumerate VhI(1,3,F3), 11,232 maps in 14 blocks of at most 809, with
+    the minus side of each bad row doubled (plus^T G minus == 2G, so the
+    trace check rejects it); returns the first planted map's JSON and the
+    EngineMismatch raised, if any."""
     system = make_vhi(1, 3, F3)
-    real_scan, real_check = fastscan.scan_pair_with_trace, \
-        oracle.are_automorphisms
-    planted, sizes = [], []
+    real_scan = fastscan.scan_pair_with_trace
+    planted = []
 
     def corrupted(*args, **kwargs):
         found = real_scan(*args, **kwargs)
@@ -150,34 +149,71 @@ def _cross_check_blocks(monkeypatch, bad_rows, jobs):
         planted.extend(codec.decode(found[i].reshape(1, -1))[0].to_jsonable()
                        for i in bad_rows)
         return found
-
-    def counted(structure, sides):
-        sizes.append(len(sides[0]))
-        return real_check(structure, sides)
     monkeypatch.setattr(fastscan, "scan_pair_with_trace", corrupted)
-    monkeypatch.setattr(oracle, "are_automorphisms", counted)
     try:
         enumerate_automorphisms(system, engine="fast", jobs=jobs)
     except EngineMismatch as exc:
-        return sizes, planted, exc
-    return sizes, planted, None
+        return planted, exc
+    return planted, None
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_cross_check_runs_in_blocks_of_at_most_chunk_rows(monkeypatch,
-                                                           jobs):
-    sizes, _, error = _cross_check_blocks(monkeypatch, [], jobs)
-    assert error is None
-    # at jobs 2 the blocks may start out of order
-    assert sorted(sizes) == [3040, 4096, 4096]
+def test_cross_check_blocks_hold_at_most_the_tensor_cap(monkeypatch, jobs):
+    # a traced pair's tensors have d**4 entries, so a block holds at most
+    # CHUNK * 4 // 81 = 809 rows at d = 3 and CHUNK * 4 // 256 = 256 at
+    # d = 4
+    real_scan, real_check = fastscan.scan_pair_with_trace, \
+        oracle.are_automorphisms
+    found, blocks = [], []
+
+    def kept(*args, **kwargs):
+        found.append(real_scan(*args, **kwargs))
+        return found[-1]
+
+    def recorded(structure, sides):
+        blocks.append(np.concatenate(
+            [side.reshape(len(side), -1) for side in sides], axis=1))
+        return real_check(structure, sides)
+    monkeypatch.setattr(fastscan, "scan_pair_with_trace", kept)
+    monkeypatch.setattr(oracle, "are_automorphisms", recorded)
+    for text, cap in (("VhI(1,3,F3)", 809), ("VhI(2,2,F3)", 256)):
+        found.clear()
+        blocks.clear()
+        enumerate_automorphisms(parse_system(text), engine="fast", jobs=jobs)
+        rows = found[0].reshape(len(found[0]), -1)
+        assert max(len(b) for b in blocks) == cap < len(rows)
+        # at jobs 2 the blocks may start out of order
+        at = {row.tobytes(): i for i, row in enumerate(rows)}
+        blocks.sort(key=lambda b: at[b[0].tobytes()])
+        assert np.array_equal(np.concatenate(blocks), rows)
+
+
+def test_cross_check_memory_is_bounded_by_its_blocks():
+    # 11,232 maps; decided whole, the transport intermediates alone would
+    # take 11,232 * 81 * 8 bytes (7.3 MB) each
+    system = make_vhi(1, 3, F3)
+    structure = system.structure
+    image = structure._int64
+    found = fastscan.scan_pair_with_trace(3, 3, image["t_plus"],
+                                          image["t_minus"], image["trace"])
+    codec = oracle._codec(structure)
+    tracemalloc.start()
+    try:
+        rows = oracle._cross_check(lambda fs: found, structure, codec,
+                                   system.name, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 11232
+    assert peak <= 4 << 20
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("bad_rows", [[10000], [5000, 10000]])
 def test_cross_check_names_the_first_rejected_row(monkeypatch, jobs,
                                                   bad_rows):
-    # row 10000 lies in the last of three blocks, row 5000 in the second
-    _, planted, error = _cross_check_blocks(monkeypatch, bad_rows, jobs)
+    # row 10000 lies in the 13th block, row 5000 in the 7th
+    planted, error = _cross_check_blocks(monkeypatch, bad_rows, jobs)
     assert error is not None
     assert f"returned {planted[0]}," in str(error)
     assert all(str(other) not in str(error) for other in planted[1:])
