@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import re
+import stat
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -165,14 +166,29 @@ def _leaf(value) -> str:
 
 
 def _replace(path: str, pieces) -> None:
-    """Write the pieces to a new file beside path, then move it over path,
-    so a failure part-way leaves what was at path and no other file."""
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    """Write the pieces to a new file beside the file path names, with its
+    mode, then move it over that file, so a failure part-way leaves what
+    was there and no other file.  A symlink is written through.  What is
+    not a regular file (os.devnull, /dev/stdout, a FIFO), or sits in a
+    directory that cannot take a new file, is written in place."""
+    try:
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    real = os.path.realpath(path)
+    if ((old is not None and not stat.S_ISREG(old.st_mode))
+            or not os.access(os.path.dirname(real), os.W_OK)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+        return
+    tmp = f"{real}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
+            if old is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(old.st_mode))
             fh.writelines(pieces)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         os.remove(tmp)
         raise

@@ -2,6 +2,7 @@
 import argparse
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -311,13 +312,19 @@ def _assert_writes(argv, expect, capsys, tmp_path):
 
 # a VhI(1,3,F3) row fills 37 template cells, its 18 leaves and the 19
 # pieces of text around them, so a dump block holds CHUNK // 37 rows: at
-# the default CHUNK the 11,232 rows end in a block of 182 (above)
-@pytest.mark.parametrize("chunk,blocks", [(37 * 432, 26), (37 * 11232, 1)],
-                         ids=["26 blocks of 432", "one block"])
-def test_dump_blocks_that_end_with_the_set_equal_json_dumps(chunk, blocks,
-                                                            capsys, tmp_path,
+# the default CHUNK the 11,232 rows end in a block of 182 (above).  A
+# VhI(1,2,F3xF3) row fills 17 cells, and its 2,304 tuple payloads take the
+# object path of each block's payload table
+@pytest.mark.parametrize("text,chunk,blocks", [
+    ("VhI(1,3,F3)", 37 * 432, 26),
+    ("VhI(1,3,F3)", 37 * 11232, 1),
+    ("VhI(1,2,F3xF3)", 17 * 100, 24),
+], ids=["26 blocks of 432", "one block", "F3xF3 in 23 blocks of 100 and 4"])
+def test_dump_blocks_that_end_with_the_set_equal_json_dumps(text, chunk,
+                                                            blocks, capsys,
+                                                            tmp_path,
                                                             monkeypatch):
-    argv, report = _nested_dump_report("VhI(1,3,F3)", "exhaustive", capsys)
+    argv, report = _nested_dump_report(text, "exhaustive", capsys)
     monkeypatch.setattr(fastscan, "CHUNK", chunk)
     real, counts = cli._Dump.pieces, []
 
@@ -381,6 +388,39 @@ def test_out_keeps_its_old_bytes_when_the_writer_fails(tmp_path,
         main(["enumerate", "VhI(1,3,F3)", "--jobs", "1", "--dump-elements",
               "--out", str(target)])
     assert target.read_bytes() == b"old report"
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_out_writes_a_device_in_place(capsys):
+    # only a regular file is replaced; os.devnull must stay the device
+    assert main(["enumerate", "ThatIV(2,F3)", "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    base = os.path.basename(os.devnull)
+    assert not [name for name in os.listdir(os.path.dirname(os.devnull))
+                if name.startswith(base + ".")]
+
+
+def test_out_writes_through_a_symlink_and_keeps_the_mode(tmp_path, capsys):
+    target, link = tmp_path / "report.json", tmp_path / "link.json"
+    target.write_bytes(b"old report")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert main(["enumerate", "ThatIV(2,F3)", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text())["order"] == 8
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "report.json"]
+
+
+def test_out_in_a_directory_without_write_access_is_written_in_place(
+        tmp_path, capsys, monkeypatch):
+    # a writable file whose directory takes no new file cannot be replaced
+    target = tmp_path / "report.json"
+    target.write_bytes(b"old report")
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert main(["enumerate", "ThatIV(2,F3)", "--out", str(target)]) == 0
+    assert json.loads(target.read_text())["order"] == 8
     assert os.listdir(tmp_path) == ["report.json"]
 
 
