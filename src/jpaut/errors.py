@@ -96,7 +96,8 @@ class UnknownClaim(ToolkitError):
 
 
 class EngineMismatch(ToolkitError):
-    """A fast scan returned an element the pure predicate rejects."""
+    """A fast scan returned an element the pure predicate rejects, or
+    missed the identity."""
 
 
 def check_jobs(jobs: int) -> None:

@@ -737,9 +737,11 @@ def _carries(ring: Ring, src, dst, out_map, in_maps: Sequence,
             return np.asarray(t, dtype=np.int64).reshape(1, -1)
 
         def along(t, axis, rows):
+            # explicit shapes, as -1 cannot be inferred for an empty stack
+            pre = int(np.prod(dims[:axis]))
             post = int(np.prod(dims[axis + 1:]))
-            out = rows[:, None] @ t.reshape(t.shape[0], -1, dims[axis], post)
-            return out.reshape(out.shape[0], -1) % ring.p
+            out = rows[:, None] @ t.reshape(t.shape[0], pre, dims[axis], post)
+            return out.reshape(out.shape[0], pre * dims[axis] * post) % ring.p
     else:
         out_rows = out_map.entries
         in_rows = [m.transpose().entries for m in in_maps]

@@ -402,22 +402,32 @@ def _cross_check(kernel, structure, codec: _Rows, name,
     four at once, so a block holds at most CHUNK * 4 // (largest tensor
     size) rows, about 2 MB a block.  The keep-vectors join in block order,
     so the first rejected row in the kernel's order, which is the same for
-    any jobs, is named."""
+    any jobs, is named.  A result without the identity is incomplete, as
+    every automorphism group contains it, and is refused too."""
     from . import fastscan
     found = kernel(fastscan)
     rows = np.ascontiguousarray(found, dtype=np.int64).reshape(
         len(found), codec.width)
     cap = max(1, fastscan.CHUNK * 4
               // max(t.size for t in structure._int64.values()))
+    identity = codec.encode([codec.identity])[0]
+
+    def decide(start: int, stop: int) -> tuple:
+        block = rows[start:stop]
+        return (are_automorphisms(structure, codec.split(block)),
+                (block == identity).all(axis=1).any())
+
     with fastscan.workers(jobs) as spread:
-        ok = np.concatenate(spread(lambda start, stop: are_automorphisms(
-            structure, codec.split(rows[start:stop])), len(rows), cap))
-    bad = np.flatnonzero(~ok)
+        oks, has_identity = zip(*spread(decide, len(rows), cap))
+    bad = np.flatnonzero(~np.concatenate(oks))
     if bad.size:
         el = codec.decode(rows[bad[0]:bad[0] + 1])[0]
         raise EngineMismatch(f"fast scan of {name} returned "
                              f"{el.to_jsonable()}, which the "
                              "transport predicate rejects")
+    if not any(has_identity):
+        raise EngineMismatch(f"fast scan of {name} missed the identity, "
+                             "which every automorphism group contains")
     return rows
 
 

@@ -13,8 +13,9 @@ from jpaut import (BilinearForm, PrimeField, Matrix, JordanAlgebra,
                    is_triple_automorphism, similitude_multiplier)
 from jpaut import fastscan
 from jpaut.errors import BadInput, NotInvertible
-from jpaut.fastscan import (_low_digit_block, _rank, _tensor_by_c,
-                            _slot_rhs, _work_dtype, scan_algebra_unit_fixing,
+from jpaut.fastscan import (_bilinear_rhs, _low_digit_block, _rank,
+                            _slots, _tensor_by_c, _slot_rhs, _work_dtype,
+                            _xfirst, scan_algebra_unit_fixing,
                             scan_pair_with_trace, scan_triple,
                             scan_similitudes)
 from jpaut import (extended_form, make_t_iv, make_vhi, make_type_iv_pair,
@@ -126,19 +127,82 @@ def test_det_adj_identity(p, n):
     assert np.abs(np.asarray(adj, dtype=np.int64)).max() < 6 * p ** 3
 
 
-@pytest.mark.parametrize("p,d", [(3, 2), (3, 4), (5, 3)])
+@pytest.mark.parametrize("p,d", [(3, 2), (3, 4), (5, 3), (19483, 4)])
 def test_slot_rhs_matches_einsum(p, d):
+    # the kernels pass float64 slabs; at 19483, the largest prime of the
+    # fast scans, the all-(p - 1) first row takes their products to the bound
     rng = np.random.default_rng(p * d)
     dt = _work_dtype(p)
     t = rng.integers(0, p, size=(d, d, d, d)).astype(dt)
     u = rng.integers(0, p, size=(25, d)).astype(dt)
     v = rng.integers(0, p, size=(25, d)).astype(dt)
     w = rng.integers(0, p, size=(25, d)).astype(dt)
-    got = _slot_rhs(_tensor_by_c(t, dt), u, v, w, p)
+    t[0] = u[0] = v[0] = w[0] = p - 1
     ref = np.einsum('xabc,Ba,Bb,Bc->Bx', t.astype(np.int64),
                     u.astype(np.int64), v.astype(np.int64),
                     w.astype(np.int64)) % p
-    assert np.array_equal(np.asarray(got, dtype=np.int64) % p, ref)
+    for slabs in (dt, np.float64):
+        got = _slot_rhs(_tensor_by_c(t, slabs), u, v, w, p)
+        assert np.array_equal(np.asarray(got, dtype=np.int64) % p, ref), slabs
+
+
+def _random_slots(kind, p, d, rng):
+    """(unknowns, slots) of random Jordan-layout tensors read as the kernel
+    of their kind reads them: a triple, both tensors of a traced pair
+    (unknowns plus_0, minus_0, ...), or an algebra's product."""
+    dt = _work_dtype(p)
+    arity = 2 if kind == "algebra" else 3
+    tensors = [_xfirst(rng.integers(0, p, size=(d,) * (arity + 1)), p, dt)
+               for _ in range(2 if kind == "pair" else 1)]
+    if kind == "algebra":
+        prf = np.ascontiguousarray(tensors[0].reshape(d, d * d).T)
+        return d, _slots(tensors[0], lambda x, y: _bilinear_rhs(prf, x, y, p),
+                         range(d), (range(d),) * 2, p)
+    if kind == "triple":
+        t_byc = _tensor_by_c(tensors[0], dt)
+        return d, _slots(tensors[0],
+                         lambda u, v, w: _slot_rhs(t_byc, u, v, w, p),
+                         range(d), (range(d),) * 3, p)
+    plus, minus = range(0, 2 * d, 2), range(1, 2 * d, 2)
+    slots = []
+    for t, side, other in zip(tensors, (plus, minus), (minus, plus)):
+        t_byc = _tensor_by_c(t, dt)
+        slots += _slots(t, lambda u, v, w, t_byc=t_byc: _slot_rhs(
+            t_byc, u, v, w, p), side, (side, other, side), p)
+    return 2 * d, slots
+
+
+@pytest.mark.parametrize("kind", ["triple", "pair", "algebra"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_slot_equations_solve_exactly_what_the_slot_filter_keeps(kind, d):
+    # for seeded prefixes and every x in F_p^d: x solves the rows of a slot
+    # affine in its last column exactly when the slot's filter keeps it
+    p = 3
+    rng = np.random.default_rng(10 * d + len(kind))
+    unknowns, slots = _random_slots(kind, p, d, rng)
+    vectors = _low_digit_block(p, d).astype(_work_dtype(p))
+    hits = total = 0
+    assert any(row is None for _, row, _ in slots)
+    for reads, row, test in slots:
+        if row is None:
+            continue
+        k = max(reads)
+        assert k < unknowns
+        prefix = rng.integers(0, p, size=(8, k, d)).astype(vectors.dtype)
+        coef, rhs = row(prefix)
+        coef = np.broadcast_to(coef, (8, d, d)).astype(np.int64)
+        rhs = np.broadcast_to(rhs, (8, d)).astype(np.int64)
+        for b in range(8):
+            solves = ((vectors.astype(np.int64) @ coef[b].T - rhs[b]) % p
+                      == 0).all(axis=1)
+            cols = np.concatenate(
+                (np.broadcast_to(prefix[b], (len(vectors), k, d)),
+                 vectors[:, None]), axis=1)
+            assert np.array_equal(solves, test(cols)), (reads, b)
+            hits += solves.sum()
+            total += solves.size
+    # the conditions are neither all true nor all false
+    assert 0 < hits < total
 
 
 @pytest.mark.parametrize("gram", [
@@ -364,9 +428,9 @@ def test_unequal_traced_carriers_raise_not_invertible(dplus, dminus, engine):
 
 def test_search_levels_span_chunks_in_search_order(monkeypatch):
     # at 4,096 a chunk, level 4 of VhI(2,2,F3) (plus_2) solves for 4,896
-    # prefixes in two chunks and filters 31,104 candidates in eight; the
-    # blocks join in order, so neither the chunk size nor the jobs change
-    # the stack
+    # prefixes in two chunks and filters the 10,368 candidates of their
+    # cosets in three; the blocks join in order, so neither the chunk size
+    # nor the jobs change the stack
     vhi = make_vhi(2, 2, F3).structure
     image = vhi._int64
     args = (3, 4, image["t_plus"], image["t_minus"], image["trace"])
@@ -380,7 +444,7 @@ def test_search_levels_span_chunks_in_search_order(monkeypatch):
         return real(total, decode, stages, spread)
     monkeypatch.setattr(fastscan, "_scan", spy)
     one = scan_pair_with_trace(*args, jobs=1)
-    assert 4896 in calls and 31104 in calls
+    assert 4896 in calls and 10368 in calls
     two = scan_pair_with_trace(*args, jobs=2)
     assert np.array_equal(one, two) and np.array_equal(one, whole)
     assert one.dtype == np.int64 and one.shape == (2304, 2, 4, 4)
@@ -402,8 +466,11 @@ def test_search_logs_the_same_levels_for_any_jobs(caplog):
     assert [level for level, _, _ in levels[1]] == list(range(8))
     assert [kept for _, kept, _ in levels[1]] == [
         81, 288, 1440, 4896, 3456, 2304, 2304, 2304]
-    # the last level solves minus_3 outright: one candidate per prefix
-    assert levels[1][-1][2] == 2304
+    # the slot equations cut the cosets of levels 1-4, where the trace
+    # entries leave two or more free dimensions (75,393 as filters); the
+    # last level solves minus_3 outright: one candidate per prefix
+    assert [generated for _, _, generated in levels[1]] == [
+        81, 864, 2592, 6048, 10368, 6912, 6912, 2304]
 
 
 def test_blocks_split_each_range_over_the_jobs():
@@ -511,9 +578,17 @@ def test_search_equals_the_flat_oracle_on_every_grid_point():
             "TIV(3,F5)", "VIV(3,F5)", "ThatIV(4,F3)"} <= set(structures)
     assert not any(name.startswith(("ThI(2,F5)", "TtI(2,2,F5)"))
                    for name in structures)
+    # VhI(1,n,F_p) and VtI(1,n,F_p) pass the same arguments, so the oracle
+    # runs once per distinct kernel input
+    oracle = {}
     for name, structure in structures.items():
         kernel, args = _kernel_call(structure)
-        expect = getattr(_flat_oracle, f"_flat_{kernel}")(*args, jobs=2)
+        key = (kernel,) + tuple(np.asarray(a, dtype=np.int64).tobytes()
+                                for a in args)
+        if key not in oracle:
+            oracle[key] = getattr(_flat_oracle, f"_flat_{kernel}")(*args,
+                                                                   jobs=2)
+        expect = oracle[key]
         assert expect.dtype == np.int64, name
         found = {}
         for jobs in (1, 2):
@@ -524,6 +599,7 @@ def test_search_equals_the_flat_oracle_on_every_grid_point():
             assert np.array_equal(_sorted(found[jobs]), _sorted(expect)), \
                 (name, jobs)
         assert np.array_equal(found[1], found[2]), name
+    assert len(oracle) == 98
 
 
 def test_zero_traced_pair_is_searched():

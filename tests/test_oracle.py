@@ -131,6 +131,49 @@ def test_cross_check_rejects_a_singular_map(monkeypatch):
                                 engine="fast")
 
 
+def _no_maps(structure):
+    """An empty int64 stack per side of the structure's maps."""
+    return [np.zeros((0, d, d), dtype=np.int64)
+            for d in oracle._codec(structure).dims]
+
+
+@pytest.mark.parametrize("text", ["VhI(2,2,F3)", "ThI(2,F3)", "Mplus(2,F3)"])
+def test_are_automorphisms_of_no_maps_is_empty(text):
+    structure = parse_system(text).structure
+    got = oracle.are_automorphisms(structure, _no_maps(structure))
+    assert got.dtype == bool and got.shape == (0,)
+
+
+@pytest.mark.parametrize("text", ["VhI(2,2,F3)", "ThI(2,F3)", "Mplus(2,F3)"])
+def test_cross_check_refuses_an_empty_result(text):
+    # every automorphism group holds the identity, so no maps is incomplete
+    system = parse_system(text)
+    structure = system.structure
+    empty = np.stack(_no_maps(structure), axis=1)
+    with pytest.raises(EngineMismatch, match="identity"):
+        oracle._cross_check(lambda fs: empty, structure,
+                            oracle._codec(structure), system.name, 1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cross_check_refuses_a_result_without_the_identity(monkeypatch,
+                                                          jobs):
+    # every other map of ThI(2,F3) is an automorphism, so only the
+    # completeness guard notices the missing row
+    real = fastscan.scan_triple
+
+    def dropped(*args, **kwargs):
+        found = real(*args, **kwargs)
+        eye = np.eye(found.shape[1], dtype=found.dtype)
+        keep = ~(found == eye).all(axis=(1, 2))
+        assert keep.sum() == len(found) - 1
+        return found[keep]
+    monkeypatch.setattr(fastscan, "scan_triple", dropped)
+    with pytest.raises(EngineMismatch, match="identity"):
+        enumerate_automorphisms(parse_system("ThI(2,F3)"), engine="fast",
+                                jobs=jobs)
+
+
 def _cross_check_blocks(monkeypatch, bad_rows, jobs):
     """Enumerate VhI(1,3,F3), 11,232 maps in 14 blocks of at most 809, with
     the minus side of each bad row doubled (plus^T G minus == 2G, so the
