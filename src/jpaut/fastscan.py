@@ -58,6 +58,7 @@ and the elimination below (d + 1) p**2.  _work_dtype sizes arithmetic by
 refuses larger primes.  Both dtypes give identical exact results mod p.
 The tensor contractions multiply their matrices in float64 (_MATMUL), on
 BLAS: each sum is an integer below d**2 p**3 < 2**53, so it is exact.
+_matmul hands BLAS row blocks small enough to run on the calling thread.
 """
 
 from __future__ import annotations
@@ -86,6 +87,13 @@ MIN_BLOCK = 1 << 10
 # below d*d * p**3 < 2**53 for each prime supports(p) admits, which float64
 # holds exactly; each product is cast back to the work dtype.
 _MATMUL = np.float64
+# The most m*k*n of one BLAS product (_matmul).  OpenBLAS, which numpy's
+# wheels bundle, runs a float64 product on one thread up to 2**18 and
+# spreads a larger one over its threads; for these thin products that
+# hand-off costs more than it saves and varies with the machine's load
+# (16384x9 @ 9x9 takes 0.12 ms in blocks, 5-8 ms on two threads of a
+# busy 2-CPU machine).
+_SERIAL_PRODUCT = 1 << 18
 
 _log = logging.getLogger(__name__)
 
@@ -158,6 +166,18 @@ def _tensor_by_c(tensor: np.ndarray, dtype: type) -> tuple[np.ndarray, ...]:
         for c in range(d))
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a (m, k) batch a and a (k, n) matrix b, in row blocks
+    of at most _SERIAL_PRODUCT / (k n) rows."""
+    rows = max(1, _SERIAL_PRODUCT // max(1, a.shape[1] * b.shape[1]))
+    if len(a) <= rows:
+        return a @ b
+    out = np.empty((len(a), b.shape[1]), dtype=np.result_type(a, b))
+    for start in range(0, len(a), rows):
+        np.matmul(a[start:start + rows], b, out=out[start:start + rows])
+    return out
+
+
 def _slot_rhs(t_byc: tuple[np.ndarray, ...], u: np.ndarray, v: np.ndarray,
               w: np.ndarray, p: int) -> np.ndarray:
     """Factored slot contraction: outer(u, v) once, one matmul per c in
@@ -169,9 +189,10 @@ def _slot_rhs(t_byc: tuple[np.ndarray, ...], u: np.ndarray, v: np.ndarray,
     b, d = u.shape
     uv = (u[:, :, None] * v[:, None, :]).reshape(b, d * d).astype(
         t_byc[0].dtype, copy=False)
-    acc = (uv @ t_byc[0]).astype(w.dtype, copy=False) * w[:, 0, None]
+    acc = _matmul(uv, t_byc[0]).astype(w.dtype, copy=False) * w[:, 0, None]
     for c in range(1, d):
-        acc += (uv @ t_byc[c]).astype(w.dtype, copy=False) * w[:, c, None]
+        acc += (_matmul(uv, t_byc[c]).astype(w.dtype, copy=False)
+                * w[:, c, None])
     return acc % p
 
 
@@ -180,7 +201,7 @@ def _bilinear_rhs(prf: np.ndarray, u: np.ndarray, v: np.ndarray,
     """P(u, v) for batches of reduced vectors, prf being the product as a
     (d*d, d_out) matrix, in the dtype of prf; |acc| <= d*d * p**3."""
     uv = (u[:, :, None] * v[:, None, :]).reshape(len(u), -1)
-    return (uv.astype(prf.dtype, copy=False) @ prf).astype(u.dtype) % p
+    return _matmul(uv.astype(prf.dtype, copy=False), prf).astype(u.dtype) % p
 
 
 def _scan(total: int, decode: Callable, stages: Sequence[Callable],
@@ -407,7 +428,7 @@ def _slots(t: np.ndarray, image: Callable, out: Sequence[int],
                 v = prefix[:, j]
                 outer = v if outer is None else (
                     outer[:, :, None] * v[:, None]).reshape(len(v), -1)
-            m = (outer.astype(_MATMUL) @ linear[s]).astype(eye.dtype)
+            m = _matmul(outer.astype(_MATMUL), linear[s]).astype(eye.dtype)
             m = m.reshape(len(prefix), d, d)
             return (m - lead * eye) % p, rhs % p
         conditions.append((reads, row if args.count(k) <= 1 else None, test))

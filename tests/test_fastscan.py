@@ -13,7 +13,7 @@ from jpaut import (BilinearForm, PrimeField, Matrix, JordanAlgebra,
                    is_triple_automorphism, similitude_multiplier)
 from jpaut import fastscan
 from jpaut.errors import BadInput, NotInvertible
-from jpaut.fastscan import (_bilinear_rhs, _low_digit_block, _rank,
+from jpaut.fastscan import (_bilinear_rhs, _low_digit_block, _matmul, _rank,
                             _slots, _tensor_by_c, _slot_rhs, _work_dtype,
                             _xfirst, scan_algebra_unit_fixing,
                             scan_pair_with_trace, scan_triple,
@@ -144,6 +144,30 @@ def test_slot_rhs_matches_einsum(p, d):
     for slabs in (dt, np.float64):
         got = _slot_rhs(_tensor_by_c(t, slabs), u, v, w, p)
         assert np.array_equal(np.asarray(got, dtype=np.int64) % p, ref), slabs
+
+
+@pytest.mark.parametrize("m,k,n", [(0, 9, 9), (1, 4, 3), (3236, 9, 9),
+                                   (3237, 9, 9), (16384, 9, 9),
+                                   (5184, 16, 16)])
+def test_matmul_in_row_blocks_equals_one_product(monkeypatch, m, k, n):
+    # past _SERIAL_PRODUCT / (k n) rows the product runs in row blocks,
+    # none of which reaches the bound; the result is that of one product
+    rng = np.random.default_rng(m + k + n)
+    a = rng.integers(0, 3, size=(m, k)).astype(np.float64)
+    b = rng.integers(0, 3, size=(k, n)).astype(np.float64)
+    sizes = []
+    matmul = np.matmul
+
+    def spy(x, y, *args, **kw):
+        sizes.append(x.shape[0] * x.shape[1] * y.shape[1])
+        return matmul(x, y, *args, **kw)
+    monkeypatch.setattr(fastscan.np, "matmul", spy)
+    got = _matmul(a, b)
+    assert got.dtype == np.float64 and got.shape == (m, n)
+    assert np.array_equal(got, a @ b)
+    rows = fastscan._SERIAL_PRODUCT // (k * n)
+    assert max(sizes, default=0) <= fastscan._SERIAL_PRODUCT
+    assert len(sizes) == (0 if m <= rows else -(-m // rows))
 
 
 def _random_slots(kind, p, d, rng):
