@@ -26,6 +26,8 @@ from .matrix import Matrix, enumerate_GL, enumerate_matrices
 from .ring import DualNumbers, PrimeField, ProductRing, Ring
 
 DEFAULT_BUDGET = 30_000_000
+# candidate rows a closure level multiplies out at once (_closure)
+_BLOCK = 1 << 13
 
 
 def gl_order(ring: Ring, d: int) -> int:
@@ -64,7 +66,9 @@ class _Rows:
 
     A row holds every side of a map (plus, then minus for a PairMap),
     row-major.  Over F_p an index is the residue; over other rings payloads
-    are numbered in the order this codec first meets them.
+    are numbered in the order this codec first meets them.  The packed
+    words of a row (words, key) are the only order and identity of rows in
+    the oracle.
     """
 
     def __init__(self, like):
@@ -78,6 +82,17 @@ class _Rows:
         self.fast = self.residues and _fits_int64(ring.p, max(self.dims),
                                                   ring.p - 1, 1, 2)
         self.index = {}
+        # the digits of each word: (first column, radix powers), as many
+        # columns as keep a word below 2**63; one a word off finite rings
+        radix = ring.p if self.residues else ring.size
+        per = 1
+        while radix and radix ** (per + 1) <= 2 ** 63:
+            per += 1
+        self.packing = [
+            (at, np.array([radix ** e for e in
+                           reversed(range(min(per, self.width - at)))],
+                          dtype=np.int64))
+            for at in range(0, self.width, per)]
 
     def encode(self, els) -> np.ndarray:
         flat = [x for el in els for m in _sides(el)
@@ -89,7 +104,7 @@ class _Rows:
     def split(self, rows: np.ndarray) -> list:
         """One (B, d, d) stack per side."""
         cuts = np.cumsum([d * d for d in self.dims])[:-1]
-        return [side.reshape(-1, d, d) for side, d
+        return [side.reshape(len(rows), d, d) for side, d
                 in zip(np.split(rows, cuts, axis=1), self.dims)]
 
     def payloads(self, indices: np.ndarray) -> np.ndarray:
@@ -115,9 +130,28 @@ class _Rows:
                 for s, d in enumerate(self.dims)]
         return [PairMap(*ms) for ms in zip(*mats)] if self.pair else mats[0]
 
+    def words(self, rows: np.ndarray) -> np.ndarray:
+        """Each row packed into W int64 words, (B, W): its indices are the
+        digits, most significant first, in radix p over F_p and ring.size
+        over other finite rings.  Word rows order lexicographically, and
+        compare equal, exactly as the index rows do."""
+        return np.stack([rows[:, at:at + len(powers)] @ powers
+                         for at, powers in self.packing], axis=1)
+
+    def key(self, rows: np.ndarray) -> np.ndarray:
+        """One sortable key per row, ordered as words(rows): the int64 word
+        when W == 1, else the W words as one big-endian void, whose bytes
+        compare as the non-negative words do."""
+        words = self.words(rows)
+        if words.shape[1] == 1:
+            return words[:, 0]
+        return np.ascontiguousarray(words, dtype=">i8").view(
+            np.dtype((np.void, 8 * words.shape[1]))).ravel()
+
     def sorted_unique(self, rows: np.ndarray) -> np.ndarray:
         """rows without repeats, in element_key order: lexicographic in the
-        payloads, which over F_p are the indices themselves."""
+        payloads, which over F_p are the indices themselves, and otherwise
+        their ranks in the sorted payloads; one lexsort of the words."""
         ranked = rows
         if not self.residues:
             pool = list(self.index)
@@ -125,10 +159,11 @@ class _Rows:
             rank[sorted(range(len(pool)), key=pool.__getitem__)] = \
                 np.arange(len(pool))
             ranked = rank[rows]
-        order = np.lexsort(ranked.T[::-1])
-        ranked = ranked[order]
+        words = self.words(ranked)
+        order = np.lexsort(words.T[::-1])
+        words = words[order]
         fresh = np.ones(len(rows), dtype=bool)
-        fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        fresh[1:] = (words[1:] != words[:-1]).any(axis=1)
         return rows[order[fresh]]
 
     def adopt(self, other: "_Rows", rows: np.ndarray) -> np.ndarray:
@@ -138,17 +173,20 @@ class _Rows:
         own = [self.index.setdefault(x, len(self.index)) for x in other.index]
         return np.array(own, dtype=np.int64)[rows]
 
-    def times(self, rows: np.ndarray, g_row: np.ndarray) -> np.ndarray:
-        """The rows of x @ g for each row x.  Over F_p one matmul per side
-        while d * (p - 1)**2 < 2**63; elsewhere decode, compose, encode."""
+    def times(self, rows: np.ndarray, gens: np.ndarray) -> np.ndarray:
+        """The rows of x @ g for each row x and each row g of gens, x major:
+        (len(rows) * len(gens), width).  Over F_p one broadcast matmul per
+        side while d * (p - 1)**2 < 2**63; elsewhere each product is
+        composed once from the decoded maps and encoded."""
         if not self.fast:
-            g = self.decode(g_row[None])[0]
-            return self.encode([_compose(x, g) for x in self.decode(rows)])
-        p = self.ring.p
+            gs = self.decode(gens)
+            return self.encode([_compose(x, g) for x in self.decode(rows)
+                                for g in gs])
+        n = len(rows) * len(gens)
         return np.concatenate(
-            [(a @ b % p).reshape(len(rows), -1)
-             for a, b in zip(self.split(rows), self.split(g_row[None]))],
-            axis=1)
+            [(a[:, None] @ b[None] % self.ring.p).reshape(n, d * d)
+             for a, b, d in zip(self.split(rows), self.split(gens),
+                                self.dims)], axis=1)
 
 
 def _codec(structure) -> _Rows:
@@ -158,29 +196,52 @@ def _codec(structure) -> _Rows:
     return _Rows(Matrix.identity(ring, structure.dim))
 
 
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """Rows as one opaque void key each, for sorting and searchsorted."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))
-                     ).ravel()
+def _distinct(keys: np.ndarray) -> tuple:
+    """(positions, keys): one position of each distinct key, and the keys
+    there, ascending."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return order[first], keys[first]
 
 
-def _closure(codec: _Rows, gen_rows: np.ndarray, budget: int) -> np.ndarray:
-    """Rows of the identity's closure under right multiplication by the
-    generator rows, ascending by key; BudgetExceeded past budget elements."""
+def _closure(codec: _Rows, gen_rows: np.ndarray, budget: int) -> tuple:
+    """(rows, keys) of the identity's closure under right multiplication
+    by the generator rows, ascending by key (_Rows.key); BudgetExceeded
+    past budget elements.
+
+    A level multiplies the frontier by all generators at once (_Rows.times)
+    in blocks of at most _BLOCK candidate rows.  Each block keeps one row
+    of each key that no earlier level found, the level one row of each key
+    across its blocks, and those rows are the next frontier.
+    """
     frontier = codec.encode([codec.identity])
-    seen = _keys(frontier)
+    seen = codec.key(frontier)
+    levels = [(frontier, seen)]
+    step = max(1, _BLOCK // max(1, len(gen_rows)))
+
+    def unseen(block):
+        rows = codec.times(block, gen_rows)
+        at, keys = _distinct(codec.key(rows))
+        new = ~_member(keys, seen)
+        return rows[at[new]], keys[new]
+
     while len(frontier) and len(gen_rows):
-        keys = np.sort(_keys(np.concatenate(
-            [codec.times(frontier, r) for r in gen_rows])))
-        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-        pos = np.searchsorted(seen, keys)
-        fresh = seen[np.minimum(pos, len(seen) - 1)] != keys
-        if len(seen) + np.count_nonzero(fresh) > budget:
+        rows, keys = (np.concatenate(part) for part in zip(
+            *[unseen(frontier[at:at + step])
+              for at in range(0, len(frontier), step)]))
+        if len(frontier) > step:  # blocks may share keys
+            at, keys = _distinct(keys)
+            rows = rows[at]
+        if len(seen) + len(keys) > budget:
             raise BudgetExceeded(f"closure exceeded budget {budget}")
-        seen = np.insert(seen, pos[fresh], keys[fresh])
-        frontier = keys[fresh].view(np.int64).reshape(-1, codec.width)
-    return seen.view(np.int64).reshape(-1, codec.width)
+        seen = np.insert(seen, np.searchsorted(seen, keys), keys)
+        levels.append((rows, keys))
+        frontier = rows
+    rows, keys = (np.concatenate(part) for part in zip(*levels))
+    order = np.argsort(keys)
+    return rows[order], keys[order]
 
 
 def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
@@ -261,12 +322,12 @@ class AutomorphismSet:
         if not self.order:
             return False
         codec = self.codec
-        mine = _keys(self.rows)
+        mine = codec.key(self.rows)
         unique = np.sort(mine)
         gens = self.rows[:0]
         while True:
             try:
-                closed = _keys(_closure(codec, gens, len(unique)))
+                _, closed = _closure(codec, gens, len(unique))
             except BudgetExceeded:
                 return False
             if np.count_nonzero(_member(unique, closed)) < len(closed):
@@ -304,7 +365,8 @@ def compare(a: AutomorphismSet, b: AutomorphismSet) -> CompareReport:
             f"({b.system}, {b.ring_name}, {b.kind})")
     only_a, only_b = a.rows, b.rows
     if a.order and b.order:
-        ka, kb = _keys(a.rows), _keys(a.codec.adopt(b.codec, b.rows))
+        ka = a.codec.key(a.rows)
+        kb = a.codec.key(a.codec.adopt(b.codec, b.rows))
         only_a = a.rows[~_member(ka, np.sort(kb))]
         only_b = b.rows[~_member(kb, np.sort(ka))]
 
@@ -545,7 +607,7 @@ def generate_closure(system, generators: Sequence,
         if not checker(structure, g):
             raise BadInput("generator fails the automorphism predicate")
     codec = _codec(structure)
-    rows = _closure(codec, codec.encode(generators), budget)
+    rows, _ = _closure(codec, codec.encode(generators), budget)
     return AutomorphismSet.from_rows(
         name, structure.ring.name, kind, "generated", "closure", len(rows),
         codec, rows)

@@ -4,8 +4,8 @@ import random
 
 import numpy as np
 
-from jpaut import (JordanAlgebra, JordanPair, JordanTriple, Matrix,
-                   PrimeField)
+from jpaut import (BudgetExceeded, JordanAlgebra, JordanPair, JordanTriple,
+                   Matrix, PrimeField)
 from jpaut.jordan import add_vec, basis_vector, bilinear_eval, sub_vec
 
 
@@ -146,3 +146,86 @@ def random_structure(kind, p, d, fill, seed):
         if unit.any():
             break
     return JordanAlgebra(ring, d, t_plus, tuple(int(x) for x in unit))
+
+
+# -- the byte-string row keys that the packed int64 keys replaced ------------
+#
+# The oracle once keyed each row by an opaque void view of its bytes and
+# sorted by its columns.  These are that implementation, kept as the named
+# reference the packed keys (oracle._Rows.words and key) are tested against.
+
+
+def byte_keys(rows):
+    """Rows as one opaque void key each, for sorting and searchsorted."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))
+                     ).ravel()
+
+
+def column_sorted_unique(codec, rows):
+    """rows without repeats, in element_key order, by one lexsort of all
+    the columns, payload ranks first off F_p."""
+    ranked = rows
+    if not codec.residues:
+        pool = list(codec.index)
+        rank = np.empty(len(pool), dtype=np.int64)
+        rank[sorted(range(len(pool)), key=pool.__getitem__)] = \
+            np.arange(len(pool))
+        ranked = rank[rows]
+    order = np.lexsort(ranked.T[::-1])
+    ranked = ranked[order]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return rows[order[fresh]]
+
+
+def byte_key_closure(codec, gen_rows, budget):
+    """Rows of the identity's closure under right multiplication by the
+    generator rows, one generator at a time, ascending by byte key; raises
+    BudgetExceeded past budget elements."""
+    frontier = codec.encode([codec.identity])
+    seen = byte_keys(frontier)
+    while len(frontier) and len(gen_rows):
+        keys = np.sort(byte_keys(np.concatenate(
+            [codec.times(frontier, r[None]) for r in gen_rows])))
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+        pos = np.searchsorted(seen, keys)
+        fresh = seen[np.minimum(pos, len(seen) - 1)] != keys
+        if len(seen) + np.count_nonzero(fresh) > budget:
+            raise BudgetExceeded(f"closure exceeded budget {budget}")
+        seen = np.insert(seen, pos[fresh], keys[fresh])
+        frontier = keys[fresh].view(np.int64).reshape(-1, codec.width)
+    return seen.view(np.int64).reshape(-1, codec.width)
+
+
+def byte_key_group_closed(aset):
+    """AutomorphismSet.verify_group_closed on byte keys: grow a generating
+    subset greedily until its closure covers the set or leaves it."""
+    if not aset.order:
+        return False
+    codec = aset.codec
+    mine = byte_keys(aset.rows)
+    unique = np.sort(mine)
+
+    def member(keys, sorted_keys):
+        pos = np.minimum(np.searchsorted(sorted_keys, keys),
+                         len(sorted_keys) - 1)
+        return sorted_keys[pos] == keys
+
+    gens = aset.rows[:0]
+    while True:
+        try:
+            closed = byte_keys(byte_key_closure(codec, gens, len(unique)))
+        except BudgetExceeded:
+            return False
+        if np.count_nonzero(member(unique, closed)) < len(closed):
+            return False
+        inside = member(mine, closed)
+        if inside.all():
+            return True
+        at = int(np.argmin(inside))
+        gen = codec.decode(aset.rows[at:at + 1])[0]
+        sides = (gen.plus, gen.minus) if hasattr(gen, "plus") else (gen,)
+        if not all(m.is_invertible() for m in sides):
+            return False
+        gens = np.concatenate([gens, aset.rows[at:at + 1]])

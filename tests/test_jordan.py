@@ -204,6 +204,44 @@ def test_carries_branches_agree_on_prime_fields(p, arity, dims, relation,
         assert got[0] == (relation == "carried")
 
 
+@pytest.mark.parametrize("p", [3, 19483, 1000003])
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("fill", ["p-1", "random"])
+def test_carries_defers_reduction_exactly(p, arity, fill):
+    # residues are reduced mod p only where the entry bound demands it; at
+    # p = 1000003 one axis step fits int64 and three do not, so the input
+    # side of a three-slot tensor is reduced between its axes.  dst is
+    # random and src is solved for through the invertible output map, so
+    # the in-maps, all p - 1 or random, need not be invertible.
+    import numpy as np
+    rng = np.random.default_rng(p + arity)
+    ring, d = PrimeField(p), 3
+    if fill == "p-1":
+        ins = [np.full((d, d), p - 1, dtype=object)] * arity
+    else:
+        ins = [rng.integers(0, p, size=(d, d)).astype(object)
+               for _ in range(arity)]
+    out = _random_invertible(rng, ring, d)
+    dst = rng.integers(0, p, size=(d,) * (arity + 1)).astype(object)
+    rhs = dst
+    for axis, m in enumerate(ins):
+        rhs = np.moveaxis(np.tensordot(m.T, rhs, axes=(1, axis)), 0,
+                          axis) % p
+    src = rhs.dot(np.array(out.inverse().entries, dtype=object).T) % p
+    perturbed = src.copy()
+    perturbed[(0,) * (arity + 1)] = (perturbed[(0,) * (arity + 1)] + 1) % p
+    in_maps = [Matrix.build(ring, m.tolist()) for m in ins]
+    for tensor, carried in ((src, True), (perturbed, False)):
+        got = [_carries(ring, _nested(tensor.tolist()),
+                        _nested(dst.tolist()), out, in_maps, vectorize=v)
+               for v in (True, False)]
+        assert got == [carried, carried]
+        stacks = [np.array(m.entries, dtype=np.int64)[None]
+                  for m in in_maps + [out]]
+        assert _carries(ring, tensor.astype(np.int64), dst.astype(np.int64),
+                        stacks[-1], stacks[:-1]).tolist() == [carried]
+
+
 def test_prime_field_payloads_must_be_residues():
     # 4 and 1 are equal mod 3, yet the checks compare payloads; a triple
     # holding both used to build and fail outer symmetry at (0, 0, 1)

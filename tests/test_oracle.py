@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jpaut import (PrimeField, ProductRing, Rationals, Matrix, PairMap,
+from jpaut import (PrimeField, ProductRing, DualNumbers, Rationals, Matrix,
+                   PairMap,
                    standard_form, enumerate_GL, enumerate_GO, enumerate_O,
                    pair_from_triple, make_type_iv_pair, make_type_iv_triple,
                    make_t_iv, make_vhi, make_tti, make_mn_plus,
@@ -29,7 +30,8 @@ from jpaut.oracle import (AutomorphismSet, CompareReport, _invertible_mod_p,
 from jpaut.errors import (BadDims, BadInput, BudgetExceeded, EngineMismatch,
                           MixedSystems, NonEnumerableRing, NotFactorable)
 
-from _helpers import random_structure
+from _helpers import (byte_key_closure, byte_key_group_closed,
+                      column_sorted_unique, random_structure, some_gl)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -563,6 +565,143 @@ def test_closure_past_the_int64_bound_multiplies_exactly():
     cl = generate_closure(make_type_iv_pair(form), [go_to_pair_aut(a, form)])
     assert cl.order == 2
     assert cl.verify_group_closed()
+
+
+# -- packed row keys and the closure loop -------------------------------------
+
+BIG_PRIME = 2 ** 32 + 15  # its square passes 2**63: one digit a word
+
+
+def _random_rows(codec, rng, count):
+    """count random index rows of codec and a quarter of them again; off
+    F_p every payload of the ring is numbered first, in a shuffled order."""
+    if not codec.residues:
+        pool = list(codec.ring.payloads())
+        random.Random(count).shuffle(pool)
+        for x in pool:
+            codec.index.setdefault(x, len(codec.index))
+    high = codec.ring.p if codec.residues else len(codec.index)
+    rows = rng.integers(0, high, size=(count, codec.width))
+    return np.concatenate(
+        [rows, rows[rng.integers(0, count, size=count // 4)]])
+
+
+@pytest.mark.parametrize("ring, dim, words", [
+    (F3, 3, 1), (F5, 3, 1), (F5, 4, 2), (PrimeField(BIG_PRIME), 2, 8),
+    (ProductRing(F3, F3), 3, 1), (DualNumbers(F3), 3, 1)],
+    ids=["F3", "F5", "F5-width-32", "big-prime", "F3xF3", "F3[t]"])
+def test_packed_keys_follow_element_key_order(ring, dim, words):
+    codec = oracle._Rows(PairMap.identity(ring, dim, dim))
+    rows = _random_rows(codec, np.random.default_rng(dim), 2000)
+    assert codec.words(rows).shape == (len(rows), words)
+    got = codec.sorted_unique(rows)
+    assert np.array_equal(got, column_sorted_unique(codec, rows))
+    keys = [element_key(el) for el in codec.decode(got)]
+    assert keys == sorted(set(element_key(el)
+                              for el in codec.decode(rows)))
+    # keys sort as the index rows do, and are equal exactly where they are
+    order = np.lexsort(rows.T[::-1])
+    assert np.array_equal(np.argsort(codec.key(rows), kind="stable"), order)
+    by_index, keys = rows[order], codec.key(rows[order])
+    assert np.array_equal(keys[1:] == keys[:-1],
+                          (by_index[1:] == by_index[:-1]).all(axis=1))
+
+
+@pytest.mark.parametrize("ring", [F3, ProductRing(F3, F3)], ids=str)
+def test_times_of_an_empty_stack_is_empty(ring):
+    # the F_p path reshaped each side with -1, which an empty stack cannot
+    # infer; the object path composed nothing and encoded nothing
+    codec = oracle._codec(make_vhi(1, 2, ring).structure)
+    assert codec.fast == isinstance(ring, PrimeField)
+    a, b = some_gl(ring, 2, 2)
+    maps = [codec.identity, hat_r(a, 1), hat_r(b, 1), hat_r(a, 1)]
+    rows, gens = codec.encode(maps[:2]), codec.encode(maps[2:])
+    for x, g in ((rows[:0], gens), (rows[:0], gens[:1]), (rows, gens[:0])):
+        assert codec.times(x, g).shape == (0, 8)
+    assert codec.decode(codec.times(rows, gens)) == [
+        x.compose(g) for x in maps[:2] for g in maps[2:]]
+
+
+def _dual_pair(a):
+    """(a, a^-T): a pair map whose group is a's."""
+    return PairMap(a, a.transpose().inverse())
+
+
+@pytest.mark.parametrize("ring, dim, seed", [
+    (F3, 2, 0), (F3, 3, 1), (F5, 2, 2), (F5, 2, 3),
+    (ProductRing(F3, F3), 2, 4), (ProductRing(F3, F3), 2, 5)],
+    ids=["F3-2", "F3-3", "F5-2a", "F5-2b", "F3xF3-a", "F3xF3-b"])
+def test_closure_equals_the_byte_key_loop_on_random_generators(ring, dim,
+                                                                seed):
+    codec = oracle._Rows(PairMap.identity(ring, dim, dim))
+    count = random.Random(seed).randint(1, 3)
+    gens = codec.encode([_dual_pair(a)
+                         for a in some_gl(ring, dim, count, seed)])
+    want = column_sorted_unique(codec, byte_key_closure(codec, gens, 12000))
+    rows, keys = oracle._closure(codec, gens, 12000)
+    assert np.array_equal(codec.sorted_unique(rows), want)
+    assert np.array_equal(keys, codec.key(rows))
+    assert (keys[1:] > keys[:-1]).all()
+    with pytest.raises(BudgetExceeded):
+        oracle._closure(codec, gens, len(want) - 1)
+    with pytest.raises(BudgetExceeded):
+        byte_key_closure(codec, gens, len(want) - 1)
+
+
+def _lift(ring, g, left):
+    """g over F3 in one factor of F3 x F3, the identity in the other."""
+    return Matrix(ring, g.rows, g.cols, tuple(
+        tuple((x, int(i == j)) if left else (int(i == j), x)
+              for j, x in enumerate(row))
+        for i, row in enumerate(g.entries)))
+
+
+def _translations(ring, m, n, seed):
+    """Random left and right translations of VhI(m, n, ring), at least one
+    of each; over F3 x F3 each acts in one factor."""
+    rng = random.Random(seed)
+    base = F3 if isinstance(ring, ProductRing) else ring
+    out = []
+    for k in range(rng.randint(2, 4)):
+        size = (m, n)[k % 2]
+        (g,) = some_gl(base, size, 1, seed=rng.randrange(10 ** 6))
+        if base is not ring:
+            g = _lift(ring, g, rng.random() < 0.5)
+        out.append(hat_l(g, n) if k % 2 == 0 else hat_r(g, m))
+    return out
+
+
+@pytest.mark.parametrize("ring, m, n, seed", [
+    (F3, 1, 2, 6), (F3, 1, 3, 5), (F5, 1, 2, 5),
+    (ProductRing(F3, F3), 1, 2, 5), (F5, 2, 2, 0), (F5, 2, 2, 9)],
+    ids=["F3-1x2", "F3-1x3", "F5-1x2", "F3xF3-1x2", "F5-2x2a", "F5-2x2b"])
+def test_closure_and_group_check_agree_with_the_byte_key_loop(ring, m, n,
+                                                             seed):
+    # at VhI(2,2,F5) a map is a 4 x 4 pair over F5: 32 columns, two words
+    system = make_vhi(m, n, ring)
+    gens = _translations(ring, m, n, seed)
+    cl = generate_closure(system, gens)
+    codec = oracle._codec(system.structure)
+    assert len(codec.packing) == (2 if (m, n) == (2, 2) else 1)
+    want = codec.decode(byte_key_closure(codec, codec.encode(gens),
+                                         DEFAULT_BUDGET))
+    assert [element_key(el) for el in cl.elements] == sorted(
+        element_key(el) for el in want)
+    assert cl.order > 2  # so no set of all but one element is a group
+    at = random.Random(seed).randrange(1, cl.order)
+    dropped = replace(cl, rows=np.delete(cl.rows, at, axis=0))
+    i = Matrix.identity(ring, m * n)
+    shear = Matrix(ring, m * n, m * n, ((i.entries[0][0], ring.one_p)
+                                        + i.entries[0][2:],)
+                   + i.entries[1:])
+    extra = PairMap(shear, i)  # no automorphism: its sides do not match
+    assert extra not in cl.elements
+    grown = AutomorphismSet.from_elements(
+        cl.system, cl.ring_name, cl.kind, cl.mode, cl.engine,
+        cl.candidates, cl.elements + (extra,))
+    for aset, closed in ((cl, True), (dropped, False), (grown, False)):
+        assert aset.verify_group_closed() == byte_key_group_closed(aset) \
+            == closed
 
 
 def test_closure_rejects_non_automorphism_generators():
