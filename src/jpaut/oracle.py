@@ -207,9 +207,9 @@ def _distinct(keys: np.ndarray) -> tuple:
 
 
 def _closure(codec: _Rows, gen_rows: np.ndarray, budget: int) -> tuple:
-    """(rows, keys) of the identity's closure under right multiplication
-    by the generator rows, ascending by key (_Rows.key); BudgetExceeded
-    past budget elements.
+    """(rows, keys): the rows of the identity's closure under right
+    multiplication by the generator rows, level by level, and their keys
+    (_Rows.key) ascending; BudgetExceeded past budget elements.
 
     A level multiplies the frontier by all generators at once (_Rows.times)
     in blocks of at most _BLOCK candidate rows.  Each block keeps one row
@@ -218,7 +218,7 @@ def _closure(codec: _Rows, gen_rows: np.ndarray, budget: int) -> tuple:
     """
     frontier = codec.encode([codec.identity])
     seen = codec.key(frontier)
-    levels = [(frontier, seen)]
+    found = [frontier]
     step = max(1, _BLOCK // max(1, len(gen_rows)))
 
     def unseen(block):
@@ -237,11 +237,9 @@ def _closure(codec: _Rows, gen_rows: np.ndarray, budget: int) -> tuple:
         if len(seen) + len(keys) > budget:
             raise BudgetExceeded(f"closure exceeded budget {budget}")
         seen = np.insert(seen, np.searchsorted(seen, keys), keys)
-        levels.append((rows, keys))
+        found.append(rows)
         frontier = rows
-    rows, keys = (np.concatenate(part) for part in zip(*levels))
-    order = np.argsort(keys)
-    return rows[order], keys[order]
+    return np.concatenate(found), seen
 
 
 def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
