@@ -89,7 +89,7 @@ class _Rows:
         while radix and radix ** (per + 1) <= 2 ** 63:
             per += 1
         self.packing = [
-            (at, np.array([radix ** e for e in
+            (at, np.array([(radix or 1) ** e for e in
                            reversed(range(min(per, self.width - at)))],
                           dtype=np.int64))
             for at in range(0, self.width, per)]
@@ -151,7 +151,7 @@ class _Rows:
     def sorted_unique(self, rows: np.ndarray) -> np.ndarray:
         """rows without repeats, in element_key order: lexicographic in the
         payloads, which over F_p are the indices themselves, and otherwise
-        their ranks in the sorted payloads; one lexsort of the words."""
+        their ranks in the sorted payloads; one sort of the keys."""
         ranked = rows
         if not self.residues:
             pool = list(self.index)
@@ -159,12 +159,7 @@ class _Rows:
             rank[sorted(range(len(pool)), key=pool.__getitem__)] = \
                 np.arange(len(pool))
             ranked = rank[rows]
-        words = self.words(ranked)
-        order = np.lexsort(words.T[::-1])
-        words = words[order]
-        fresh = np.ones(len(rows), dtype=bool)
-        fresh[1:] = (words[1:] != words[:-1]).any(axis=1)
-        return rows[order[fresh]]
+        return rows[_distinct(self.key(ranked))[0]]
 
     def adopt(self, other: "_Rows", rows: np.ndarray) -> np.ndarray:
         """Rows of other's codec renumbered into this one's payloads."""

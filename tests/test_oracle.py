@@ -704,6 +704,40 @@ def test_closure_and_group_check_agree_with_the_byte_key_loop(ring, m, n,
             == closed
 
 
+def _signed_permutations(ring):
+    """The eight 2 x 2 signed permutation matrices."""
+    return [Matrix.build(ring, rows) for s in (1, -1) for t in (1, -1)
+            for rows in ([[s, 0], [0, t]], [[0, s], [t, 0]])]
+
+
+def test_closures_and_families_over_q_are_keyed_one_index_a_word():
+    # Q has no size, so every payload index is a word of its own
+    q = Rationals()
+    swap, flip = (Matrix.build(q, r) for r in ([[0, 1], [1, 0]],
+                                               [[-1, 0], [0, 1]]))
+    vhi12 = make_vhi(1, 2, q)
+    cl = generate_closure(vhi12, [hat_r(swap, 1), hat_r(flip, 1)])
+    assert cl.order == 8 and cl.verify_group_closed()
+    family = [hat_r(b, 1) for b in _signed_permutations(q)]
+    assert compare(cl, family_image(vhi12, family + family)).equal
+    made = AutomorphismSet.from_elements(
+        cl.system, cl.ring_name, cl.kind, cl.mode, cl.engine, cl.candidates,
+        reversed(family))
+    assert made.elements == cl.elements
+    assert [element_key(el) for el in cl.elements] == sorted(
+        element_key(el) for el in family)
+    vhi22 = make_vhi(2, 2, q)
+    gens = [transpose_twist(q, 2), hat_l(swap, 2), hat_r(flip, 2)]
+    square = generate_closure(vhi22, gens)
+    codec = oracle._codec(vhi22.structure)
+    assert len(codec.packing) == codec.width == 32
+    want = codec.decode(byte_key_closure(codec, codec.encode(gens),
+                                         DEFAULT_BUDGET))
+    assert square.order == len(want) == 64 and square.verify_group_closed()
+    assert [element_key(el) for el in square.elements] == sorted(
+        element_key(el) for el in want)
+
+
 def test_closure_rejects_non_automorphism_generators():
     viv = make_type_iv_pair(standard_form(F3, 2))
     shear = Matrix.build(F3, [[1, 1], [0, 1]])
