@@ -12,7 +12,9 @@ algebra-automorphism factorization on triples coming from algebras.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -275,8 +277,9 @@ def all_twisted_maps(ring: Ring, n: int, sign: int):
 def _det_equal_for_all(f: Matrix, n: int, multiplier) -> bool:
     """det(f(X)) == multiplier * det(X) for all X (exhaustive or grid)."""
     ring = f.ring
-    if isinstance(ring, PrimeField) and n <= 3:
-        return _np_det_check(f, n, multiplier)
+    if has_stacks(ring, n):
+        return bool(det_similitudes(np.array([f.entries], dtype=np.int64),
+                                    multiplier, n, ring.p)[0])
     if ring.is_finite:
         xs = enumerate_matrices(ring, n, n)
     else:
@@ -297,7 +300,7 @@ def _det_equal_for_all(f: Matrix, n: int, multiplier) -> bool:
 
 def _det_mod_p(m: np.ndarray, p: int) -> np.ndarray:
     """Determinants mod p of a batch of n x n residue matrices held entry
-    first, (n, n, B): the Leibniz sum, below n! p**n before its one
+    first, (n, n, ...): the Leibniz sum, below n! p**n before its one
     reduction."""
     out = 0
     for perm, sign in perms_with_signs(len(m)):
@@ -308,16 +311,6 @@ def _det_mod_p(m: np.ndarray, p: int) -> np.ndarray:
     return out % p
 
 
-def _np_det_check(f: Matrix, n: int, multiplier) -> bool:
-    """_det_equal_for_all over F_p on all p**(n*n) matrices at once, each
-    column of x one matrix's row-major entries."""
-    p = f.ring.p
-    x = np.indices((p,) * (n * n)).reshape(n * n, -1)
-    y = np.einsum("rc,cb->rb", np.array(f.entries, dtype=np.int64), x) % p
-    det_x, det_y = (_det_mod_p(m.reshape(n, n, -1), p) for m in (x, y))
-    return bool((det_y == multiplier * det_x % p).all())
-
-
 def det_isometry_check(f: Matrix, n: int) -> bool:
     """Does f preserve the determinant of every matrix?"""
     if f.rows != n * n or f.cols != n * n:
@@ -325,16 +318,27 @@ def det_isometry_check(f: Matrix, n: int) -> bool:
     return _det_equal_for_all(f, n, f.ring.one_p)
 
 
+# Why det_similitude_factor refuses a map, by the code det_factor_codes
+# gives it; 0 is a map that splits.
+FACTOR_FAILURES = {1: "f(1) is not invertible",
+                   2: "residual map fails determinant preservation"}
+
+
+def _factor(f: Matrix, n: int) -> tuple:
+    """(code, a, phi) of det_similitude_factor: a = f(1) and phi =
+    L_{a^-1} f, the code 0 or that of its first failure."""
+    a = map_on_matrix(f, Matrix.identity(f.ring, n), (n, n))
+    if not a.is_invertible():
+        return 1, a, None
+    phi = op_left(a.inverse(), n) @ f
+    return (0 if det_isometry_check(phi, n) else 2), a, phi
+
+
 def det_similitude_factor(f: Matrix, n: int) -> tuple:
     """Split f = L_a compose isometry, a = f(1); multiplier is det(a)."""
-    ring = f.ring
-    one = Matrix.identity(ring, n)
-    a = map_on_matrix(f, one, (n, n))
-    if not a.is_invertible():
-        raise NotSimilitude("f(1) is not invertible")
-    phi = op_left(a.inverse(), n) @ f
-    if not det_isometry_check(phi, n):
-        raise NotSimilitude("residual map fails determinant preservation")
+    code, a, phi = _factor(f, n)
+    if code:
+        raise NotSimilitude(FACTOR_FAILURES[code])
     return a, phi
 
 
@@ -372,8 +376,9 @@ def phi_n_kernel_check(ring: Ring, n: int) -> bool:
 
     The necessary condition phi(1) = a b^T = 1 pins b = (a^{-1})^T, so each
     a in GL_n meets one b; those pairs get the complete identity test.
+    Over F_p the maps are int64 stacks (phi_n_stack), decided a block of
+    a at a time.
     """
-    one_op = Matrix.identity(ring, n * n)
     taus = mu_n(ring, 2)
     units = [u for u in ring.elements() if u.is_unit]
     expected = set()
@@ -382,6 +387,20 @@ def phi_n_kernel_check(ring: Ring, n: int) -> bool:
         bi = (Matrix.identity(ring, n) * r.inverse()).entries
         expected.add((ai, bi, ring.payload_str(ring.one_p)))
     kernel = set()
+    if has_stacks(ring, n):
+        p, one = ring.p, np.eye(n * n, dtype=np.int64)
+        gl = gl_stack(p, n)
+        for at in _blocks(len(gl), n ** 4):
+            a = gl[at]
+            b = inverse_stack(a, p).transpose(0, 2, 1)
+            for tau in taus:
+                hit = (phi_n_stack(a, b, tau.payload, p) == one).all(
+                    axis=(1, 2))
+                kernel.update((_entries(x), _entries(y),
+                               ring.payload_str(tau.payload))
+                              for x, y in zip(a[hit], b[hit]))
+        return kernel == expected
+    one_op = Matrix.identity(ring, n * n)
     for a in enumerate_GL(n, ring):
         b = a.inverse().transpose()
         for tau in taus:
@@ -389,6 +408,196 @@ def phi_n_kernel_check(ring: Ring, n: int) -> bool:
                 kernel.add((a.entries, b.entries,
                             ring.payload_str(tau.payload)))
     return kernel == expected
+
+
+# -- int64 stacks over F_p ----------------------------------------------------
+# Over F_p the families above are int64 residue stacks: (B, d, d) arrays of
+# maps in unit-basis coordinates, built by batched arithmetic mod p in the
+# order of the object builders, which serve the other rings and are the
+# tests' oracle.
+
+def has_stacks(ring: Ring, n: int) -> bool:
+    """Whether the stacks serve M_n over ring: over F_p, while every sum
+    they form stays below 2**63, at most n*n (p-1)**2 (a product of two
+    unit-basis operators) and n! (p-1)**n (a Leibniz determinant)."""
+    if not isinstance(ring, PrimeField):
+        return False
+    q = ring.p - 1
+    return max(n * n * q * q, math.factorial(n) * q ** n) < 2 ** 63
+
+
+def _blocks(total: int, size: int):
+    """Slices of [0, total) of at most fastscan.CHUNK * 4 // size maps, the
+    bound of oracle._cross_check's blocks: size int64 entries a map."""
+    from . import fastscan  # on first use, as oracle imports it
+    step = max(1, fastscan.CHUNK * 4 // size)
+    return [slice(at, at + step) for at in range(0, total, step)]
+
+
+def _entries(m: np.ndarray) -> tuple:
+    """The Matrix.entries of a residue matrix."""
+    return tuple(map(tuple, m.tolist()))
+
+
+def stack_matrices(ring: Ring, stack: np.ndarray) -> list:
+    """The Matrix objects of a stack of residue matrices."""
+    return [Matrix(ring, m.shape[0], m.shape[1], _entries(m)) for m in stack]
+
+
+def gl_stack(p: int, n: int) -> np.ndarray:
+    """GL_n(F_p) as a (|GL_n|, n, n) stack, in enumerate_GL order: every
+    residue matrix in row-major lexicographic order, kept where its
+    determinant (one batched Leibniz sum) is nonzero."""
+    x = np.indices((p,) * (n * n)).reshape(n * n, -1)
+    keep = _det_mod_p(x.reshape(n, n, -1), p) != 0
+    return np.ascontiguousarray(x[:, keep].T).reshape(-1, n, n)
+
+
+def inverse_stack(a: np.ndarray, p: int) -> np.ndarray:
+    """The inverses mod p of a (B, n, n) stack of invertible residue
+    matrices: each adjugate, one batched minor per entry, over its
+    determinant."""
+    n = a.shape[-1]
+    m = a.transpose(1, 2, 0)
+    det = _det_mod_p(m, p)
+    values, at = np.unique(det, return_inverse=True)
+    inv_det = np.array([pow(int(v), -1, p) for v in values],
+                       dtype=np.int64)[at.reshape(det.shape)]
+    adj = np.ones_like(a)  # the adjugate of a 1 x 1 matrix
+    for i, j in itertools.product(range(n) if n > 1 else (), repeat=2):
+        # the signed minor without row j and column i
+        minor = np.delete(np.delete(m, j, axis=0), i, axis=1)
+        adj[:, i, j] = (-1) ** (i + j) * _det_mod_p(minor, p)
+    return adj % p * inv_det[:, None, None] % p
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a, b) of each pair of matrices of two broadcasting stacks of
+    square matrices: the unit-basis operator X -> a X b^T (op_left(a)
+    composed with op_right(b^T)), unreduced."""
+    n, m = a.shape[-1], b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (n * m, n * m))
+
+
+def _transpose_columns(n: int) -> np.ndarray:
+    """The column permutation of f -> f @ op_transpose(ring, n, n)."""
+    return np.arange(n * n).reshape(n, n).T.ravel()
+
+
+def twisted_stack(p: int, n: int) -> np.ndarray:
+    """all_twisted_maps(F_p, n, 1) as a (B, n*n, n*n) stack of as_matrix,
+    in its order.  The idempotents of F_p are 0 and 1, and each conjugator
+    class holds one g whose first nonzero entry is 1, its least member in
+    enumeration order; so the maps are X -> g X^T g^{-1} (e1 = 0), then
+    X -> g X g^{-1} (e1 = 1), each over those g in enumerate_GL order.
+    The conjugation is kron(g, g^{-T}), and the transpose a fixed
+    permutation of its columns."""
+    g = gl_stack(p, n)
+    flat = g.reshape(len(g), n * n)
+    g = g[flat[np.arange(len(g)), (flat != 0).argmax(axis=1)] == 1]
+    conj = _kron(g, inverse_stack(g, p).transpose(0, 2, 1)) % p
+    return np.concatenate([conj[..., _transpose_columns(n)], conj])
+
+
+def phi_n_stack(a: np.ndarray, b: np.ndarray, tau, p: int) -> np.ndarray:
+    """phi_n(a, b, tau) of each row of the (B, n, n) stacks a, b and tau
+    (one residue of mu_2, or B of them): kron(a, b) = L_a R_{b^T}, then
+    f_tau, the identity at tau = 1 and the transpose at tau = -1."""
+    f = _kron(a, b) % p
+    flip = np.broadcast_to(np.asarray(tau) == p - 1, (len(f),))
+    f[flip] = f[flip][..., _transpose_columns(a.shape[-1])]
+    return f
+
+
+def hat_twist_rows(p: int, n: int) -> np.ndarray:
+    """The oracle rows of VhI(n, n, F_p) of hat_generators(a, b) and of its
+    composite with transpose_twist, for a then b over GL_n in enumerate_GL
+    order: (2 |GL_n|**2, 2 n**4).  The plus side is L_a R_b =
+    kron(a, b^T), the minus side R_{a^-1} L_{b^-1} = kron(b^-1, a^-T), and
+    the twist permutes the columns of both."""
+    gl = gl_stack(p, n)
+    inv = inverse_stack(gl, p)
+    plus = _kron(gl[:, None], gl.transpose(0, 2, 1)[None]) % p
+    minus = _kron(inv[None], inv.transpose(0, 2, 1)[:, None]) % p
+    base = np.concatenate([plus.reshape(*plus.shape[:2], -1),
+                           minus.reshape(*minus.shape[:2], -1)], axis=-1)
+    cols = _transpose_columns(n)
+    twisted = np.concatenate(
+        [side[..., cols].reshape(*side.shape[:2], -1)
+         for side in (plus, minus)], axis=-1)
+    return np.stack([base, twisted], axis=2).reshape(-1, 2 * n ** 4)
+
+
+@lru_cache(maxsize=8)
+def _light_points(p: int, n: int) -> tuple:
+    """(x, det x): every X in M_n(F_p) with at most n nonzero entries, one
+    column of x each in row-major order, (n*n, P), and their
+    determinants."""
+    cols = []
+    for k in range(n + 1):
+        for cells in itertools.combinations(range(n * n), k):
+            for values in itertools.product(range(1, p), repeat=k):
+                col = [0] * (n * n)
+                for c, v in zip(cells, values):
+                    col[c] = v
+                cols.append(col)
+    x = np.array(cols, dtype=np.int64).T.reshape(n * n, -1)
+    det_x = _det_mod_p(x.reshape(n, n, -1), p)
+    x.setflags(write=False)  # shared by every caller
+    det_x.setflags(write=False)
+    return x, det_x
+
+
+def det_similitudes(fs: np.ndarray, mult, n: int, p: int) -> np.ndarray:
+    """Which maps f of a (B, n*n, n*n) residue stack have det(f(X)) ==
+    mult * det(X) for all X in M_n(F_p); mult is a residue or B of them.
+
+    Both sides are polynomials of total degree n in the entries of X.
+    Reduced by x**p = x, which keeps their values and does not raise the
+    degree, each monomial left has at most n variables, and a nonzero
+    reduced polynomial is nonzero at some point of F_p**k on the k
+    variables of any of its monomials, the others 0.  So the identity holds
+    on all p**(n*n) matrices exactly when it holds on those with at most n
+    nonzero entries (_light_points): 33 of 81 at F3, n = 2, and 835 of
+    19,683 at F3, n = 3.  The maps go in blocks (_blocks) of at most about
+    2 MB of images.
+    """
+    x, det_x = _light_points(p, n)
+    mult = np.broadcast_to(np.asarray(mult, dtype=np.int64), (len(fs),))
+    out = []
+    for at in _blocks(len(fs), x.size):
+        y = (fs[at] @ x % p).reshape(-1, n, n, x.shape[1])
+        det_y = _det_mod_p(y.transpose(1, 2, 0, 3), p)
+        out.append((det_y == mult[at, None] * det_x % p).all(axis=1))
+    return np.concatenate(out) if out else np.zeros(0, dtype=bool)
+
+
+def det_factor_codes(ring: Ring, n: int, fs) -> np.ndarray:
+    """det_similitude_factor and its round trip on each map of fs, a
+    residue stack over F_p (has_stacks) or a list of Matrix: 0 where f
+    splits as L_a phi with L_a phi == f, 3 where it splits but L_a phi !=
+    f, else the code of the factor's failure (FACTOR_FAILURES).  A stack is
+    factored a block (_blocks) at a time."""
+    if not isinstance(fs, np.ndarray):
+        codes = []
+        for f in fs:
+            code, a, phi = _factor(f, n)
+            codes.append(code or (3 if op_left(a, n) @ phi != f else 0))
+        return np.array(codes, dtype=np.int64)
+    p, eye = ring.p, np.eye(n, dtype=np.int64)
+    codes = np.zeros(len(fs), dtype=np.int64)
+    for at in _blocks(len(fs), n ** 4):
+        f = fs[at]
+        a = (f @ eye.ravel() % p).reshape(-1, n, n)
+        ok = _det_mod_p(a.transpose(1, 2, 0), p) != 0
+        a, f = a[ok], f[ok]
+        phi = _kron(inverse_stack(a, p), eye) @ f % p
+        back = (_kron(a, eye) @ phi % p == f % p).all(axis=(1, 2))
+        codes[at] = 1
+        codes[at][ok] = np.where(det_similitudes(phi, 1, n, p),
+                                 np.where(back, 0, 3), 2)
+    return codes
 
 
 # -- central product classes --------------------------------------------------

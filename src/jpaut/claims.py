@@ -10,8 +10,9 @@ import random
 
 import numpy as np
 
-from .errors import (BadDims, BadInput, NoSquareRootOfMinusOne,
-                     NotFactorable, NotSimilitude, UnknownClaim, check_jobs)
+from .errors import (BadDims, BadInput, BudgetExceeded,
+                     NoSquareRootOfMinusOne, NotFactorable, NotSimilitude,
+                     UnknownClaim, check_jobs)
 from .ring import PrimeField, Ring, RingElement, parse_ring, mu_n, \
     find_sqrt_minus_one
 from .matrix import Matrix, BilinearForm, standard_form, enumerate_GL, \
@@ -21,11 +22,12 @@ from .catalog import NamedSystem, extended_form, lambda_isomorphism, \
     make_bilinear_form_algebra, make_mn_plus, make_t_iv, make_thi, \
     make_tti, make_type_iv_pair, make_type_iv_triple, make_vhi, make_vti, \
     vti_to_vhi
-from .autfam import all_twisted_maps, det_similitude_factor, \
-    factor_triple_aut, go_to_pair_aut, hat_generators, hat_l, hat_r, \
-    is_det_similitude, op_left, op_transpose, ortho_to_triple_aut, phi_n, \
-    phi_n_kernel_check, thi_map, tilde_l, tilde_r, transpose_twist, \
-    tti_map, tti_membership
+from .autfam import FACTOR_FAILURES, all_twisted_maps, \
+    det_factor_codes, det_similitude_factor, factor_triple_aut, gl_stack, \
+    go_to_pair_aut, has_stacks, hat_generators, hat_l, hat_r, \
+    hat_twist_rows, is_det_similitude, op_transpose, ortho_to_triple_aut, \
+    phi_n, phi_n_kernel_check, phi_n_stack, stack_matrices, tilde_l, \
+    tilde_r, transpose_twist, tti_map, tti_membership, twisted_stack
 from .gradelie import check_graded_lie, make_graded_gl, pair_from_grading
 from .oracle import DEFAULT_BUDGET, AutomorphismSet, are_automorphisms, \
     compare, element_key, enumerate_automorphisms, family_image, \
@@ -137,9 +139,21 @@ def _tti_family(ring: Ring, m: int, n: int):
     return els
 
 
-def _thi_family(ring: Ring, n: int):
-    return [thi_map(r, t) for r in mu_n(ring, 2)
-            for t in all_twisted_maps(ring, n, 1)]
+def _twisted(ring: Ring, n: int):
+    """The plus-twisted conjugations of M_n, in all_twisted_maps order: an
+    int64 stack where autfam.has_stacks holds, else their matrices."""
+    if has_stacks(ring, n):
+        return twisted_stack(ring.p, n)
+    return [t.as_matrix() for t in all_twisted_maps(ring, n, 1)]
+
+
+def _thi_family(ring: Ring, twisted):
+    """Scalars squaring to one times the twisted conjugations (_twisted),
+    scalar major, in the form of twisted."""
+    taus = mu_n(ring, 2)
+    if isinstance(twisted, np.ndarray):
+        return np.concatenate([twisted * r.payload % ring.p for r in taus])
+    return [t * r for r in taus for t in twisted]
 
 
 def standard_generated(system: NamedSystem, budget=None):
@@ -190,12 +204,11 @@ def standard_generated(system: NamedSystem, budget=None):
             prov += " and their transpose twists"
         return family_image(system, els), prov
     if tag == "ThI":
-        els = _thi_family(ring, system.params[0])
+        els = _thi_family(ring, _twisted(ring, system.params[0]))
         return family_image(system, els), (
             "scalars squaring to one times idempotent-twisted conjugations")
     if tag == "Mplus":
-        els = [t.as_matrix()
-               for t in all_twisted_maps(ring, system.params[0], 1)]
+        els = _twisted(ring, system.params[0])
         return family_image(system, els), (
             "idempotent-twisted conjugations "
             "x -> e1 g x g^{-1} + e2 g x^T g^{-1}")
@@ -288,30 +301,55 @@ def _scale_entry_operator(ring: Ring, n: int, cell: int, u) -> Matrix:
     return Matrix(ring, d, d, tuple(tuple(r) for r in rows))
 
 
+def _budget_matrices(ring: Ring, n: int, budget) -> None:
+    """BudgetExceeded where |M_n(R)|, the matrices a determinant identity
+    on M_n speaks of, exceeds the budget."""
+    budget = DEFAULT_BUDGET if budget is None else int(budget)
+    if ring.is_finite and ring.size ** (n * n) > budget:
+        raise BudgetExceeded(f"{ring.size ** (n * n)} matrices of M_{n}"
+                             f"({ring.name}) exceed budget {budget}")
+
+
+def _member_jsonable(ring: Ring, fs, at: int):
+    """The to_jsonable of map at of fs, a residue stack or a list."""
+    if isinstance(fs, np.ndarray):
+        return stack_matrices(ring, fs[at:at + 1])[0].to_jsonable()
+    return fs[at].to_jsonable()
+
+
 def _run_detsim(p):
     ring, n = p["ring"], p["n"]
-    family_checked = 0
-    for t in all_twisted_maps(ring, n, 1):
-        f = t.as_matrix()
-        # the factor's residual check is is_det_similitude's predicate: with
-        # a = f(1) a unit, det(a^-1 f(X)) == det X iff det f(X) == det a det X
-        try:
-            a, phi = det_similitude_factor(f, n)
-        except NotSimilitude:
-            return "failed", False, {"counterexample": f.to_jsonable()}
-        if op_left(a, n) @ phi != f:
-            return "failed", False, {"roundtrip_failure": f.to_jsonable()}
-        family_checked += 1
+    _budget_matrices(ring, n, p["budget"])
+    stacks = has_stacks(ring, n)
+    # the factor's residual check is is_det_similitude's predicate: with
+    # a = f(1) a unit, det(a^-1 f(X)) == det X iff det f(X) == det a det X
+    family = _twisted(ring, n)
+    codes = det_factor_codes(ring, n, family)
+    bad = np.flatnonzero(codes)
+    if bad.size:
+        key = "roundtrip_failure" if codes[bad[0]] == 3 else "counterexample"
+        return "failed", False, {key: _member_jsonable(ring, family, bad[0])}
     # seeded similitude products a X b composed with a sign twist
     rng = random.Random(20240811)
-    gl = list(enumerate_GL(n, ring))
+    gl = gl_stack(ring.p, n) if stacks else list(enumerate_GL(n, ring))
     taus = mu_n(ring, 2)
     trials = 120
-    for _ in range(trials):
-        f = phi_n(rng.choice(gl), rng.choice(gl), rng.choice(taus))
-        a, phi = det_similitude_factor(f, n)
-        if op_left(a, n) @ phi != f:
-            return "failed", False, {"roundtrip_failure": f.to_jsonable()}
+    picks = range(len(gl))
+    drawn = [(rng.choice(picks), rng.choice(picks), rng.choice(taus))
+             for _ in range(trials)]
+    if stacks:
+        ia, ib, tau = (np.array(c) for c in zip(*drawn))
+        products = phi_n_stack(gl[ia], gl[ib],
+                               [t.payload for t in tau], ring.p)
+    else:
+        products = [phi_n(gl[ia], gl[ib], tau) for ia, ib, tau in drawn]
+    codes = det_factor_codes(ring, n, products)
+    bad = np.flatnonzero(codes)
+    if bad.size and codes[bad[0]] < 3:
+        raise NotSimilitude(FACTOR_FAILURES[codes[bad[0]]])
+    if bad.size:
+        return "failed", False, {
+            "roundtrip_failure": _member_jsonable(ring, products, bad[0])}
     # negative control: scaling one off-diagonal cell by a unit != 1
     # breaks multiplier consistency between 1 and the hyperbolic element
     negative = "skipped"
@@ -328,13 +366,14 @@ def _run_detsim(p):
         if not (rejected and raised):
             return "failed", False, {"negative_control_accepted": True}
         negative = "rejected"
-    details = {"family_checked": family_checked,
+    details = {"family_checked": len(family),
                "random_roundtrips": trials,
                "negative_control": negative}
     return "verified", True, details
 
 
 def _run_phin_kernel(p):
+    _budget_matrices(p["ring"], p["n"], p["budget"])
     ok = phi_n_kernel_check(p["ring"], p["n"])
     return _verdict(ok, {"kernel_matches": ok})
 
@@ -345,13 +384,16 @@ def _run_vhi_square(p):
     ex = exhaustive_set(system, p["budget"], p["jobs"])
     gen, provenance = standard_generated(system, budget=p["budget"])
     rep1 = compare(ex, gen)
-    tw = transpose_twist(ring, n)
-    fam_els = []
-    for a in enumerate_GL(n, ring):
-        for b in enumerate_GL(n, ring):
-            base = hat_generators(a, b)
-            fam_els.append(base)
-            fam_els.append(base.compose(tw))
+    if has_stacks(ring, n):
+        fam_els = hat_twist_rows(ring.p, n)
+    else:
+        tw = transpose_twist(ring, n)
+        fam_els = []
+        for a in enumerate_GL(n, ring):
+            for b in enumerate_GL(n, ring):
+                base = hat_generators(a, b)
+                fam_els.append(base)
+                fam_els.append(base.compose(tw))
     fam = family_image(system, fam_els)
     rep2 = compare(ex, fam)
     details = {
@@ -383,9 +425,12 @@ def _run_vhi_rect(p):
 
 def _run_thi_product(p):
     ring, n = p["ring"], p["n"]
-    fam, details, ok = _family_comparison(p, make_thi(n, ring))
-    details["product_model_order"] = \
-        len(mu_n(ring, 2)) * len(all_twisted_maps(ring, n, 1))
+    system = make_thi(n, ring)
+    ex = exhaustive_set(system, p["budget"], p["jobs"])
+    twisted = _twisted(ring, n)
+    fam = family_image(system, _thi_family(ring, twisted))
+    details, ok = _set_comparison(ex, fam)
+    details["product_model_order"] = len(mu_n(ring, 2)) * len(twisted)
     details["product_map_injective"] = \
         fam.order == details["product_model_order"]
     return _verdict(ok and details["product_map_injective"], details)

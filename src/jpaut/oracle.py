@@ -201,7 +201,8 @@ def _distinct(keys: np.ndarray) -> tuple:
     return order[first], keys[first]
 
 
-def _closure(codec: _Rows, gen_rows: np.ndarray, budget: int) -> tuple:
+def _closure(codec: _Rows, gen_rows: np.ndarray, budget: int,
+             start: Optional[tuple] = None) -> tuple:
     """(rows, keys): the rows of the identity's closure under right
     multiplication by the generator rows, level by level, and their keys
     (_Rows.key) ascending; BudgetExceeded past budget elements.
@@ -210,21 +211,31 @@ def _closure(codec: _Rows, gen_rows: np.ndarray, budget: int) -> tuple:
     in blocks of at most _BLOCK candidate rows.  Each block keeps one row
     of each key that no earlier level found, the level one row of each key
     across its blocks, and those rows are the next frontier.
-    """
-    frontier = codec.encode([codec.identity])
-    seen = codec.key(frontier)
-    found = [frontier]
-    step = max(1, _BLOCK // max(1, len(gen_rows)))
 
-    def unseen(block):
-        rows = codec.times(block, gen_rows)
+    start, when given, is the (rows, keys) this returned for all generator
+    rows but the last, a set that holds the identity and is closed under
+    those generators.  The loop then continues from it: its first level
+    multiplies those rows by the last generator alone.
+    """
+    if start is None:
+        frontier = codec.encode([codec.identity])
+        seen, first = codec.key(frontier), gen_rows
+    else:
+        frontier, seen = start
+        first = gen_rows[-1:]
+    found = [frontier]
+
+    def unseen(block, gens):
+        rows = codec.times(block, gens)
         at, keys = _distinct(codec.key(rows))
         new = ~_member(keys, seen)
         return rows[at[new]], keys[new]
 
-    while len(frontier) and len(gen_rows):
+    gens = first
+    while len(frontier) and len(gens):
+        step = max(1, _BLOCK // len(gens))
         rows, keys = (np.concatenate(part) for part in zip(
-            *[unseen(frontier[at:at + step])
+            *[unseen(frontier[at:at + step], gens)
               for at in range(0, len(frontier), step)]))
         if len(frontier) > step:  # blocks may share keys
             at, keys = _distinct(keys)
@@ -233,7 +244,7 @@ def _closure(codec: _Rows, gen_rows: np.ndarray, budget: int) -> tuple:
             raise BudgetExceeded(f"closure exceeded budget {budget}")
         seen = np.insert(seen, np.searchsorted(seen, keys), keys)
         found.append(rows)
-        frontier = rows
+        frontier, gens = rows, gen_rows
     return np.concatenate(found), seen
 
 
@@ -310,7 +321,8 @@ class AutomorphismSet:
         one, which must be invertible.  A finite composition-closed set of
         invertible maps is a group, so the set is one exactly when that
         closure equals it.  The closure of T is then a subgroup, and each
-        new generator at least doubles it: |T| <= log2(order) + 1.
+        new generator at least doubles it: |T| <= log2(order) + 1.  Each
+        closure continues from the last one (_closure's start).
         """
         if not self.order:
             return False
@@ -318,11 +330,13 @@ class AutomorphismSet:
         mine = codec.key(self.rows)
         unique = np.sort(mine)
         gens = self.rows[:0]
+        last = None
         while True:
             try:
-                _, closed = _closure(codec, gens, len(unique))
+                last = _closure(codec, gens, len(unique), last)
             except BudgetExceeded:
                 return False
+            closed = last[1]
             if np.count_nonzero(_member(unique, closed)) < len(closed):
                 return False  # the closure left the set
             inside = _member(mine, closed)
@@ -607,10 +621,17 @@ def generate_closure(system, generators: Sequence,
 
 
 def family_image(system, elements: Iterable) -> AutomorphismSet:
-    """Package a named-family image as a generated-mode set."""
+    """Package a named-family image as a generated-mode set.  elements are
+    the maps, or over F_p an int64 array of their residues whose maps
+    reshape to the system's rows (_Rows): a (B, d, d) stack of triple or
+    algebra maps, or rows of pair maps."""
     name = getattr(system, "name", None) or "anonymous"
     structure = unwrap(system)
     codec = _codec(structure)
-    rows = codec.sorted_unique(codec.encode(list(elements)))
+    if isinstance(elements, np.ndarray):
+        rows = elements.reshape(len(elements), codec.width)
+    else:
+        rows = codec.encode(list(elements))
+    rows = codec.sorted_unique(rows)
     return AutomorphismSet(name, structure.ring.name, _kind(structure),
                            "generated", "family", len(rows), codec, rows)

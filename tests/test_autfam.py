@@ -15,7 +15,11 @@ from jpaut import (PrimeField, Rationals, ProductRing, DualNumbers,
                    det_similitude_factor, is_det_similitude, phi_n,
                    phi_tau_action, phi_n_kernel_check, CentralProductElement,
                    factor_triple_aut, tti_map, thi_map, tti_membership)
-from jpaut.autfam import _det_mod_p, _np_det_check, det_isometry_check
+from jpaut.autfam import (_det_mod_p, det_factor_codes, det_isometry_check,
+                          det_similitudes, gl_stack, has_stacks,
+                          hat_twist_rows, inverse_stack, phi_n_stack,
+                          stack_matrices, twisted_stack)
+from jpaut.oracle import _codec
 from jpaut.matrix import similitude_multiplier
 from jpaut.errors import (NotSimilitude, NotIsometry, NotFactorable,
                           NonFieldRing)
@@ -24,6 +28,7 @@ from _helpers import some_gl
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 F33 = ProductRing(F3, F3)
 F3T = DualNumbers(F3)
 Q = Rationals()
@@ -181,7 +186,8 @@ def test_batched_det_check_equals_the_matrix_loop(n):
                 map_on_matrix(f, x, (n, n)).det().payload
                 == mult * x.det().payload % 5
                 for x in enumerate_matrices(F5, n, n))
-            assert _np_det_check(f, n, mult) is expect, (name, mult)
+            got = det_similitudes(np.array([f.entries]), mult, n, 5)
+            assert got.tolist() == [expect], (name, mult)
             if name != "random" and mult == a.det().payload:
                 assert expect
 
@@ -300,3 +306,129 @@ def test_thi_scaled_twists():
     for r in mu_n(F3, 2):
         for t in plus_maps[:6]:
             assert is_triple_automorphism(thi, thi_map(r, t))
+
+
+# -- the int64 stacks over F_p against the object builders ------------------
+
+def _stack(ms):
+    return np.array([m.entries for m in ms], dtype=np.int64)
+
+
+@pytest.mark.parametrize("ring, n", [(F3, 1), (F3, 2), (F5, 2), (F3, 3)],
+                         ids=["F3-1", "F3-2", "F5-2", "F3-3"])
+def test_gl_stack_is_enumerate_gl_in_order(ring, n):
+    gl = list(enumerate_GL(n, ring))
+    stack = gl_stack(ring.p, n)
+    assert np.array_equal(stack, _stack(gl))
+    picks = stack[::97] if n == 3 else stack
+    assert np.array_equal(inverse_stack(picks, ring.p), _stack(
+        m.inverse() for m in stack_matrices(ring, picks)))
+
+
+@pytest.mark.parametrize("ring, n", [(F3, 1), (F3, 2), (F5, 2), (F3, 3)],
+                         ids=["F3-1", "F3-2", "F5-2", "F3-3"])
+def test_twisted_stack_equals_all_twisted_maps(ring, n):
+    want = _stack(t.as_matrix() for t in all_twisted_maps(ring, n, 1))
+    assert np.array_equal(twisted_stack(ring.p, n), want)
+
+
+def test_phi_n_stack_equals_phi_n_on_every_parameter():
+    gl = list(enumerate_GL(2, F3))
+    a, b = (np.repeat(_stack(gl), 48, axis=0), np.tile(_stack(gl), (48, 1, 1)))
+    for tau in mu_n(F3, 2):
+        want = _stack(phi_n(x, y, tau) for x in gl for y in gl)
+        assert np.array_equal(phi_n_stack(a, b, tau.payload, 3), want)
+    taus = np.resize([1, 2, 2], len(a))
+    want = _stack(phi_n(x, y, F3.from_int(int(t)))
+                  for (x, y), t in zip(((x, y) for x in gl for y in gl), taus))
+    assert np.array_equal(phi_n_stack(a, b, taus, 3), want)
+
+
+def test_hat_twist_rows_equal_the_object_family():
+    system = make_vhi(2, 2, F3)
+    tw = transpose_twist(F3, 2)
+    els = []
+    for a in enumerate_GL(2, F3):
+        for b in enumerate_GL(2, F3):
+            base = hat_generators(a, b)
+            els += [base, base.compose(tw)]
+    rows = hat_twist_rows(3, 2)
+    assert np.array_equal(rows, _codec(system.structure).encode(els))
+
+
+def _full_grid(fs, mult, n, p):
+    """det(f(X)) == mult det(X) on every X in M_n(F_p), one column of the
+    grid a matrix: the reference the light points are tested against."""
+    x = np.indices((p,) * (n * n)).reshape(n * n, -1)
+    det_x = _det_mod_p(x.reshape(n, n, -1), p)
+    y = (fs @ x % p).reshape(len(fs), n, n, -1).transpose(1, 2, 0, 3)
+    mult = np.broadcast_to(mult, (len(fs),))[:, None]
+    return (_det_mod_p(y, p) == mult * det_x % p).all(axis=1)
+
+
+def _near_misses(fs, p, seed):
+    """Each map of fs with one entry moved by a random nonzero residue,
+    and each composed with its last unit-basis cell scaled by 2."""
+    rng = np.random.default_rng(seed)
+    moved = fs.copy()
+    at = np.arange(len(fs))
+    r, c = (rng.integers(0, fs.shape[1], size=len(fs)) for _ in range(2))
+    moved[at, r, c] = (moved[at, r, c] + rng.integers(1, p, size=len(fs))) % p
+    scaled = fs.copy()
+    scaled[:, :, -1] = scaled[:, :, -1] * 2 % p
+    return np.concatenate([moved, scaled])
+
+
+@pytest.mark.parametrize("ring, n", [(F3, 1), (F3, 2), (F5, 2), (F7, 2),
+                                     (F3, 3)],
+                         ids=["F3-1", "F3-2", "F5-2", "F7-2", "F3-3"])
+def test_light_point_det_check_equals_the_full_grid(ring, n):
+    p = ring.p
+    fam = twisted_stack(p, n)
+    fam = fam[::max(1, len(fam) // 64)]  # 48 at F3, n = 2: all of them
+    rng = np.random.default_rng(p + n)
+    fs = np.concatenate([fam, _near_misses(fam, p, n),
+                         rng.integers(0, p, size=(40, n * n, n * n))])
+    for mult in range(p):
+        want = _full_grid(fs, mult, n, p)
+        assert np.array_equal(det_similitudes(fs, mult, n, p), want), mult
+    # the family's multipliers are det f(1); then every member passes
+    one = np.eye(n, dtype=np.int64).ravel()
+    mult = _det_mod_p((fam @ one % p).reshape(-1, n, n).transpose(1, 2, 0), p)
+    assert det_similitudes(fam, mult, n, p).all()
+    assert np.array_equal(_full_grid(fam, mult, n, p),
+                          det_similitudes(fam, mult, n, p))
+
+
+def test_det_check_agrees_with_the_object_loop():
+    # the object loop of _det_equal_for_all, on the rings without stacks,
+    # decides every X one Matrix at a time
+    fam = twisted_stack(3, 2)
+    fs = np.concatenate([fam, _near_misses(fam, 3, 0)])
+    for f, m in zip(fs, stack_matrices(F3, fs)):
+        a = map_on_matrix(m, Matrix.identity(F3, 2), (2, 2))
+        for mult in {1, a.det().payload}:
+            expect = all(map_on_matrix(m, x, (2, 2)).det().payload
+                         == mult * x.det().payload % 3
+                         for x in enumerate_matrices(F3, 2, 2))
+            assert det_similitudes(f[None], mult, 2, 3).tolist() == [expect]
+
+
+@pytest.mark.parametrize("ring", [F3, F5], ids=["F3", "F5"])
+def test_det_factor_codes_equal_the_object_factorization(ring):
+    p = ring.p
+    fam = twisted_stack(p, 2)
+    singular = fam[:4].copy()
+    singular[:, :, 0] = 0  # f(1) = f(e11) + f(e22) loses a column
+    singular[:, :, 3] = 0
+    fs = np.concatenate([fam, _near_misses(fam, p, 1), singular])
+    codes = det_factor_codes(ring, 2, fs)
+    assert codes.tolist() == det_factor_codes(
+        ring, 2, stack_matrices(ring, fs)).tolist()
+    assert set(codes.tolist()) == {0, 1, 2}
+    assert not codes[:len(fam)].any()
+
+
+def test_stacks_serve_prime_fields_only():
+    assert has_stacks(F3, 3) and has_stacks(F5, 2)
+    assert not any(has_stacks(ring, 2) for ring in (F33, F3T, Q))

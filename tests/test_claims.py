@@ -1,11 +1,12 @@
 """Claim catalog: every entry runs green at its defaults, reports are stable."""
 import json
 
+import numpy as np
 import pytest
 
 from jpaut import (Matrix, PrimeField, make_t_iv, parse_system, run_claim,
                    claim_ids, list_claims, standard_form)
-from jpaut.claims import exhaustive_set, standard_generated
+from jpaut.claims import clear_cache, exhaustive_set, standard_generated
 from jpaut.errors import BadInput, BudgetExceeded, UnknownClaim
 from jpaut.oracle import compare
 from jpaut.matrix import BilinearForm
@@ -138,3 +139,63 @@ def test_lambda_claim_over_the_dual_numbers():
 def test_det_similitude_claim_over_the_split_ring():
     rep = run_claim("detSim", ring="F3xF3", n=1)
     assert rep["pass"] and rep["outcome"] == "verified"
+
+
+@pytest.mark.parametrize("claim_id", ["detSim", "phi-n-kernel"])
+def test_family_claims_take_the_budget(claim_id):
+    # 3**16 matrices in M_4(F3) exceed the default budget of 30,000,000
+    with pytest.raises(BudgetExceeded):
+        run_claim(claim_id, n=4)
+    with pytest.raises(BudgetExceeded):
+        run_claim(claim_id, budget=80)  # 81 matrices in M_2(F3)
+    assert run_claim(claim_id, budget=81)["pass"]
+
+
+def _perturb_first(build):
+    """build with column 1 of its first map scaled by 2 mod 3."""
+    def perturbed(*args):
+        out = build(*args)
+        out[0, :, 1] = out[0, :, 1] * 2 % 3
+        return out
+    return perturbed
+
+
+def test_detsim_fails_on_a_perturbed_family_member(monkeypatch):
+    from jpaut import claims
+    clean = claims.twisted_stack(3, 2)[0]
+    monkeypatch.setattr(claims, "twisted_stack",
+                        _perturb_first(claims.twisted_stack))
+    rep = run_claim("detSim")
+    assert rep["pass"] is False and rep["outcome"] == "failed"
+    bad = rep["details"]["counterexample"]
+    assert bad != [[str(x) for x in row] for row in clean.tolist()]
+    assert bad[0][1] == str(clean[0, 1] * 2 % 3)
+
+
+def test_phi_n_kernel_fails_on_a_perturbed_family_member(monkeypatch):
+    from jpaut import autfam
+
+    def to_identity(build):
+        def perturbed(a, b, tau, p):
+            out = build(a, b, tau, p)
+            out[0] = np.eye(out.shape[-1], dtype=out.dtype)
+            return out
+        return perturbed
+    monkeypatch.setattr(autfam, "phi_n_stack",
+                        to_identity(autfam.phi_n_stack))
+    rep = run_claim("phi-n-kernel")
+    assert rep["pass"] is False and rep["outcome"] == "failed"
+    assert rep["details"] == {"kernel_matches": False}
+
+
+@pytest.mark.parametrize("claim_id", ["detSim", "phi-n-kernel",
+                                      "mnplus-structure", "thi-product",
+                                      "vhi-square"])
+def test_stacked_families_report_as_the_object_path(claim_id, monkeypatch):
+    # the object builders, forced over F3, are the stacks' oracle
+    from jpaut import autfam, claims
+    stacked = run_claim(claim_id)
+    clear_cache()
+    for module in (autfam, claims):
+        monkeypatch.setattr(module, "has_stacks", lambda ring, n: False)
+    assert json.dumps(run_claim(claim_id)) == json.dumps(stacked)

@@ -198,6 +198,15 @@ def test_enumerate_budget_exit_code(capsys):
     assert code == 3 and rep["error"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize("claim", ["detSim", "phi-n-kernel"])
+def test_family_claim_budget_exit_code(claim, capsys):
+    # M_4(F3) holds 3**16 = 43,046,721 matrices, past the default budget
+    code, out = run_cli(["check", claim, "--n", "4"], capsys)
+    rep = json.loads(out)
+    assert code == 3 and rep["error"] == "BudgetExceeded"
+    assert "43046721 matrices" in rep["message"]
+
+
 def test_enumerate_infinite_ring_is_usage_error(capsys):
     code, out = run_cli(["enumerate", "VIV(2,Q)"], capsys)
     rep = json.loads(out)

@@ -784,3 +784,44 @@ def test_to_jsonable_shape():
                             "mode", "order", "ring", "system"]
     assert blob["elements"] == [{"plus": [["1"]], "minus": [["1"]]},
                                 {"plus": [["2"]], "minus": [["2"]]}]
+
+
+@pytest.mark.parametrize("ring, dim, seed", [
+    (F3, 2, 0), (F3, 3, 1), (F5, 2, 3), (ProductRing(F3, F3), 2, 5)],
+    ids=["F3-2", "F3-3", "F5-2", "F3xF3"])
+def test_closure_continues_from_a_closed_start(ring, dim, seed):
+    # each closure continued from the last equals the closure from scratch
+    codec = oracle._Rows(PairMap.identity(ring, dim, dim))
+    gens = codec.encode([_dual_pair(a) for a in some_gl(ring, dim, 3, seed)])
+    last = oracle._closure(codec, gens[:0], 12000)
+    for k in range(1, len(gens) + 1):
+        last = oracle._closure(codec, gens[:k], 12000, last)
+        rows, keys = oracle._closure(codec, gens[:k], 12000)
+        assert np.array_equal(codec.sorted_unique(last[0]),
+                              codec.sorted_unique(rows))
+        assert len(last[0]) == len(rows)
+        assert np.array_equal(last[1], keys)
+    with pytest.raises(BudgetExceeded):
+        start = oracle._closure(codec, gens[:-1], 12000)
+        oracle._closure(codec, gens, len(rows) - 1, start)
+
+
+def test_group_check_verdicts_equal_the_reference_loop():
+    # the group and non-group fixtures of the tests above
+    cl = _square_closure()
+    i4 = Matrix.identity(F3, 4)
+    shear = Matrix(F3, 4, 4, ((1, 1, 0, 0),) + i4.entries[1:])
+    sets = [cl] + [replace(cl, rows=np.delete(cl.rows, i, axis=0))
+                   for i in (0, 1, 2, 3, 5, 100, 1000, 2303)]
+    sets += [AutomorphismSet.from_elements(
+        cl.system, cl.ring_name, cl.kind, cl.mode, cl.engine, cl.candidates,
+        cl.elements + (extra,))
+        for extra in (PairMap(shear, i4), PairMap(shear, shear.inverse()))]
+    i2, zero = Matrix.identity(F3, 2), Matrix.zeros(F3, 2, 2)
+    swap = Matrix.build(F3, [[0, 1], [1, 0]])
+    sets += [AutomorphismSet.from_elements("s", "F3", "triple", "generated",
+                                           "family", len(els), els)
+             for els in ([i2, swap], [i2, zero], [swap])]
+    verdicts = [s.verify_group_closed() for s in sets]
+    assert verdicts == [byte_key_group_closed(s) for s in sets]
+    assert verdicts == [True] + [False] * 10 + [True, False, False]
