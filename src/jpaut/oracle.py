@@ -219,10 +219,9 @@ def _closure(codec: _Rows, gen_rows: np.ndarray, budget: int,
     """
     if start is None:
         frontier = codec.encode([codec.identity])
-        seen, first = codec.key(frontier), gen_rows
+        seen, gens = codec.key(frontier), gen_rows
     else:
-        frontier, seen = start
-        first = gen_rows[-1:]
+        (frontier, seen), gens = start, gen_rows[-1:]
     found = [frontier]
 
     def unseen(block, gens):
@@ -231,7 +230,6 @@ def _closure(codec: _Rows, gen_rows: np.ndarray, budget: int,
         new = ~_member(keys, seen)
         return rows[at[new]], keys[new]
 
-    gens = first
     while len(frontier) and len(gens):
         step = max(1, _BLOCK // len(gens))
         rows, keys = (np.concatenate(part) for part in zip(
