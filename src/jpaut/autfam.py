@@ -427,10 +427,10 @@ def has_stacks(ring: Ring, n: int) -> bool:
 
 
 def _blocks(total: int, size: int):
-    """Slices of [0, total) of at most fastscan.CHUNK * 4 // size maps, the
+    """Slices of [0, total) of at most fastscan.block_cap(size) maps, the
     bound of oracle._cross_check's blocks: size int64 entries a map."""
     from . import fastscan  # on first use, as oracle imports it
-    step = max(1, fastscan.CHUNK * 4 // size)
+    step = fastscan.block_cap(size)
     return [slice(at, at + step) for at in range(0, total, step)]
 
 

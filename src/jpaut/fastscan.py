@@ -12,19 +12,17 @@ Every kernel searches column by column (_search), in the style of backtrack
 search with refinement.  The unknowns are the columns of phi (plus those of
 phi_minus for traced pairs, interleaved plus_0, minus_0, ...), and every
 condition is decided once, at the level of the last unknown it reads.  A
-condition affine in that column is an equation: the entries of
-phi_plus^T G phi_minus == G, A u == u, each similitude condition that
-reads the column once, and each tensor slot whose inputs read the column
-at most once (d rows), at a level where the kernel's other equations
-leave at least two free dimensions.  Each level solves them for all
-surviving prefixes by one batched elimination mod p (_cosets) and
-generates only the p**(d - rank) vectors of each solution coset.  The
-rest are filters: the slots that read the column two or three times, or
-sit at a level the kernel's equations pin to at most p vectors a prefix
-(the late Gram levels of traced pairs, the A u == u level), rank d on all
-columns of triples and algebras (_rank, the same elimination with a zero
-right-hand side), lambda != 0, and the similitude entries that read the
-column twice.  A slot (c, b, a) is decided only where it differs from
+kernel hands _search one list of conditions, each in the forms it has: a
+row where it is affine in that column, a test where not (rank d of
+triples and algebras, _rank; lambda != 0; the similitude entries that
+read the column twice), both for a tensor slot whose inputs read the
+column at most once (_slots).  _search alone chooses between them: the
+kernel's own equations (phi_plus^T G phi_minus == G, A u == u, the other
+similitude entries) stay equations, and a slot is one where they leave at
+least two free dimensions of its column.  Each level solves its equations
+for all surviving prefixes by one batched elimination mod p (_cosets),
+generates only the p**(d - rank) vectors of each solution coset and
+filters them.  A slot (c, b, a) is decided only where it differs from
 (a, b, c).  Together they are the complete identity, and
 oracle._cross_check remains the one independent check of every result.
 
@@ -33,12 +31,11 @@ and over the candidates to filter.  Both passes, and oracle._cross_check,
 split their range by one rule (_blocks): consecutive blocks of
 min(cap, max(MIN_BLOCK, ceil(total / jobs))) items, run on the jobs
 worker threads and joined in block order; a range of one block runs on
-the calling thread.  The search's cap is CHUNK: at
-one worker a range is CHUNK-sized blocks (one block below CHUNK); at two,
-a range below CHUNK still runs on both threads once it holds more than
-MIN_BLOCK items.  The cross-check's cap is CHUNK * 4 rows over the size
-of the structure's largest tensor, since each map it decides builds
-intermediates of that size, up to four at once: 809 rows at d = 3 and 256
+the calling thread.  The search's cap is CHUNK: at one worker a range is
+CHUNK-sized blocks (one block below CHUNK); at two, a range below CHUNK
+still runs on both threads once it holds more than MIN_BLOCK items.  The
+cross-check's cap is block_cap of its largest tensor's size, as each map
+builds up to four intermediates of that size: 809 rows at d = 3 and 256
 at d = 4, about 2 MB a block, like one search chunk's outer products.  The
 result and the per-level counts logged at DEBUG are the same for any
 worker count.  On 2 vCPUs, enumerating VhI(1,3,F5) at two workers takes
@@ -49,16 +46,17 @@ Tensors arrive in Jordan layout, T[a][b]..[x] with the output coordinate
 last, as the structures' int64 images hold them; each kernel moves the
 output axis first for its own contractions.
 
-With inputs reduced mod p, the largest intermediate is the factored slot
-contraction, below d**3 p**4 <= 64 p**4 at d <= 4 (_slot_rhs); a slot's
-coefficients stay below d**2 p**3 + p and its right sides below
-(d + 1) p**2; the other equations and the coset vectors stay below d p**2,
-and the elimination below (d + 1) p**2.  _work_dtype sizes arithmetic by
-64 p**4: int32 up to p = 73, int64 up to p = 19483, and supports(p)
-refuses larger primes.  Both dtypes give identical exact results mod p.
-The tensor contractions multiply their matrices in float64 (_MATMUL), on
-BLAS: each sum is an integer below d**2 p**3 < 2**53, so it is exact.
-_matmul hands BLAS row blocks small enough to run on the calling thread.
+With inputs reduced mod p, the largest intermediate is a slot's image, the
+columns of T on its last input summed against it, below d**3 p**4 <=
+64 p**4 at d <= 4 (_slots); a slot's coefficients stay below d**2 p**3 + p
+and its right sides below (d + 1) p**2; the other equations and the coset
+vectors stay below d p**2, and the elimination below (d + 1) p**2.
+_work_dtype sizes arithmetic by 64 p**4: int32 up to p = 73, int64 up to
+p = 19483, and supports(p) refuses larger primes.  Both dtypes give
+identical exact results mod p.  Each column of T is a product of float64
+matrices (_MATMUL) on BLAS: every sum is an integer below d**2 p**3 <
+2**53, so it is exact.  _matmul hands BLAS row blocks small enough to run
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -81,11 +79,11 @@ CHUNK = 1 << 14
 # TIV(3,F5) run slower when their small levels are split further.
 MIN_BLOCK = 1 << 10
 
-# The dtype of the kernels' tensor contractions (_slot_rhs, _bilinear_rhs
-# and the slot equations).  numpy multiplies integer matrices without BLAS,
-# several times slower than float64, and every sum there is an integer
-# below d*d * p**3 < 2**53 for each prime supports(p) admits, which float64
-# holds exactly; each product is cast back to the work dtype.
+# The dtype of the slot contractions (the columns of _slots).  numpy
+# multiplies integer matrices without BLAS, several times slower than
+# float64, and every sum there is an integer below d*d * p**3 < 2**53 for
+# each prime supports(p) admits, which float64 holds exactly; each product
+# is cast back to the work dtype.
 _MATMUL = np.float64
 # The most m*k*n of one BLAS product (_matmul).  OpenBLAS, which numpy's
 # wheels bundle, runs a float64 product on one thread up to 2**18 and
@@ -138,6 +136,12 @@ def _blocks(total: int, jobs: int,
     return [(s, min(s + size, total)) for s in range(0, max(total, 1), size)]
 
 
+def block_cap(size: int) -> int:
+    """The most maps of one block where each map builds intermediates of
+    size entries, up to four at once: CHUNK * 4 // size, at least 1."""
+    return max(1, CHUNK * 4 // size)
+
+
 @contextmanager
 def workers(jobs: int):
     """A context that yields spread(kernel, total, cap=None), which runs
@@ -156,16 +160,6 @@ def workers(jobs: int):
         yield spread
 
 
-def _tensor_by_c(tensor: np.ndarray, dtype: type) -> tuple[np.ndarray, ...]:
-    """Per-c slabs (d*d, d_out) of T[x,a,b,c] for the factored slot filter,
-    in dtype.  The kernels take float64 (_MATMUL)."""
-    d_out = tensor.shape[0]
-    d = tensor.shape[3]
-    return tuple(np.ascontiguousarray(
-        tensor[:, :, :, c].reshape(d_out, d * d).T.astype(dtype))
-        for c in range(d))
-
-
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for a (m, k) batch a and a (k, n) matrix b, in row blocks
     of at most _SERIAL_PRODUCT / (k n) rows."""
@@ -176,32 +170,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for start in range(0, len(a), rows):
         np.matmul(a[start:start + rows], b, out=out[start:start + rows])
     return out
-
-
-def _slot_rhs(t_byc: tuple[np.ndarray, ...], u: np.ndarray, v: np.ndarray,
-              w: np.ndarray, p: int) -> np.ndarray:
-    """Factored slot contraction: outer(u, v) once, one matmul per c in
-    the dtype of the slabs, each product cast to the dtype of w.
-
-    Inputs are reduced mod p, so each product stays below d*d * p**3 and
-    |acc| <= d * (d*d * p**3) * p <= 64p**4.
-    """
-    b, d = u.shape
-    uv = (u[:, :, None] * v[:, None, :]).reshape(b, d * d).astype(
-        t_byc[0].dtype, copy=False)
-    acc = _matmul(uv, t_byc[0]).astype(w.dtype, copy=False) * w[:, 0, None]
-    for c in range(1, d):
-        acc += (_matmul(uv, t_byc[c]).astype(w.dtype, copy=False)
-                * w[:, c, None])
-    return acc % p
-
-
-def _bilinear_rhs(prf: np.ndarray, u: np.ndarray, v: np.ndarray,
-                  p: int) -> np.ndarray:
-    """P(u, v) for batches of reduced vectors, prf being the product as a
-    (d*d, d_out) matrix, in the dtype of prf; |acc| <= d*d * p**3."""
-    uv = (u[:, :, None] * v[:, None, :]).reshape(len(u), -1)
-    return _matmul(uv.astype(prf.dtype, copy=False), prf).astype(u.dtype) % p
 
 
 def _scan(total: int, decode: Callable, stages: Sequence[Callable],
@@ -334,29 +302,41 @@ def _extend(prefixes: np.ndarray, base: np.ndarray, basis: np.ndarray,
     return (np.concatenate((prefixes[owner], x[:, None]), axis=1),)
 
 
-def _search(p: int, d: int, unknowns: int, equations: Sequence,
-            filters: Sequence, jobs: int, dtype: type) -> np.ndarray:
-    """The values of the unknown columns that satisfy every equation and
-    pass every filter, as a (B, unknowns, d) stack.
+def _search(p: int, d: int, unknowns: int, conditions: Sequence, jobs: int,
+            dtype: type) -> np.ndarray:
+    """The values of the unknown columns that meet every condition, as a
+    (B, unknowns, d) stack.
 
-    An equation is a pair (unknowns read, row): given the (B, k, d) values
-    of the unknowns before k, the last one it reads, row(prefix) returns
-    the coefficients (B, r, d) and the right sides (B, r) of a block of r
-    equations coef @ x == rhs mod p in the value x of unknown k (either
-    may broadcast over B).  A filter is a pair (unknowns read, test),
-    where test(cols) returns a keep-vector over a (B, k + 1, d) stack.
-    Level k solves the equations whose last unknown is k for every
-    surviving prefix, extends each consistent prefix by the vectors of its
-    solution coset (all p**d vectors where the level has none), then keeps
-    the candidates that pass each filter whose last unknown is k, in list
-    order.  Both steps run
-    through _scan on one thread pool (workers); BadInput for jobs < 1.
+    A condition is a triple (unknowns read, row, test), row or test None
+    where it lacks that form.  Given the (B, k, d) values of the unknowns
+    before k, the last one it reads, row(prefix) returns the coefficients
+    (B, r, d) and right sides (B, r) of r equations coef @ x == rhs mod p
+    in the value x of unknown k (either may broadcast over B); test(cols)
+    returns a keep-vector over a (B, k + 1, d) stack.  The conditions with
+    a row only, the kernel's own equations, leave d less their rows (read
+    off an empty prefix) free dimensions of col[k].  Where that is at least
+    two a condition with both forms is an equation, else a filter, as
+    filtering at most p candidates a prefix costs less than eliminating r
+    more rows.  The others keep their one form.
+
+    Level k solves its equations for every surviving prefix, extends each
+    consistent prefix by the vectors of its solution coset (all p**d
+    vectors where the level has none), then keeps the candidates that
+    pass each of its filters, in list order.  Both steps run through _scan
+    on one thread pool (workers); BadInput for jobs < 1.
     """
+    pinned = [0] * unknowns
+    for reads, row, test in conditions:
+        if test is None:
+            k = max(reads)
+            pinned[k] += row(np.zeros((0, k, d), dtype))[0].shape[-2]
     levels = [([], []) for _ in range(unknowns)]
-    for reads, row in equations:
-        levels[max(reads)][0].append(row)
-    for reads, test in filters:
-        levels[max(reads)][1].append(test)
+    for reads, row, test in conditions:
+        k = max(reads)
+        if test is None or row is not None and d - pinned[k] >= 2:
+            levels[k][0].append(row)
+        else:
+            levels[k][1].append(test)
     table = _low_digit_block(p, d).astype(dtype)
     cols = np.zeros((1, 0, d), dtype=dtype)
     with workers(jobs) as spread:
@@ -372,36 +352,58 @@ def _search(p: int, d: int, unknowns: int, equations: Sequence,
     return cols
 
 
-def _slots(t: np.ndarray, image: Callable, out: Sequence[int],
-           ins: Sequence[Sequence[int]], p: int) -> list:
-    """One (unknowns read, row, test) per slot (a, b, ..) of the
-    output-first tensor t, the condition phi(T(e_a, e_b, ..)) ==
-    T(phi e_a, phi e_b, ..) read on the unknowns:
+def _slabs(t: np.ndarray) -> list[list[np.ndarray]]:
+    """Slab [s][e] of the output-first tensor t: t with input s at e, as
+    an (other inputs, x) _MATMUL matrix."""
+    return [[np.ascontiguousarray(np.moveaxis(t.take(e, s + 1), 0, -1).reshape(
+        -1, len(t)), dtype=_MATMUL) for e in range(len(t))]
+        for s in range(t.ndim - 1)]
 
-        Sum_x t[x, a, b, ..] col[out[x]] == image(col[ins[0][a]],
-                                                  col[ins[1][b]], ..)
+
+def _slots(t: np.ndarray, out: Sequence[int], ins: Sequence[Sequence[int]],
+           p: int) -> list:
+    """One condition (unknowns read, row, test) per slot (a, b, ..) of the
+    output-first tensor t, phi(T(e_a, e_b, ..)) == T(phi e_a, phi e_b, ..)
+    read on the unknowns:
+
+        Sum_x t[x, a, b, ..] col[out[x]] == T(col[ins[0][a]],
+                                              col[ins[1][b]], ..)
 
     out maps an output coordinate, ins[s] a coordinate of input slot s, to
-    its unknown, every one of dimension d; image evaluates T on batches of
-    reduced vectors.  Where t is symmetric in its first and last inputs
-    and they read the same unknowns, slot (c, .., a) is the condition of
-    slot (a, .., c), so only the slots with a <= c are kept.
+    its unknown, every one of dimension d.  Where t is symmetric in its
+    first and last inputs and they read the same unknowns, only the slots
+    with a <= c are kept, as (c, .., a) is the same condition.
 
-    test is the condition as a search filter.  row is the condition as a
-    block of d search equations in col[k], k the last unknown it reads,
-    and None where its inputs read col[k] more than once, as it is then
-    not affine in col[k].  The coefficients are t contracted with the
-    fixed inputs (zero where col[k] is no input), less the slot's
-    coefficient on col[k] times the identity; the right sides are the
-    fixed output terms, less the image where col[k] is no input."""
+    One helper does every contraction: column e of T's matrix on input s,
+    at batches of reduced vectors on the other inputs, is their outer
+    product times slab (s, e) (_slabs).  test, the condition as a filter,
+    sums the columns on the last input against it.  row, the condition as
+    d equations in col[k], k the last unknown read, is None where the
+    inputs read col[k] twice or more; its coefficients are the columns on
+    the input that reads col[k] (zero where none does) less the slot's
+    coefficient on col[k] times the identity, its right sides the output
+    terms on the other unknowns less T at the inputs where none reads it.
+    """
     mirrored = ins[0] == ins[-1] and np.array_equal(t, np.swapaxes(t, 1, -1))
-    d = t.shape[0]
+    d, last = t.shape[0], t.ndim - 2
     eye = np.eye(d, dtype=t.dtype)
-    # for input s, t as (the other inputs, (x, input s)): contracted with
-    # the outer product of the other inputs it is the coefficient matrix
-    linear = [np.ascontiguousarray(
-        np.moveaxis(t, s + 1, 1).reshape(d * d, -1).T, dtype=_MATMUL)
-        for s in range(t.ndim - 1)]
+    slabs = _slabs(t)
+
+    def columns(s, others):
+        """Column e of T's matrix on input s, for each e in turn."""
+        outer = others[0]
+        for v in others[1:]:
+            outer = (outer[:, :, None] * v[:, None]).reshape(len(v), -1)
+        outer = outer.astype(_MATMUL)
+        return (_matmul(outer, slab) for slab in slabs[s])
+
+    def image(args):
+        """T(args) mod p."""
+        acc = np.zeros((len(args[-1]), d), t.dtype)
+        for e, col in enumerate(columns(last, args[:-1])):
+            acc += col.astype(t.dtype) * args[-1][:, e, None]
+        return acc % p
+
     conditions = []
     for slot in np.ndindex(t.shape[1:]):
         if mirrored and slot[0] > slot[-1]:
@@ -414,42 +416,21 @@ def _slots(t: np.ndarray, image: Callable, out: Sequence[int],
 
         def test(cols, terms=terms, args=args):
             lhs = sum(c * cols[:, j] for c, j in terms) % p
-            return (lhs == image(*(cols[:, j] for j in args))).all(axis=1)
+            return (lhs == image([cols[:, j] for j in args])).all(axis=1)
 
         def row(prefix, terms=terms, args=args, k=k):
             lead = sum(c for c, j in terms if j == k)
             rhs = sum(c * prefix[:, j] for c, j in terms if j != k)
             if k not in args:
-                rhs = rhs - image(*(prefix[:, j] for j in args))
+                rhs = rhs - image([prefix[:, j] for j in args])
                 return -lead * eye % p, rhs % p
-            s = args.index(k)
-            outer = None
-            for j in args[:s] + args[s + 1:]:
-                v = prefix[:, j]
-                outer = v if outer is None else (
-                    outer[:, :, None] * v[:, None]).reshape(len(v), -1)
-            m = _matmul(outer.astype(_MATMUL), linear[s]).astype(eye.dtype)
-            m = m.reshape(len(prefix), d, d)
+            m = np.empty((len(prefix), d, d), t.dtype)
+            others = [prefix[:, j] for j in args if j != k]
+            for e, col in enumerate(columns(args.index(k), others)):
+                m[:, :, e] = col
             return (m - lead * eye) % p, rhs % p
         conditions.append((reads, row if args.count(k) <= 1 else None, test))
     return conditions
-
-
-def _slot_conditions(t: np.ndarray, image: Callable, out: Sequence[int],
-                     ins: Sequence[Sequence[int]], free: Sequence[int],
-                     p: int) -> tuple[list, list]:
-    """The search equations and filters of the slots of t (_slots).  A
-    slot affine in its last unknown k is an equation where the kernel's
-    own equations leave free[k] >= 2 dimensions of col[k]; below that a
-    prefix has at most p candidates, and filtering them costs less than
-    eliminating d more rows per slot.  The other slots are filters."""
-    equations, filters = [], []
-    for reads, row, test in _slots(t, image, out, ins, p):
-        if row is not None and free[max(reads)] >= 2:
-            equations.append((reads, row))
-        else:
-            filters.append((reads, test))
-    return equations, filters
 
 
 def _columns(cols: np.ndarray) -> np.ndarray:
@@ -479,9 +460,9 @@ def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
     fixed in the order plus_0, minus_0, plus_1, ...  The equations are the
     entries plus_r^T G minus_c == G[r, c], each solved for the later of its
     two columns; they pin phi_minus to the dual inverse, so both sides are
-    invertible.  The slots of both tensors are equations where those
-    entries leave two or more free dimensions, else filters
-    (_slot_conditions).
+    invertible.  The slots of both tensors (_slots) are equations where
+    those entries leave two or more free dimensions, else filters
+    (_search).
     """
     dtype = _work_dtype(p)
     tp = _xfirst(t_plus, p, dtype)
@@ -491,25 +472,17 @@ def scan_pair_with_trace(p: int, d: int, t_plus: Sequence, t_minus: Sequence,
     # entry (r, c) is solved for plus_r where c < r, else for minus_c: plus_k
     # reads rows c < k, G minus_c . plus_k == G[k, c], and minus_k rows
     # r <= k, plus_r^T G . minus_k == G[r, k]
-    equations = [({*plus[:k + 1], *minus[:k]},
-                  lambda prefix, k=k: (prefix[:, 1:2 * k:2] @ g.T % p,
-                                       g[k, :k]))
-                 for k in range(1, d)]
-    equations += [({*plus[:k + 1], minus[k]},
-                   lambda prefix, k=k: (prefix[:, 0:2 * k + 1:2] @ g % p,
-                                        g[:k + 1, k]))
-                  for k in range(d)]
-    # so they leave d - k free dimensions of plus_k and d - k - 1 of minus_k
-    free = [d - k - s for k in range(d) for s in (0, 1)]
-    filters = []
+    conditions = [({*plus[:k + 1], *minus[:k]},
+                   lambda prefix, k=k: (prefix[:, 1:2 * k:2] @ g.T % p,
+                                        g[k, :k]), None)
+                  for k in range(1, d)]
+    conditions += [({*plus[:k + 1], minus[k]},
+                    lambda prefix, k=k: (prefix[:, 0:2 * k + 1:2] @ g % p,
+                                         g[:k + 1, k]), None)
+                   for k in range(d)]
     for t, side, other in ((tp, plus, minus), (tm, minus, plus)):
-        t_byc = _tensor_by_c(t, _MATMUL)
-        solved, tested = _slot_conditions(
-            t, lambda u, v, w, t_byc=t_byc: _slot_rhs(t_byc, u, v, w, p),
-            side, (side, other, side), free, p)
-        equations += solved
-        filters += tested
-    found = _search(p, d, 2 * d, equations, filters, jobs, dtype)
+        conditions += _slots(t, side, (side, other, side), p)
+    found = _search(p, d, 2 * d, conditions, jobs, dtype)
     # unknown 2k + s is column k of side s: (B, k, s, i) -> (B, s, i, k)
     return _columns(found.reshape(len(found), d, 2, d).transpose(0, 2, 1, 3))
 
@@ -518,17 +491,14 @@ def scan_triple(p: int, d: int, tensor: Sequence, jobs: int = 1) -> np.ndarray:
     """All invertible phi with phi{x,y,z} == {phi x, phi y, phi z}, as an
     int64 (B, d, d) stack in search order; tensor is in Jordan layout
     [a][b][c][x].  The unknowns are the columns of phi in ascending order.
-    The slots of the tensor are equations or filters (_slot_conditions),
-    and rank d on all columns is a filter."""
+    The conditions are the slots of the tensor (_slots), and rank d on all
+    columns as a filter."""
     dtype = _work_dtype(p)
-    t = _xfirst(tensor, p, dtype)
-    t_byc = _tensor_by_c(t, _MATMUL)
     unknowns = range(d)
-    equations, filters = _slot_conditions(
-        t, lambda u, v, w: _slot_rhs(t_byc, u, v, w, p), unknowns,
-        (unknowns,) * 3, [d] * d, p)
-    filters.append((unknowns, lambda cols: _rank(cols, p) == d))
-    return _columns(_search(p, d, d, equations, filters, jobs, dtype))
+    conditions = _slots(_xfirst(tensor, p, dtype), unknowns,
+                        (unknowns,) * 3, p)
+    conditions.append((unknowns, None, lambda cols: _rank(cols, p) == d))
+    return _columns(_search(p, d, d, conditions, jobs, dtype))
 
 
 def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
@@ -542,13 +512,11 @@ def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
     determined.  prod is the Jordan-layout [a][b][x] product tensor, unit
     the coordinate vector of 1.  The unknowns are the columns of phi in
     ascending order.  The equations are the rows of A u == u, solved for
-    the last column in the support of u.  The slots of the product are
-    filters at that column and equations or filters at the others
-    (_slot_conditions), and rank d on all columns is a filter.
+    the last column in the support of u.  The slots of the product (_slots)
+    are filters at that column and equations or filters at the others
+    (_search), and rank d on all columns is a filter.
     """
     dtype = _work_dtype(p)
-    pr = _xfirst(prod, p, dtype)
-    prf = np.ascontiguousarray(pr.reshape(d, d * d).T, dtype=_MATMUL)
     u = np.asarray(unit, dtype=np.int64) % p
     support = [int(j) for j in np.flatnonzero(u)]
     unknowns = range(d)
@@ -557,13 +525,11 @@ def scan_algebra_unit_fixing(p: int, d: int, prod: Sequence, unit: Sequence,
         rest = sum(int(u[j]) * prefix[:, j] for j in support[:-1])
         return np.eye(d, dtype=dtype) * u[support[-1]], (u - rest) % p
 
-    equations, filters = _slot_conditions(
-        pr, lambda x, y: _bilinear_rhs(prf, x, y, p), unknowns,
-        (unknowns, unknowns), [0 if k == support[-1] else d for k in unknowns],
-        p)
-    equations.append((support, fixes_unit))
-    filters.append((unknowns, lambda cols: _rank(cols, p) == d))
-    return _columns(_search(p, d, d, equations, filters, jobs, dtype))
+    conditions = _slots(_xfirst(prod, p, dtype), unknowns,
+                        (unknowns, unknowns), p)
+    conditions += [(support, fixes_unit, None),
+                   (unknowns, None, lambda cols: _rank(cols, p) == d)]
+    return _columns(_search(p, d, d, conditions, jobs, dtype))
 
 
 def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
@@ -579,10 +545,10 @@ def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
     col_i^T G col_j G[0, c] == col_0^T G col_c G[i, j] for every other
     entry (i, j), division-free; where G[i, j] == 0 that reads columns i
     and j only.  Each condition, a sum of terms s col_i^T G col_j equal to
-    a constant, is an equation in its last column k unless one of its terms
-    is col_k^T G col_k; lambda != 0 is a filter.  The conditions force
-    det a != 0, as det(a)**2 det G == lambda**n det G, so no rank filter
-    runs.
+    a constant, has a row in its last column k unless one of its terms is
+    col_k^T G col_k, and a test only then; lambda != 0 is a test.  The
+    conditions force det a != 0, as det(a)**2 det G == lambda**n det G, so
+    no rank filter runs.
     """
     dtype = _work_dtype(p)
     g = _gram(gram, p, DegenerateForm).astype(dtype)
@@ -592,17 +558,14 @@ def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
     def form(cols, i: int, j: int) -> np.ndarray:
         return (cols[:, i] @ g % p * cols[:, j]).sum(axis=1) % p
 
-    equations, filters = [], []
-
-    def condition(terms: list, rhs: int) -> None:
-        """Add sum s col_i^T G col_j == rhs over terms (s, i, j) to the
-        filters if a term reads its last column twice, else to equations."""
+    def condition(terms: list, rhs: int) -> tuple:
+        """sum s col_i^T G col_j == rhs over terms (s, i, j), as a test if
+        a term reads its last column twice, else as a row."""
         reads = {x for _, i, j in terms for x in (i, j)}
         k = max(reads)
         if any(i == j == k for _, i, j in terms):
-            filters.append((reads, lambda cols: sum(
-                s * form(cols, i, j) for s, i, j in terms) % p == rhs))
-            return
+            return reads, None, lambda cols: sum(
+                s * form(cols, i, j) for s, i, j in terms) % p == rhs
 
         def row(prefix):
             coef, const = 0, 0
@@ -613,14 +576,11 @@ def scan_similitudes(p: int, n: int, gram: Sequence, isometry_only: bool,
                 else:
                     const = const + s * form(prefix, i, j)
             return coef[:, None] % p, np.reshape((rhs - const) % p, (-1, 1))
-        equations.append((reads, row))
+        return reads, row, None
 
-    for i, j in np.ndindex(n, n):
-        if (i, j) != (0, c):
-            condition([(pivot, i, j)]
-                      + ([(-int(g[i, j]), 0, c)] if g[i, j] else []), 0)
-    if isometry_only:
-        condition([(1, 0, c)], pivot)
-    else:
-        filters.append(({0, c}, lambda cols: form(cols, 0, c) != 0))
-    return _columns(_search(p, n, n, equations, filters, jobs, dtype))
+    conditions = [condition([(pivot, i, j)]
+                            + ([(-int(g[i, j]), 0, c)] if g[i, j] else []), 0)
+                  for i, j in np.ndindex(n, n) if (i, j) != (0, c)]
+    conditions.append(condition([(1, 0, c)], pivot) if isometry_only
+                      else ({0, c}, None, lambda cols: form(cols, 0, c) != 0))
+    return _columns(_search(p, n, n, conditions, jobs, dtype))

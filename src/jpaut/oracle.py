@@ -466,17 +466,17 @@ def _cross_check(kernel, structure, codec: _Rows, name,
     The rows are decided in the blocks of the scans' chunk loop
     (fastscan.workers) on jobs threads.  Each map of a block builds
     jordan._carries intermediates the size of a structure tensor, up to
-    four at once, so a block holds at most CHUNK * 4 // (largest tensor
-    size) rows, about 2 MB a block.  The keep-vectors join in block order,
-    so the first rejected row in the kernel's order, which is the same for
-    any jobs, is named.  A result without the identity is incomplete, as
-    every automorphism group contains it, and is refused too."""
+    four at once, so a block holds at most fastscan.block_cap(largest
+    tensor size) rows, about 2 MB a block.  The keep-vectors join in block
+    order, so the first rejected row in the kernel's order, which is the
+    same for any jobs, is named.  A result without the identity is
+    incomplete, as every automorphism group contains it, and is refused
+    too."""
     from . import fastscan
     found = kernel(fastscan)
     rows = np.ascontiguousarray(found, dtype=np.int64).reshape(
         len(found), codec.width)
-    cap = max(1, fastscan.CHUNK * 4
-              // max(t.size for t in structure._int64.values()))
+    cap = fastscan.block_cap(max(t.size for t in structure._int64.values()))
     identity = codec.encode([codec.identity])[0]
 
     def decide(start: int, stop: int) -> tuple:

@@ -7,15 +7,17 @@ order of the pure-Python enumeration streams.  It keeps the invertible ones
 determinant and adjugate), runs a few one-slot filters chosen greedily on a
 fixed probe chunk (none when the whole space is one chunk), then the
 complete check (_carried), and concatenates each chunk's survivors in index
-order through fastscan's chunk loop.  It shares the slot contraction and
-the chunk loop with the search, but decodes its candidates from digits,
-decides invertibility by determinant (_det, not the search's elimination)
-and each map by the complete identity rather than column by column, so the
-two agree only when the search's conditions are right.
+order through fastscan's chunk loop.  It shares only the chunk loop with
+the search: it contracts the slots of its filters itself (_image), decodes
+its candidates from digits, decides invertibility by determinant (_det, not
+the search's elimination) and each map by the complete identity rather than
+column by column, so the two agree only when the search's conditions are
+right.
 
 Integer bounds, inputs reduced mod p: determinants stay below 24p**4, the
-unreduced adjugate below 6p**3, the Gram gather below 6p**4 and the dense
-Gram product below 24p**4, all inside fastscan._work_dtype's 64p**4.
+unreduced adjugate below 6p**3, the Gram gather below 6p**4, the dense
+Gram product below 24p**4 and a slot image below 64p**4, all inside
+fastscan._work_dtype's 64p**4.
 """
 from functools import lru_cache, partial
 from typing import Callable, Sequence
@@ -23,11 +25,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from jpaut.errors import DegenerateForm, NotInvertible
-from jpaut.fastscan import (CHUNK, _bilinear_rhs, _gram, _low_digit_block,
-                            _scan, _slot_rhs, _tensor_by_c,
+from jpaut.fastscan import (CHUNK, _gram, _low_digit_block, _scan,
                             _work_dtype, _xfirst, workers)
 
 MAX_SLOTS = 4
+# The rows of one float64 product in _image: at most 2**18 multiply-adds at
+# d <= 4, which OpenBLAS runs on the calling thread; spread over its
+# threads, these thin products run several times slower under load.
+_ROWS = 1 << 12
 
 
 def _digits_range(start: int, stop: int, p: int, cells: int,
@@ -230,6 +235,34 @@ def _make_gram_apply(g: np.ndarray, ginv: np.ndarray, p: int,
     return apply_dense
 
 
+def _by_last(t: np.ndarray) -> list[np.ndarray]:
+    """The slices of the output-first tensor t at each value of its last
+    input, each an (other inputs, x) float64 matrix."""
+    return [np.ascontiguousarray(t[..., c].reshape(len(t), -1).T,
+                                 dtype=np.float64)
+            for c in range(t.shape[-1])]
+
+
+def _image(by_last: Sequence[np.ndarray], vectors: Sequence[np.ndarray],
+           p: int) -> np.ndarray:
+    """T(vectors) mod p for batches of reduced vectors, by_last being T as
+    _by_last slices it: the outer product of every input but the last
+    times each slice, by plain float64 @ in blocks of _ROWS rows, each sum
+    an integer below d**2 p**3 < 2**53, then summed against the last input
+    in its dtype, below 64p**4."""
+    *rest, last = vectors
+    outer = rest[0]
+    for v in rest[1:]:
+        outer = (outer[:, :, None] * v[:, None]).reshape(len(v), -1)
+    outer = outer.astype(np.float64)
+    acc = np.zeros((len(last), by_last[0].shape[1]), last.dtype)
+    for s in range(0, len(last), _ROWS):
+        for c, m in enumerate(by_last):
+            acc[s:s + _ROWS] += ((outer[s:s + _ROWS] @ m).astype(last.dtype)
+                                 * last[s:s + _ROWS, c, None])
+    return acc % p
+
+
 def _carried(tensor: np.ndarray, out: np.ndarray, maps: Sequence[np.ndarray],
              p: int) -> np.ndarray:
     """Keep-vector of the complete condition out T == T(maps), the last
@@ -332,7 +365,7 @@ def _flat_pair_with_trace(p: int, d: int, t_plus: Sequence,
     g = _gram(gram, p, NotInvertible)
     ginv = _adj(g[None])[0] * pow(int(_det(g[None], p)[0]), -1, p) % p
     gram_apply = _make_gram_apply(g, ginv, p, dtype)
-    tp_byc = _tensor_by_c(tp, dtype)
+    tp_last = _by_last(tp)
     inverses = np.array([0] + [pow(x, -1, p) for x in range(1, p)],
                         dtype=dtype)
     total = p ** (d * d)
@@ -346,7 +379,7 @@ def _flat_pair_with_trace(p: int, d: int, t_plus: Sequence,
     def slot_pass(slot, a, minus):
         i, j, k = slot
         lhs = (a @ tp[:, i, j, k]) % p
-        rhs = _slot_rhs(tp_byc, a[:, :, i], minus[:, :, j], a[:, :, k], p)
+        rhs = _image(tp_last, (a[:, :, i], minus[:, :, j], a[:, :, k]), p)
         return (lhs == rhs).all(axis=1)
 
     def check_plus(a, minus):
@@ -368,7 +401,7 @@ def _flat_triple(p: int, d: int, tensor: Sequence,
     """scan_triple by decoding all p**(d*d) matrices."""
     dtype = _work_dtype(p)
     t = _xfirst(tensor, p, dtype)
-    t_byc = _tensor_by_c(t, dtype)
+    t_last = _by_last(t)
     total = p ** (d * d)
 
     def decode(start: int, stop: int):
@@ -377,7 +410,7 @@ def _flat_triple(p: int, d: int, tensor: Sequence,
     def slot_pass(slot, a):
         i, j, k = slot
         lhs = (a @ t[:, i, j, k]) % p
-        rhs = _slot_rhs(t_byc, a[:, :, i], a[:, :, j], a[:, :, k], p)
+        rhs = _image(t_last, (a[:, :, i], a[:, :, j], a[:, :, k]), p)
         return (lhs == rhs).all(axis=1)
 
     def check(a):
@@ -397,7 +430,7 @@ def _flat_algebra_unit_fixing(p: int, d: int, prod: Sequence,
     dtype = _work_dtype(p)
     pr = _xfirst(prod, p, dtype)
     u = np.asarray(unit, dtype=np.int64) % p
-    prf = np.ascontiguousarray(pr.reshape(d, d * d).T)
+    pr_last = _by_last(pr)
     t_col = int(np.nonzero(u)[0][0])
     u_t_inv = pow(int(u[t_col]), -1, p)
     free_cols = [j for j in range(d) if j != t_col]
@@ -422,7 +455,7 @@ def _flat_algebra_unit_fixing(p: int, d: int, prod: Sequence,
     def slot_pass(slot, a):
         i, j = slot
         lhs = (a @ pr[:, i, j]) % p
-        rhs = _bilinear_rhs(prf, a[:, :, i], a[:, :, j], p)
+        rhs = _image(pr_last, (a[:, :, i], a[:, :, j]), p)
         return (lhs == rhs).all(axis=1)
 
     def check(a):

@@ -7,9 +7,11 @@ import pytest
 from jpaut import (Matrix, PrimeField, make_t_iv, parse_system, run_claim,
                    claim_ids, list_claims, standard_form)
 from jpaut.claims import clear_cache, exhaustive_set, standard_generated
-from jpaut.errors import BadInput, BudgetExceeded, UnknownClaim
+from jpaut.errors import (BadInput, BudgetExceeded, NotFactorable,
+                          NotSimilitude, UnknownClaim)
 from jpaut.oracle import compare
 from jpaut.matrix import BilinearForm
+from jpaut.ring import RingElement
 
 ALL_IDS = ["autV-IV", "autT-IV", "aut-TJI", "mnplus-structure", "detSim",
            "phi-n-kernel", "vhi-square", "vhi-rect", "tti-multiplier",
@@ -120,7 +122,8 @@ def test_exhaustive_cache_tells_forms_with_one_name_apart():
 
 @pytest.mark.parametrize("spec,order", [("TIV(3,F5)", 16),
                                         ("Jbilin(3,F5)", 8),
-                                        ("TtI(2,2,F3)", 128)])
+                                        ("TtI(2,2,F3)", 128),
+                                        ("ThI(2,F3)", 96)])
 def test_standard_family_equals_the_exhaustive_set(spec, order):
     system = parse_system(spec)
     ex = exhaustive_set(system, jobs=2)
@@ -199,3 +202,77 @@ def test_stacked_families_report_as_the_object_path(claim_id, monkeypatch):
     for module in (autfam, claims):
         monkeypatch.setattr(module, "has_stacks", lambda ring, n: False)
     assert json.dumps(run_claim(claim_id)) == json.dumps(stacked)
+
+
+def test_detsim_counterexample_off_f_p_is_a_listed_map(monkeypatch):
+    # over F3xF3 the family is a list of Matrix; a zero member has f(1) = 0
+    from jpaut import claims
+    real = claims._twisted
+
+    def zero_first(ring, n):
+        family = real(ring, n)
+        assert isinstance(family, list)
+        family[0] = family[0] * RingElement(ring, ring.zero_p)
+        return family
+    monkeypatch.setattr(claims, "_twisted", zero_first)
+    rep = run_claim("detSim", ring="F3xF3", n=1)
+    assert rep["pass"] is False and rep["outcome"] == "failed"
+    assert rep["details"] == {"counterexample": [["(0,0)"]]}
+
+
+def test_detsim_raises_on_a_product_that_does_not_factor(monkeypatch):
+    # a zero first product has f(1) = 0, so it is no similitude at all
+    from jpaut import claims
+    real = claims.phi_n_stack
+
+    def zero_first(*args):
+        out = real(*args)
+        out[0] = 0
+        return out
+    monkeypatch.setattr(claims, "phi_n_stack", zero_first)
+    with pytest.raises(NotSimilitude, match=r"f\(1\) is not invertible"):
+        run_claim("detSim")
+
+
+@pytest.mark.parametrize("call", [1, 2])
+def test_detsim_reports_a_failed_round_trip(monkeypatch, call):
+    # det_factor_codes marks the first map of its call-th batch, the family
+    # at 1 and the drawn products at 2, as splitting without L_a phi == f
+    from jpaut import claims
+    from jpaut.autfam import stack_matrices
+    real, batches = claims.det_factor_codes, []
+
+    def marked(ring, n, fs):
+        codes = real(ring, n, fs)
+        batches.append(fs)
+        if len(batches) == call:
+            codes[0] = 3
+        return codes
+    monkeypatch.setattr(claims, "det_factor_codes", marked)
+    rep = run_claim("detSim")
+    assert rep["pass"] is False and rep["outcome"] == "failed"
+    first = stack_matrices(PrimeField(3), batches[-1][:1])[0]
+    assert rep["details"] == {"roundtrip_failure": first.to_jsonable()}
+    assert len(batches) == call
+
+
+def test_detsim_fails_when_the_negative_control_is_accepted(monkeypatch):
+    from jpaut import claims
+    monkeypatch.setattr(claims, "is_det_similitude", lambda f, n: True)
+    rep = run_claim("detSim")
+    assert rep["pass"] is False and rep["outcome"] == "failed"
+    assert rep["details"] == {"negative_control_accepted": True}
+
+
+def test_schemes_claim_reports_unfactorable_maps(monkeypatch):
+    from jpaut import claims
+
+    def refuse(algebra, phi):
+        raise NotFactorable("refused")
+    monkeypatch.setattr(claims, "factor_triple_aut", refuse)
+    rep = run_claim("schemesJandJTS")
+    assert rep["pass"] is False and rep["outcome"] == "failed"
+    ex = exhaustive_set(make_t_iv(standard_form(PrimeField(5), 2)))
+    assert rep["details"] == {
+        "exhaustive_order": 16, "unfactorable": 16,
+        "unfactorable_samples": [m.to_jsonable() for m in ex.elements[:2]]}

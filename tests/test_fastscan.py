@@ -13,9 +13,8 @@ from jpaut import (BilinearForm, PrimeField, Matrix, JordanAlgebra,
                    is_triple_automorphism, similitude_multiplier)
 from jpaut import fastscan
 from jpaut.errors import BadInput, NotInvertible
-from jpaut.fastscan import (_bilinear_rhs, _low_digit_block, _matmul, _rank,
-                            _slots, _tensor_by_c, _slot_rhs, _work_dtype,
-                            _xfirst, scan_algebra_unit_fixing,
+from jpaut.fastscan import (_low_digit_block, _matmul, _rank, _slots,
+                            _work_dtype, _xfirst, scan_algebra_unit_fixing,
                             scan_pair_with_trace, scan_triple,
                             scan_similitudes)
 from jpaut import (extended_form, make_t_iv, make_vhi, make_type_iv_pair,
@@ -129,21 +128,27 @@ def test_det_adj_identity(p, n):
 
 @pytest.mark.parametrize("p,d", [(3, 2), (3, 4), (5, 3), (19483, 4)])
 def test_slot_rhs_matches_einsum(p, d):
-    # the kernels pass float64 slabs; at 19483, the largest prime of the
-    # fast scans, the all-(p - 1) first row takes their products to the bound
+    # read with input s on unknown s and the output on unknown 3, the right
+    # side of slot (0, 0, 0) is -T(u, v, w); with the last input on unknown
+    # 3 instead, its coefficients are the columns T(u, v, e_e) less the
+    # slot's own coefficient.  At 19483, the largest prime of the fast
+    # scans, the all-(p - 1) first row takes the sums to the bound
     rng = np.random.default_rng(p * d)
     dt = _work_dtype(p)
     t = rng.integers(0, p, size=(d, d, d, d)).astype(dt)
-    u = rng.integers(0, p, size=(25, d)).astype(dt)
-    v = rng.integers(0, p, size=(25, d)).astype(dt)
-    w = rng.integers(0, p, size=(25, d)).astype(dt)
+    u, v, w = rng.integers(0, p, size=(3, 25, d)).astype(dt)
     t[0] = u[0] = v[0] = w[0] = p - 1
     ref = np.einsum('xabc,Ba,Bb,Bc->Bx', t.astype(np.int64),
                     u.astype(np.int64), v.astype(np.int64),
                     w.astype(np.int64)) % p
-    for slabs in (dt, np.float64):
-        got = _slot_rhs(_tensor_by_c(t, slabs), u, v, w, p)
-        assert np.array_equal(np.asarray(got, dtype=np.int64) % p, ref), slabs
+    prefix = np.stack((u, v, w), axis=1)
+    (_, row, _), *_ = _slots(t, [3] * d, ([0] * d, [1] * d, [2] * d), p)
+    assert np.array_equal(-row(prefix)[1].astype(np.int64) % p, ref)
+    (_, row, _), *_ = _slots(t, [3] * d, ([0] * d, [1] * d, [3] * d), p)
+    coef = row(prefix)[0].astype(np.int64)
+    lead = int(t[:, 0, 0, 0].astype(np.int64).sum())
+    got = np.einsum('Bxe,Be->Bx', coef, w.astype(np.int64)) + lead * w
+    assert np.array_equal(got % p, ref)
 
 
 @pytest.mark.parametrize("m,k,n", [(0, 9, 9), (1, 4, 3), (3236, 9, 9),
@@ -178,21 +183,12 @@ def _random_slots(kind, p, d, rng):
     arity = 2 if kind == "algebra" else 3
     tensors = [_xfirst(rng.integers(0, p, size=(d,) * (arity + 1)), p, dt)
                for _ in range(2 if kind == "pair" else 1)]
-    if kind == "algebra":
-        prf = np.ascontiguousarray(tensors[0].reshape(d, d * d).T)
-        return d, _slots(tensors[0], lambda x, y: _bilinear_rhs(prf, x, y, p),
-                         range(d), (range(d),) * 2, p)
-    if kind == "triple":
-        t_byc = _tensor_by_c(tensors[0], dt)
-        return d, _slots(tensors[0],
-                         lambda u, v, w: _slot_rhs(t_byc, u, v, w, p),
-                         range(d), (range(d),) * 3, p)
+    if kind != "pair":
+        return d, _slots(tensors[0], range(d), (range(d),) * arity, p)
     plus, minus = range(0, 2 * d, 2), range(1, 2 * d, 2)
     slots = []
     for t, side, other in zip(tensors, (plus, minus), (minus, plus)):
-        t_byc = _tensor_by_c(t, dt)
-        slots += _slots(t, lambda u, v, w, t_byc=t_byc: _slot_rhs(
-            t_byc, u, v, w, p), side, (side, other, side), p)
+        slots += _slots(t, side, (side, other, side), p)
     return 2 * d, slots
 
 
@@ -426,6 +422,27 @@ def test_fast_engine_refuses_primes_past_the_bound_before_scanning(
                                 budget=gl_order(ring, 2), engine="fast")
 
 
+def test_a_perturbed_slab_parts_the_search_from_the_flat_oracle(
+        monkeypatch):
+    # the flat oracle contracts its slots itself, so a fault in one slab of
+    # the search's slots changes the kernel's stack and not the oracle's
+    _, args = _kernel_call(parse_system("TIV(3,F5)").structure)
+    clean = _flat_oracle._flat_triple(*args)
+    assert np.array_equal(_sorted(scan_triple(*args)), clean)
+    real = fastscan._slabs
+
+    def perturbed(t):
+        slabs = real(t)
+        slabs[-1][0] = slabs[-1][0].copy()
+        slabs[-1][0][0, 0] += 1
+        return slabs
+    monkeypatch.setattr(fastscan, "_slabs", perturbed)
+    assert np.array_equal(_flat_oracle._flat_triple(*args), clean)
+    found = scan_triple(*args)
+    assert found.shape != clean.shape or not np.array_equal(_sorted(found),
+                                                            clean)
+
+
 @pytest.mark.parametrize("gram", [[[0, 0], [0, 0]], [[1, 1], [1, 1]]])
 @pytest.mark.parametrize("engine", ["fast", "pure"])
 def test_singular_trace_gram_raises_not_invertible(gram, engine):
@@ -475,26 +492,46 @@ def test_search_levels_span_chunks_in_search_order(monkeypatch):
     assert _ascending(_sorted(one))  # no map twice
 
 
-def test_search_logs_the_same_levels_for_any_jobs(caplog):
+# (kept, generated) at each search level, one input for each kernel kind.
+# In VhI(2,2,F3) the slot equations cut the cosets of levels 1-4, where the
+# trace entries leave two or more free dimensions (75,393 as filters); the
+# last level solves minus_3 outright: one candidate per prefix
+_LEVELS = {
+    "VhI(2,2,F3)": ([81, 288, 1440, 4896, 3456, 2304, 2304, 2304],
+                    [81, 864, 2592, 6048, 10368, 6912, 6912, 2304]),
+    "ThI(2,F3)": ([39, 135, 97, 96], [81, 231, 289, 97]),
+    "Mplus(2,F3)": ([14, 62, 302, 48], [81, 110, 542, 302]),
+    "TIV(3,F5)": ([15, 45, 16], [125, 391, 77]),
+    "similitudes(3,4,antidiagonal)": ([33, 513, 8289, 2304],
+                                      [81, 945, 15633, 63153]),
+}
+
+
+@pytest.mark.parametrize("name", list(_LEVELS))
+def test_search_logs_the_same_levels_for_any_jobs(caplog, name):
     # one DEBUG record per level: (level, kept, generated)
-    image = make_vhi(2, 2, F3).structure._int64
-    args = (3, 4, image["t_plus"], image["t_minus"], image["trace"])
+    if name.startswith("similitudes"):
+        gram = np.eye(4, dtype=np.int64)[::-1]
+
+        def scan(jobs):
+            return scan_similitudes(3, 4, gram, False, jobs=jobs)
+    else:
+        kernel, args = _kernel_call(parse_system(name).structure)
+
+        def scan(jobs):
+            return getattr(fastscan, f"scan_{kernel}")(*args, jobs=jobs)
     levels = {}
     for jobs in (1, 2, 3):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="jpaut.fastscan"):
-            scan_pair_with_trace(*args, jobs=jobs)
+            scan(jobs)
         levels[jobs] = [r.args for r in caplog.records
                         if r.name == "jpaut.fastscan"]
     assert levels[1] == levels[2] == levels[3]
-    assert [level for level, _, _ in levels[1]] == list(range(8))
-    assert [kept for _, kept, _ in levels[1]] == [
-        81, 288, 1440, 4896, 3456, 2304, 2304, 2304]
-    # the slot equations cut the cosets of levels 1-4, where the trace
-    # entries leave two or more free dimensions (75,393 as filters); the
-    # last level solves minus_3 outright: one candidate per prefix
-    assert [generated for _, _, generated in levels[1]] == [
-        81, 864, 2592, 6048, 10368, 6912, 6912, 2304]
+    kept, generated = _LEVELS[name]
+    assert [level for level, _, _ in levels[1]] == list(range(len(kept)))
+    assert [k for _, k, _ in levels[1]] == kept
+    assert [g for _, _, g in levels[1]] == generated
 
 
 def test_blocks_split_each_range_over_the_jobs():
